@@ -190,7 +190,7 @@ func run(w io.Writer, graphPath, patternPath, semantics string, showResult bool,
 
 func printTime(w io.Writer, s gpm.MatchStats) {
 	if s.Oracle != gpm.OracleNone {
-		fmt.Fprintf(w, "oracle: %s, build %v (%d queries)\n", s.Oracle, s.OracleBuild, s.OracleQueries)
+		fmt.Fprintf(w, "oracle: %s, build %v (%d queries, %d scans)\n", s.Oracle, s.OracleBuild, s.OracleQueries, s.SweepScans)
 	}
 	fmt.Fprintf(w, "match: %v\n", s.MatchTime)
 }

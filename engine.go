@@ -139,6 +139,7 @@ type MatchStats struct {
 	OracleBuild   time.Duration // shared-index build time charged to this call
 	MatchTime     time.Duration // fixpoint / enumeration time, excluding OracleBuild
 	OracleQueries int64         // distance-oracle probes issued
+	SweepScans    int64         // adjacency entries scanned by witness sweeps
 	Removals      int64         // pairs removed during refinement
 	InitialPairs  int64         // candidate pairs before refinement
 }
@@ -558,6 +559,7 @@ func (e *Engine) relationQuery(ctx context.Context, q RelationQuery) (*core.Resu
 			OracleBuild:   built,
 			MatchTime:     time.Since(start),
 			OracleQueries: cs.OracleQueries,
+			SweepScans:    cs.SweepScans,
 			Removals:      cs.Removals,
 			InitialPairs:  cs.InitialPairs,
 		}, gen, nil
@@ -687,6 +689,7 @@ func (e *Engine) MatchBatch(ctx context.Context, ps []*Pattern) ([]*MatchResult,
 					Oracle:        e.kind,
 					MatchTime:     time.Since(start),
 					OracleQueries: cs.OracleQueries,
+					SweepScans:    cs.SweepScans,
 					Removals:      cs.Removals,
 					InitialPairs:  cs.InitialPairs,
 				}}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"gpm/internal/cancel"
 	"gpm/internal/graph"
@@ -13,20 +14,9 @@ import (
 // zeroed Stats to MatchContext; the engine layer surfaces it per query.
 type Stats struct {
 	OracleQueries int64 // distance-oracle probes issued
+	SweepScans    int64 // adjacency entries scanned by witness sweeps and condensation passes
 	Removals      int64 // pairs removed during refinement
 	InitialPairs  int64 // candidate pairs before refinement
-}
-
-// countingOracle wraps a DistOracle, counting probes into *n. It is used
-// per query (single goroutine), so plain increments suffice.
-type countingOracle struct {
-	inner DistOracle
-	n     *int64
-}
-
-func (c *countingOracle) NonemptyDistWithin(u, v, bound int, color string) int {
-	*c.n++
-	return c.inner.NonemptyDistWithin(u, v, bound, color)
 }
 
 // Result is the outcome of a bounded-simulation computation: the greatest
@@ -159,16 +149,21 @@ type MatchOptions struct {
 	// Workers shards the candidate and counter initialisation — the
 	// quadratic O(|Ep||V|²) phase of Theorem 3.1 — across this many
 	// goroutines. Values <= 1 run fully sequentially. Parallel runs
-	// require an oracle implementing WorkerCloner (all three built-in
-	// oracles do); unknown oracles silently fall back to sequential.
+	// require an oracle implementing WorkerCloner (all built-in oracles
+	// do); unknown oracles silently fall back to sequential.
 	// The refinement cascade itself stays single-threaded: the greatest
 	// fixpoint is unique (Proposition 2.1), so the result is identical
 	// for every worker count.
 	Workers int
 	// Frozen, when non-nil, is a pre-frozen snapshot of the data graph
-	// reused by the walk prober and the parallel phases; callers serving
-	// many queries (the engine layer) pass their cached snapshot so each
-	// query skips the O(|V|+|E|) freeze.
+	// that o describes; callers serving many queries (the engine layer)
+	// pass their cached snapshot so each query skips the O(|V|+|E|)
+	// freeze. Handing one also switches counter initialisation and
+	// removal from pairwise oracle probes to witness sweeps over the
+	// snapshot (sweep.go) and candidate selection to its attribute
+	// indexes; relation, worklist order and Stats.InitialPairs/Removals
+	// are identical either way. Without it MatchOpts is the paper's
+	// Fig. 4 verbatim, one probe per candidate pair.
 	Frozen *graph.Frozen
 	// Seed, when non-nil, restricts each pattern node's initial candidate
 	// set to the given data nodes (ascending, deduped, in-range; one
@@ -185,15 +180,7 @@ func MatchOpts(ctx context.Context, p *pattern.Pattern, g *graph.Graph, o DistOr
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	base := o
-	if stats != nil {
-		o = &countingOracle{inner: o, n: &stats.OracleQueries}
-	}
-	st := newState(p, g, o)
-	st.f = opts.Frozen
-	st.poll = cancel.Every(ctx, cancelPollInterval)
-	st.stats = stats
-	st.seed = opts.Seed
+	st := &state{p: p, g: g, f: opts.Frozen, sweep: opts.Frozen != nil, seed: opts.Seed, stats: stats}
 	workers := opts.Workers
 	if st.seed != nil {
 		if len(st.seed) != p.N() {
@@ -201,20 +188,33 @@ func MatchOpts(ctx context.Context, p *pattern.Pattern, g *graph.Graph, o DistOr
 		}
 		workers = 1
 	}
-	if _, ok := base.(WorkerCloner); !ok {
+	if _, ok := o.(WorkerCloner); !ok || workers < 1 {
 		workers = 1
 	}
 	if workers > 1 {
-		if err := st.parallelInit(ctx, base, workers); err != nil {
-			return nil, err
+		st.frozen() // freeze before the pool starts: workers share the snapshot
+	}
+	if st.sweep {
+		st.cost = probeCost(o, st.f)
+	}
+	// The first prober probes o itself and stays on for the refinement;
+	// the others probe private clones during initialisation only.
+	probers := make([]*prober, workers)
+	for w := range probers {
+		po := o
+		if w > 0 {
+			po = cloneForWorker(o)
 		}
-	} else {
-		if err := st.initCandidates(); err != nil {
-			return nil, err
-		}
-		if err := st.initCountersFinish(); err != nil {
-			return nil, err
-		}
+		probers[w] = &prober{st: st, o: po, poll: cancel.Every(ctx, cancelPollInterval)}
+	}
+	st.main = probers[0]
+	defer st.release(probers)
+
+	if err := st.initCandidates(probers); err != nil {
+		return nil, err
+	}
+	if err := st.initCounters(probers); err != nil {
+		return nil, err
 	}
 	if err := st.refine(); err != nil {
 		return nil, err
@@ -222,35 +222,24 @@ func MatchOpts(ctx context.Context, p *pattern.Pattern, g *graph.Graph, o DistOr
 	return st.result(), nil
 }
 
-// initCountersFinish records InitialPairs then fills the counters — the
-// sequential tail shared by MatchOpts and tests.
-func (st *state) initCountersFinish() error {
-	if st.stats != nil {
-		for _, s := range st.matSize {
-			st.stats.InitialPairs += int64(s)
-		}
-	}
-	return st.initCounters()
-}
-
-// state carries the refinement data shared by the batch algorithm here
-// and the incremental matcher built on top of it.
+// state carries the refinement data of one query.
 type state struct {
-	p *pattern.Pattern
-	g *graph.Graph
-	f *graph.Frozen // lazy CSR snapshot; shared with workers and the walk prober
-	o DistOracle
+	p     *pattern.Pattern
+	g     *graph.Graph
+	f     *graph.Frozen // CSR snapshot; lazily frozen when the caller gave none
+	sweep bool          // caller handed a snapshot: witness sweeps instead of pairwise probes
+	cost  int64         // c(o) of the cost rule (sweep.go)
 
-	cand    [][]int32 // static candidate lists (predicate + out-degree test)
-	inCand  [][]bool
-	inMat   [][]bool
-	matSize []int
-	seed    [][]int32 // optional candidate restriction (MatchOptions.Seed)
-	cnt     [][]int32 // per pattern edge, indexed by data node
-	work    []removalItem
-	walks   *walkProber // lazy; only for ranged edges (§6 extension)
+	// Everything per-candidate is indexed by position in cand(u), not by
+	// data node, so a query's state is O(Σ|cand|) whatever |V| is.
+	cand  [][]int32        // static candidate lists (predicate + out-degree test), ascending
+	inMat [][]bool         // per pattern node, by position in cand(u)
+	seed  [][]int32        // optional candidate restriction (MatchOptions.Seed)
+	cnt   [][]int32        // per pattern edge (u, u′), by position in cand(u)
+	wit   []*witnessMatrix // per pattern edge; nil where remove probes
+	work  []removalItem
+	main  *prober // the sequential phases' prober
 
-	poll  cancel.Poller
 	stats *Stats
 }
 
@@ -258,13 +247,11 @@ type state struct {
 // polling ctx.Err() in the cubic-time inner loops.
 const cancelPollInterval = 4096
 
+// removalItem is a pair queued for deletion: pattern node u and the
+// position j of the data node in cand(u).
 type removalItem struct {
 	u int32
-	x int32
-}
-
-func newState(p *pattern.Pattern, g *graph.Graph, o DistOracle) *state {
-	return &state{p: p, g: g, o: o}
+	j int32
 }
 
 // frozen returns the CSR snapshot of the data graph, freezing on first
@@ -276,79 +263,202 @@ func (st *state) frozen() *graph.Frozen {
 	return st.f
 }
 
+// release returns pooled scratch and folds the probers' work counters
+// into the query's Stats.
+func (st *state) release(probers []*prober) {
+	for _, p := range probers {
+		if p.sw != nil {
+			p.sw.close()
+		}
+		if st.stats != nil {
+			st.stats.OracleQueries += p.queries
+			if p.sw != nil {
+				st.stats.SweepScans += p.sw.scans
+			}
+		}
+	}
+}
+
 // initCandidates computes cand(u): data nodes satisfying fv(u) whose
 // out-degree is nonzero whenever u has outgoing pattern edges (Match,
-// line 5 — a node with no successors can witness no nonempty path).
-func (st *state) initCandidates() error {
-	np, n := st.p.N(), st.g.N()
+// line 5 — a node with no successors can witness no nonempty path). One
+// task per pattern node; a seeded run is sequential by construction
+// (MatchOpts pins one worker).
+func (st *state) initCandidates(probers []*prober) error {
+	np := st.p.N()
 	st.cand = make([][]int32, np)
-	st.inCand = make([][]bool, np)
 	st.inMat = make([][]bool, np)
-	st.matSize = make([]int, np)
-	for u := 0; u < np; u++ {
-		pred := st.p.Pred(u)
-		needsOut := st.p.OutDegree(u) > 0
-		st.inCand[u] = make([]bool, n)
-		st.inMat[u] = make([]bool, n)
-		admit := func(x int) error {
-			if err := st.poll.Err(); err != nil {
-				return err
-			}
-			if st.inCand[u][x] || (needsOut && st.g.OutDegree(x) == 0) || !pred.Match(st.g.Attr(x)) {
-				return nil
-			}
-			st.cand[u] = append(st.cand[u], int32(x))
-			st.inCand[u][x] = true
-			st.inMat[u][x] = true
-			st.matSize[u]++
-			return nil
+	err := runShards(probers, np, func(p *prober, u int) (err error) {
+		st.cand[u], err = st.candidatesOf(u, &p.poll)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	for u, l := range st.cand {
+		st.inMat[u] = make([]bool, len(l))
+		for j := range l {
+			st.inMat[u][j] = true
 		}
-		if st.seed != nil {
-			// Candidates come from the caller-supplied superset of the
-			// relation; the predicate and out-degree filters still apply
-			// (they only drop nodes that cannot be in the fixpoint).
-			for _, x := range st.seed[u] {
-				if x < 0 || int(x) >= n {
-					continue
-				}
-				if err := admit(int(x)); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		for x := 0; x < n; x++ {
-			if err := admit(x); err != nil {
-				return err
-			}
+		if st.stats != nil {
+			st.stats.InitialPairs += int64(len(l))
 		}
 	}
 	return nil
 }
 
+// candidatesOf returns cand(u), ascending: from the seed row when the
+// caller supplied one (the predicate and out-degree filters still apply —
+// they only drop nodes that cannot be in the fixpoint), through the
+// snapshot's attribute indexes when there is a snapshot, by a scan of the
+// live graph otherwise.
+func (st *state) candidatesOf(u int, poll *cancel.Poller) ([]int32, error) {
+	pred := st.p.Pred(u)
+	needsOut := st.p.OutDegree(u) > 0
+	if st.seed == nil && st.sweep {
+		return pattern.Candidates(st.f, pred, needsOut, poll)
+	}
+	var out []int32
+	admit := func(x int) error {
+		if err := poll.Err(); err != nil {
+			return err
+		}
+		if !(needsOut && st.g.OutDegree(x) == 0) && pred.Match(st.g.Attr(x)) {
+			out = append(out, int32(x))
+		}
+		return nil
+	}
+	if st.seed != nil {
+		last := int32(-1)
+		for _, x := range st.seed[u] {
+			if x <= last || int(x) >= st.g.N() {
+				continue // out of range, duplicate or out of order
+			}
+			last = x
+			if err := admit(int(x)); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
+	for x := 0; x < st.g.N(); x++ {
+		if err := admit(x); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// cntTask is one shard of counter seeding: blocks [lo, hi) of cand(From)
+// of pattern edge eid, sweepBlock candidates a block.
+type cntTask struct {
+	eid    int
+	lo, hi int
+}
+
 // initCounters fills cnt[e][x] for every pattern edge and candidate
-// source, seeding the worklist with already-dead pairs.
-func (st *state) initCounters() error {
-	st.cnt = make([][]int32, st.p.EdgeCount())
-	for eid := 0; eid < st.p.EdgeCount(); eid++ {
+// source and seeds the worklist with already-dead pairs, sharded over
+// (pattern edge, block span) — the O(|Ep||V|²) probes that dominate
+// Theorem 3.1's bound, or the sweeps that replace them. cnt rows are per
+// edge, block spans disjoint and a witness matrix is written one word
+// column per block, so writes never collide; inMat is read-only here.
+func (st *state) initCounters(probers []*prober) error {
+	ne := st.p.EdgeCount()
+	st.cnt = make([][]int32, ne)
+	st.wit = make([]*witnessMatrix, ne)
+	witnessBytes := witnessCap() // what the query may still spend on matrices
+	var tasks []cntTask
+	for eid := 0; eid < ne; eid++ {
 		e := st.p.EdgeAt(eid)
-		c := make([]int32, st.g.N())
-		st.cnt[eid] = c
-		for _, x := range st.cand[e.From] {
-			for _, z := range st.cand[e.To] {
-				if err := st.poll.Err(); err != nil {
-					return err
+		from, to := len(st.cand[e.From]), len(st.cand[e.To])
+		st.cnt[eid] = make([]int32, from)
+		blocks := (from + sweepBlock - 1) / sweepBlock
+		if st.sweep && sweepable(e) {
+			if size := int64(to) * int64(blocks) * 8; size <= witnessBytes {
+				witnessBytes -= size
+				st.wit[eid] = &witnessMatrix{words: blocks, bits: make([]uint64, to*blocks)}
+			}
+		}
+		for _, s := range shardSpans(blocks, len(probers), sweepBlock*to) {
+			tasks = append(tasks, cntTask{eid, s[0], s[1]})
+		}
+	}
+	dead := make([][]removalItem, len(tasks))
+	err := runShards(probers, len(tasks), func(p *prober, t int) (err error) {
+		dead[t], err = st.countBlocks(p, tasks[t])
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	// Deterministic worklist: edge-major, candidate-ascending, whatever
+	// the worker count.
+	for _, d := range dead {
+		st.work = append(st.work, d...)
+	}
+	return nil
+}
+
+// countBlocks seeds the counters of one task and returns the sources
+// whose counter stayed at zero.
+func (st *state) countBlocks(p *prober, t cntTask) ([]removalItem, error) {
+	e := st.p.EdgeAt(t.eid)
+	c, wm := st.cnt[t.eid], st.wit[t.eid]
+	from, to := st.cand[e.From], st.cand[e.To]
+	sweep := st.sweep && sweepable(e)
+	var dead []removalItem
+	for b := t.lo; b < t.hi; b++ {
+		base := b * sweepBlock
+		srcs := from[base:min(base+sweepBlock, len(from))]
+		c := c[base : base+len(srcs)]
+		swept := false
+		if sweep {
+			var err error
+			swept, err = p.sweeper().block(srcs, e, blockBudget(st.cost, len(srcs), len(to)))
+			if err != nil {
+				return nil, err
+			}
+		}
+		if swept {
+			// Every member of cand(u′) is still in mat(u′): refinement
+			// has not started.
+			for j, z := range to {
+				m := p.sw.mask(z)
+				if m == 0 {
+					continue
 				}
-				if st.inMat[e.To][z] && st.edgeWitness(int(x), int(z), e, false) >= 0 {
-					c[x]++
+				if wm != nil {
+					wm.bits[j*wm.words+b] = m
+				}
+				for ; m != 0; m &= m - 1 {
+					c[bits.TrailingZeros64(m)]++
 				}
 			}
-			if c[x] == 0 {
-				st.work = append(st.work, removalItem{int32(e.From), x})
+			p.sw.reset()
+		} else {
+			// Fig. 4: one probe per pair. A block whose sweep ran out of
+			// budget still records the outcomes, so remove never probes.
+			for i, x := range srcs {
+				for j, z := range to {
+					if err := p.poll.Err(); err != nil {
+						return nil, err
+					}
+					if st.inMat[e.To][j] && p.witness(int(x), int(z), e, false) >= 0 {
+						c[i]++
+						if wm != nil {
+							wm.bits[j*wm.words+b] |= 1 << uint(i)
+						}
+					}
+				}
+			}
+		}
+		for i, n := range c {
+			if n == 0 {
+				dead = append(dead, removalItem{int32(e.From), int32(base + i)})
 			}
 		}
 	}
-	return nil
+	return dead, nil
 }
 
 // refine drains the removal worklist to the greatest fixpoint.
@@ -356,40 +466,56 @@ func (st *state) refine() error {
 	for len(st.work) > 0 {
 		it := st.work[len(st.work)-1]
 		st.work = st.work[:len(st.work)-1]
-		if err := st.remove(int(it.u), it.x); err != nil {
+		if err := st.remove(int(it.u), int(it.j)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// remove deletes (u, x) from the relation and propagates counter
-// decrements to ancestor candidates within bound of x.
-func (st *state) remove(u int, x int32) error {
-	if !st.inMat[u][x] {
+// remove deletes (u, x), x the j-th member of cand(u), from the relation
+// and propagates counter decrements to ancestor candidates within bound
+// of x: the set bits of row j where the edge kept a witness matrix, one
+// probe per ancestor candidate where it did not. Both visit ancestors in
+// ascending order.
+func (st *state) remove(u, j int) error {
+	if !st.inMat[u][j] {
 		return nil
 	}
-	st.inMat[u][x] = false
-	st.matSize[u]--
+	st.inMat[u][j] = false
 	if st.stats != nil {
 		st.stats.Removals++
 	}
+	p := st.main
 	for _, eid := range st.p.In(u) {
 		e := st.p.EdgeAt(int(eid))
-		c := st.cnt[eid]
-		for _, xp := range st.cand[e.From] {
-			if err := st.poll.Err(); err != nil {
+		c, alive := st.cnt[eid], st.inMat[e.From]
+		drop := func(i int) {
+			c[i]--
+			if c[i] == 0 {
+				st.work = append(st.work, removalItem{int32(e.From), int32(i)})
+			}
+		}
+		if wm := st.wit[eid]; wm != nil {
+			for b, m := range wm.row(j) {
+				for ; m != 0; m &= m - 1 {
+					if err := p.poll.Err(); err != nil {
+						return err
+					}
+					if i := b*sweepBlock + bits.TrailingZeros64(m); alive[i] {
+						drop(i)
+					}
+				}
+			}
+			continue
+		}
+		x := int(st.cand[u][j])
+		for i, xp := range st.cand[e.From] {
+			if err := p.poll.Err(); err != nil {
 				return err
 			}
-			if !st.inMat[e.From][xp] {
-				continue
-			}
-			if st.edgeWitness(int(xp), int(x), e, true) < 0 {
-				continue
-			}
-			c[xp]--
-			if c[xp] == 0 {
-				st.work = append(st.work, removalItem{int32(e.From), xp})
+			if alive[i] && p.witness(int(xp), x, e, true) >= 0 {
+				drop(i)
 			}
 		}
 	}
@@ -400,8 +526,8 @@ func (st *state) remove(u int, x int32) error {
 func (st *state) result() *Result {
 	res := &Result{p: st.p, g: st.g, mat: make([][]int32, st.p.N()), ok: true}
 	for u := 0; u < st.p.N(); u++ {
-		for _, x := range st.cand[u] {
-			if st.inMat[u][x] {
+		for j, x := range st.cand[u] {
+			if st.inMat[u][j] {
 				res.mat[u] = append(res.mat[u], x)
 			}
 		}

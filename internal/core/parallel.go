@@ -1,51 +1,64 @@
 package core
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 
 	"gpm/internal/cancel"
-	"gpm/internal/graph"
 	"gpm/internal/pattern"
 )
 
-// This file shards the two initialisation phases of the bounded-simulation
-// fixpoint across a worker pool: candidate filtering (O(|Vp||V|) predicate
-// tests) and counter seeding (the O(|Ep||V|²) distance probes that
-// dominate Theorem 3.1's bound). The refinement cascade that follows stays
-// sequential — removals are a tiny fraction of the probes, and the
+// This file holds the worker pool that shards the two initialisation
+// phases of the bounded-simulation fixpoint: candidate filtering
+// (O(|Vp||V|) predicate tests at worst) and counter seeding (the
+// O(|Ep||V|²) distance probes that dominate Theorem 3.1's bound, or the
+// witness sweeps that replace them). The refinement cascade that follows
+// stays sequential — removals are a tiny fraction of the work, and the
 // greatest fixpoint is unique regardless of removal order, so parallel and
 // sequential runs produce bit-identical results.
 //
-// Each worker owns a workerProbe: a clone of the distance oracle (shared
+// Each worker owns a prober: a clone of the distance oracle (shared
 // immutable indexes, private frontier caches — see WorkerCloner), a
-// private walk prober for ranged edges, a private cancellation poller and
-// a local probe counter, so the hot loops run without any locking.
+// private walk prober for ranged edges, a private sweeper, a private
+// cancellation poller and a local probe counter, so the hot loops run
+// without any locking. A sequential run is the same code on one prober.
 
 // minShardWork is the smallest number of per-task loop iterations worth a
 // task switch; below it, sharding overhead beats the parallel gain.
 const minShardWork = 256
 
-// workerProbe is the per-goroutine probing state of one parallel phase.
-type workerProbe struct {
+// prober is the per-goroutine witness-finding state of one query.
+type prober struct {
+	st      *state
 	o       DistOracle
-	walks   *walkProber
-	f       *graph.Frozen
+	walks   *walkProber // lazy; only for ranged edges (§6 extension)
+	sw      *sweeper    // lazy; only with a caller-supplied snapshot
 	poll    cancel.Poller
-	queries int64
+	queries int64 // oracle probes issued
 }
 
-// edgeWitness mirrors state.edgeWitness against worker-private state.
-func (w *workerProbe) edgeWitness(x, z int, e pattern.Edge) int {
+// witness returns the witness length for pattern edge e from x to z: the
+// ranged walk check when e carries a lower bound, the oracle's nonempty
+// shortest path otherwise. preferBackward hints the walk prober's cache
+// (target-major sweeps fix z).
+func (p *prober) witness(x, z int, e pattern.Edge, preferBackward bool) int {
 	if e.Ranged() {
-		if w.walks == nil {
-			w.walks = newWalkProber(w.f)
+		if p.walks == nil {
+			p.walks = newWalkProber(p.st.frozen())
 		}
-		return w.walks.WalkWithin(x, z, e.MinBound, e.Bound, e.Color, false)
+		return p.walks.WalkWithin(x, z, e.MinBound, e.Bound, e.Color, preferBackward)
 	}
-	w.queries++
-	return w.o.NonemptyDistWithin(x, z, e.Bound, e.Color)
+	p.queries++
+	return p.o.NonemptyDistWithin(x, z, e.Bound, e.Color)
+}
+
+// sweeper returns the prober's sweeper, taking scratch from the pool on
+// first use.
+func (p *prober) sweeper() *sweeper {
+	if p.sw == nil {
+		p.sw = newSweeper(p.st.f, &p.poll)
+	}
+	return p.sw
 }
 
 // abortFlag latches the first error of a worker pool.
@@ -65,7 +78,7 @@ func (a *abortFlag) set(err error) {
 // runShards feeds task indexes 0..tasks-1 to a pool of probes. run must
 // only touch state disjoint per task (or read-only shared state). The
 // first error stops the pool; remaining tasks are skipped.
-func runShards(probes []*workerProbe, tasks int, run func(p *workerProbe, task int) error) error {
+func runShards(probes []*prober, tasks int, run func(p *prober, task int) error) error {
 	if len(probes) == 1 {
 		for t := 0; t < tasks; t++ {
 			if err := run(probes[0], t); err != nil {
@@ -79,7 +92,7 @@ func runShards(probes []*workerProbe, tasks int, run func(p *workerProbe, task i
 	var wg sync.WaitGroup
 	for _, p := range probes {
 		wg.Add(1)
-		go func(p *workerProbe) {
+		go func(p *prober) {
 			defer wg.Done()
 			for t := range ch {
 				if ab.stop.Load() {
@@ -125,133 +138,4 @@ func shardSpans(n, workers, workUnit int) [][2]int {
 		spans = append(spans, [2]int{lo, hi})
 	}
 	return spans
-}
-
-// parallelInit runs initCandidates and initCounters sharded across
-// workers. base is the unwrapped oracle (WorkerCloner-capable, checked by
-// the caller); probe counts are aggregated into st.stats at the end.
-func (st *state) parallelInit(ctx context.Context, base DistOracle, workers int) error {
-	np, n := st.p.N(), st.g.N()
-	f := st.frozen()
-
-	probes := make([]*workerProbe, workers)
-	for w := range probes {
-		probes[w] = &workerProbe{
-			o:    cloneForWorker(base),
-			f:    f,
-			poll: cancel.Every(ctx, cancelPollInterval),
-		}
-	}
-
-	// Phase 1: candidate filtering, sharded over (pattern node, data-node
-	// span). Writes are disjoint: each (u, x) belongs to exactly one task.
-	st.cand = make([][]int32, np)
-	st.inCand = make([][]bool, np)
-	st.inMat = make([][]bool, np)
-	st.matSize = make([]int, np)
-	for u := 0; u < np; u++ {
-		st.inCand[u] = make([]bool, n)
-		st.inMat[u] = make([]bool, n)
-	}
-	type candTask struct {
-		u      int
-		lo, hi int
-	}
-	var candTasks []candTask
-	for u := 0; u < np; u++ {
-		for _, s := range shardSpans(n, workers, 1) {
-			candTasks = append(candTasks, candTask{u, s[0], s[1]})
-		}
-	}
-	candOut := make([][]int32, len(candTasks))
-	err := runShards(probes, len(candTasks), func(p *workerProbe, t int) error {
-		task := candTasks[t]
-		u := task.u
-		pred := st.p.Pred(u)
-		needsOut := st.p.OutDegree(u) > 0
-		var local []int32
-		for x := task.lo; x < task.hi; x++ {
-			if err := p.poll.Err(); err != nil {
-				return err
-			}
-			if needsOut && f.OutDegree(x) == 0 {
-				continue
-			}
-			if !pred.Match(f.Attr(x)) {
-				continue
-			}
-			local = append(local, int32(x))
-			st.inCand[u][x] = true
-			st.inMat[u][x] = true
-		}
-		candOut[t] = local
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	// Concatenate spans in task order: cand lists come out identical to a
-	// sequential run (ascending data-node ids).
-	for t, task := range candTasks {
-		st.cand[task.u] = append(st.cand[task.u], candOut[t]...)
-		st.matSize[task.u] += len(candOut[t])
-	}
-	if st.stats != nil {
-		for _, s := range st.matSize {
-			st.stats.InitialPairs += int64(s)
-		}
-	}
-
-	// Phase 2: counter seeding, sharded over (pattern edge, candidate
-	// span). cnt rows are per-edge and candidate spans are disjoint, so
-	// writes never collide; inMat is read-only during this phase.
-	st.cnt = make([][]int32, st.p.EdgeCount())
-	type cntTask struct {
-		eid    int
-		lo, hi int
-	}
-	var cntTasks []cntTask
-	for eid := 0; eid < st.p.EdgeCount(); eid++ {
-		st.cnt[eid] = make([]int32, n)
-		e := st.p.EdgeAt(eid)
-		for _, s := range shardSpans(len(st.cand[e.From]), workers, len(st.cand[e.To])) {
-			cntTasks = append(cntTasks, cntTask{eid, s[0], s[1]})
-		}
-	}
-	seeds := make([][]removalItem, len(cntTasks))
-	err = runShards(probes, len(cntTasks), func(p *workerProbe, t int) error {
-		task := cntTasks[t]
-		e := st.p.EdgeAt(task.eid)
-		c := st.cnt[task.eid]
-		var local []removalItem
-		for _, x := range st.cand[e.From][task.lo:task.hi] {
-			for _, z := range st.cand[e.To] {
-				if err := p.poll.Err(); err != nil {
-					return err
-				}
-				if st.inMat[e.To][z] && p.edgeWitness(int(x), int(z), e) >= 0 {
-					c[x]++
-				}
-			}
-			if c[x] == 0 {
-				local = append(local, removalItem{int32(e.From), x})
-			}
-		}
-		seeds[t] = local
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	// Deterministic worklist: seeds appended in task order, matching the
-	// sequential edge-major, candidate-ascending order.
-	for _, s := range seeds {
-		st.work = append(st.work, s...)
-	}
-	if st.stats != nil {
-		for _, p := range probes {
-			st.stats.OracleQueries += p.queries
-		}
-	}
-	return nil
 }

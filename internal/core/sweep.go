@@ -1,0 +1,319 @@
+package core
+
+import (
+	"math"
+	"sync/atomic"
+
+	"gpm/internal/cancel"
+	"gpm/internal/graph"
+	"gpm/internal/pattern"
+)
+
+// Witness sweeps. Theorem 3.1's |Ep||V|² term is the cost of asking, for
+// every pattern edge (u, u′) and every pair of cand(u) × cand(u′), whether
+// the second node lies within the edge's bound of the first. A bounded
+// witness is a local object — it is found by walking the ball around a
+// node, not by interrogating an all-pairs structure — so when the caller
+// hands a frozen snapshot, the fixpoint takes cand(u) 64 sources at a
+// time and runs ONE traversal per block that carries a uint64 mask per
+// node (the trick of internal/pll's bit-parallel build): bit i of the
+// mask at w says source i reaches w by a nonempty path within the bound.
+// Reading the masks at cand(u′) yields both the counters and, kept as a
+// bit matrix per edge, every later answer remove needs.
+//
+// The convention is the oracle's: paths are nonempty, so a source carries
+// its own bit only when a cycle leads back to it — sources are never
+// pre-marked.
+
+// sweepBlock is the number of sources one sweep carries: the mask width.
+const sweepBlock = 64
+
+// sweeper runs mask sweeps over one snapshot. It is per-goroutine state;
+// the scratch comes from graph's pool and must be released with close.
+type sweeper struct {
+	f     *graph.Frozen
+	s     *graph.SweepScratch
+	cond  *graph.Condensation // non-nil while the masks are per component
+	poll  *cancel.Poller
+	scans int64 // adjacency entries scanned, all sweeps
+}
+
+func newSweeper(f *graph.Frozen, poll *cancel.Poller) *sweeper {
+	return &sweeper{f: f, s: graph.GetSweepScratch(f.N()), poll: poll}
+}
+
+// close returns the scratch to the pool.
+func (sw *sweeper) close() { sw.s.Put() }
+
+// bounded sweeps k levels out of srcs (at most sweepBlock of them), level
+// by level over a frontier list: a node is expanded at a level only with
+// the bits that first reached it at the previous one. It gives up —
+// ok false, masks already reset — once it has scanned more than budget
+// adjacency entries. After ok, mask is valid until reset.
+func (sw *sweeper) bounded(srcs []int32, k int, budget int64) (ok bool, err error) {
+	s := sw.s
+	front := s.Frontier[:0]
+	for i, x := range srcs {
+		if s.Cur[x] == 0 {
+			front = append(front, x)
+		}
+		s.Cur[x] |= 1 << uint(i)
+	}
+	touched := s.Touched[:0]
+	var scanned int64
+	for level := 1; level <= k && len(front) > 0; level++ {
+		if err = sw.poll.Now(); err != nil {
+			break
+		}
+		grown := s.Grown[:0]
+		last := level == k // nothing expands after it: no frontier to keep
+		for _, w := range front {
+			m := s.Cur[w]
+			s.Cur[w] = 0
+			out := sw.f.Out(int(w))
+			scanned += int64(len(out))
+			for _, y := range out {
+				fresh := m &^ s.Seen[y]
+				if fresh == 0 {
+					continue
+				}
+				if s.Seen[y] == 0 {
+					touched = append(touched, y)
+				}
+				s.Seen[y] |= fresh
+				if last {
+					continue
+				}
+				if s.Next[y] == 0 {
+					grown = append(grown, y)
+				}
+				s.Next[y] |= fresh
+			}
+			if scanned > budget {
+				break
+			}
+		}
+		s.Cur, s.Next = s.Next, s.Cur
+		s.Frontier, s.Grown = grown, front
+		if scanned > budget {
+			// Abandoned mid-level: the unexpanded rest of the old frontier
+			// still holds its masks (in what is now Next).
+			for _, w := range front {
+				s.Next[w] = 0
+			}
+			front = grown
+			break
+		}
+		front = grown
+	}
+	// The last frontier's masks were never expanded; clear them.
+	for _, w := range front {
+		s.Cur[w] = 0
+	}
+	s.Touched = touched
+	sw.scans += scanned
+	sw.cond = nil
+	if err != nil || scanned > budget {
+		sw.reset()
+		return false, err
+	}
+	return true, nil
+}
+
+// unbounded answers a "*" block through the SCC condensation: unbounded
+// reachability factors through components, so one descending pass over
+// component ids (reverse topological: edges lead from higher to lower)
+// ORs each component's mask into its successors', scanning every edge at
+// most once — where a level-synchronous sweep would re-scan a node each
+// time another source's bit arrived. A source inside a component with an
+// internal edge reaches the whole component, itself included; a trivial
+// component does not reach itself. After the pass, Seen is indexed by
+// component id.
+func (sw *sweeper) unbounded(srcs []int32) error {
+	if err := sw.poll.Now(); err != nil {
+		return err
+	}
+	s := sw.s
+	cond := sw.f.Condensation()
+	sw.cond = cond
+	// Cur[c] collects the sources inside c; Seen[c] what reaches c from
+	// outside, and — for cyclic c — from inside as well.
+	touched := s.Touched[:0]
+	top := int32(-1)
+	for i, x := range srcs {
+		c := cond.Of(int(x))
+		if s.Cur[c] == 0 {
+			touched = append(touched, c)
+		}
+		s.Cur[c] |= 1 << uint(i)
+		if c > top {
+			top = c
+		}
+	}
+	pending := len(touched) // components with a mask still to push down
+	for c := top; c >= 0 && pending > 0; c-- {
+		out := s.Seen[c] | s.Cur[c]
+		if out == 0 {
+			continue
+		}
+		pending--
+		if err := sw.poll.Err(); err != nil {
+			s.Touched = touched
+			sw.reset()
+			return err
+		}
+		if cond.Cyclic(int(c)) {
+			s.Seen[c] = out
+		}
+		for _, w := range cond.Nodes(int(c)) {
+			adj := sw.f.Out(int(w))
+			sw.scans += int64(len(adj))
+			for _, y := range adj {
+				cy := cond.Of(int(y))
+				if cy == c {
+					continue
+				}
+				if s.Seen[cy] == 0 && s.Cur[cy] == 0 {
+					touched = append(touched, cy)
+					pending++
+				}
+				s.Seen[cy] |= out
+			}
+		}
+	}
+	s.Touched = touched
+	return nil
+}
+
+// mask returns the sources of the last sweep that reach z.
+func (sw *sweeper) mask(z int32) uint64 {
+	if sw.cond != nil {
+		return sw.s.Seen[sw.cond.Of(int(z))]
+	}
+	return sw.s.Seen[z]
+}
+
+// reset zeroes what the last sweep wrote, through its touched list.
+func (sw *sweeper) reset() {
+	s := sw.s
+	for _, w := range s.Touched {
+		s.Seen[w] = 0
+		if sw.cond != nil {
+			s.Cur[w] = 0
+		}
+	}
+	s.Touched = s.Touched[:0]
+}
+
+// witnessMatrix is W_e for one pattern edge e = (u, u′): one row per
+// member of cand(u′), one bit per member of cand(u), set when the latter
+// reaches the former within e's bound. remove(u′, z) walks row z instead
+// of probing every ancestor candidate.
+type witnessMatrix struct {
+	words int // per row: ⌈|cand(u)| / 64⌉
+	bits  []uint64
+}
+
+func (w *witnessMatrix) row(j int) []uint64 { return w.bits[j*w.words : (j+1)*w.words] }
+
+// The cost rule. A block's sweep may scan c(o) × |block| × |cand(u′)|
+// adjacency entries — what probing the block would cost, with one probe
+// priced at c(o) scans — before it is abandoned for probes. That keeps a
+// containment-seeded query over a handful of candidates from paying for a
+// traversal of the graph, with no knob to turn.
+//
+// A scan is an L1/L2-resident load, mask test and OR: about 2 ns. The
+// traced benchmark run measures matrix.probe_ns at 30–35 ns (one load
+// from a |V|² table, a miss past a few thousand nodes), hence 16. A PLL
+// probe merges one label against an expanded one and checks the
+// bit-parallel roots, 0.25–1.5 µs on the 5000-node benchmark graph
+// (pll.probe_ns) whose labels average 93 entries a side; two scans per
+// entry of an average label pair — LabelEntries / |V| — prices it at 187
+// there and follows the labelling as it grows. The BFS-backed oracles pay
+// a whole traversal whenever the probed source changes, so a probe is
+// priced at |E| and their blocks always sweep.
+const (
+	matrixProbeCost  = 16
+	unknownProbeCost = 16 // user-supplied oracles: assume the cheapest
+)
+
+// probeCost returns c(o).
+func probeCost(o DistOracle, f *graph.Frozen) int64 {
+	switch o := o.(type) {
+	case *MatrixOracle:
+		return matrixProbeCost
+	case *PLLOracle:
+		if n := o.sh.idx.N(); n > 0 {
+			if c := int64(o.sh.idx.LabelEntries() / n); c > matrixProbeCost {
+				return c
+			}
+		}
+		return matrixProbeCost
+	case *BFSOracle, *TwoHopOracle:
+		return int64(f.M()) + 1
+	}
+	return unknownProbeCost
+}
+
+// witnessCapDefault bounds the bytes of witness matrices one query may
+// hold. Past it an edge keeps its sweep-computed counters but remove
+// probes as in Fig. 4, so a wildcard predicate on a PLL-sized graph
+// cannot allocate |V|²/8 bytes.
+const witnessCapDefault = 32 << 20
+
+// sweepLimits overrides the cost rule and the cap for tests; a negative
+// field leaves that limit to its rule.
+type sweepLimits struct{ budget, witnessCap int64 }
+
+// limitsOverride is nil outside tests. Atomic, because the hook may be
+// flipped while other tests' engines are still alive.
+var limitsOverride atomic.Pointer[sweepLimits]
+
+// SweepLimitsForTest forces every block's scan budget and the per-query
+// witness-matrix cap (bytes) until restore is called; a negative value
+// leaves that limit to its rule. Budget 0 sends every block to probes,
+// math.MaxInt64 sweeps them all; cap 0 makes every removal probe. It
+// exists for the differential tests (internal/difftest), which referee
+// sweep ≡ probe at those extremes.
+func SweepLimitsForTest(budget, witnessCap int64) (restore func()) {
+	old := limitsOverride.Swap(&sweepLimits{budget, witnessCap})
+	return func() { limitsOverride.Store(old) }
+}
+
+// blockBudget applies the cost rule to one block.
+func blockBudget(cost int64, block, targets int) int64 {
+	if l := limitsOverride.Load(); l != nil && l.budget >= 0 {
+		return l.budget
+	}
+	if cost > math.MaxInt64/int64(sweepBlock)/int64(targets+1) {
+		return math.MaxInt64
+	}
+	return cost * int64(block) * int64(targets)
+}
+
+// witnessCap returns the bytes of witness matrices one query may hold.
+func witnessCap() int64 {
+	if l := limitsOverride.Load(); l != nil && l.witnessCap >= 0 {
+		return l.witnessCap
+	}
+	return witnessCapDefault
+}
+
+// sweepable reports whether edge e can be answered by a sweep: plain
+// bounds only. A ranged edge needs walk lengths (walkProber) and a
+// coloured one a traversal of the colour's subgraph (the oracle).
+func sweepable(e pattern.Edge) bool { return !e.Ranged() && e.Color == "" }
+
+// block runs the sweep for one block of sources of edge e, reporting
+// whether the masks are ready (false: probe the block instead).
+func (sw *sweeper) block(srcs []int32, e pattern.Edge, budget int64) (bool, error) {
+	if e.Bound == pattern.Unbounded {
+		// One pass costs up to |E| whatever the block holds.
+		if budget < int64(sw.f.M()) {
+			return false, nil
+		}
+		err := sw.unbounded(srcs)
+		return err == nil, err
+	}
+	return sw.bounded(srcs, e.Bound, budget)
+}

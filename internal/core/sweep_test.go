@@ -1,0 +1,308 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"gpm/internal/cancel"
+	"gpm/internal/graph"
+	"gpm/internal/pattern"
+	"gpm/internal/value"
+)
+
+// sweepFixtures are the graphs the sweeper is checked on: every shape the
+// nonempty-path convention is sensitive to.
+func sweepFixtures() map[string]*graph.Graph {
+	fx := map[string]*graph.Graph{}
+
+	loops := graph.New(6) // self-loops beside a chain
+	loops.AddEdge(0, 0)
+	loops.AddEdge(0, 1)
+	loops.AddEdge(1, 2)
+	loops.AddEdge(2, 2)
+	loops.AddEdge(3, 4)
+	fx["self-loops"] = loops
+
+	two := graph.New(7) // 2-cycles chained together, a tail hanging off
+	two.AddEdge(0, 1)
+	two.AddEdge(1, 0)
+	two.AddEdge(1, 2)
+	two.AddEdge(2, 3)
+	two.AddEdge(3, 2)
+	two.AddEdge(3, 4)
+	two.AddEdge(5, 6)
+	fx["two-cycles"] = two
+
+	dag := graph.New(40) // layered DAG: no node reaches itself
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 40; i++ {
+		for d := 0; d < 3; d++ {
+			if j := i + 1 + r.Intn(6); j < 40 {
+				dag.AddEdge(i, j)
+			}
+		}
+	}
+	fx["dag"] = dag
+
+	parts := graph.New(30) // two components: a ring and a tree, no edge between
+	for i := 0; i < 12; i++ {
+		parts.AddEdge(i, (i+1)%12)
+	}
+	for i := 13; i < 30; i++ {
+		parts.AddEdge(12+(i-13)/2, i)
+	}
+	fx["two-components"] = parts
+
+	big := graph.New(150) // ≥ 130 sources: three blocks, the last partial
+	r = rand.New(rand.NewSource(9))
+	for i := 0; i < 420; i++ {
+		big.AddEdge(r.Intn(150), r.Intn(150))
+	}
+	fx["random-150"] = big
+	return fx
+}
+
+func assertScratchZero(t *testing.T, sw *sweeper) {
+	t.Helper()
+	for i := range sw.s.Seen {
+		if sw.s.Seen[i]|sw.s.Cur[i]|sw.s.Next[i] != 0 {
+			t.Fatalf("scratch entry %d left nonzero: seen %x cur %x next %x", i, sw.s.Seen[i], sw.s.Cur[i], sw.s.Next[i])
+		}
+	}
+}
+
+// Bit i of the mask at w ⇔ the matrix oracle finds a nonempty path of at
+// most k edges from source i to w — for every block, node and bound.
+func TestSweeperAgreesWithMatrixOracle(t *testing.T) {
+	for name, g := range sweepFixtures() {
+		f := g.Freeze()
+		o := BuildMatrixOracle(g)
+		poll := cancel.Every(context.Background(), 1)
+		sw := newSweeper(f, &poll)
+		srcs := make([]int32, g.N())
+		for i := range srcs {
+			srcs[i] = int32(i)
+		}
+		for _, k := range []int{1, 2, 3, 5, pattern.Unbounded} {
+			e := pattern.Edge{Bound: k}
+			for lo := 0; lo < len(srcs); lo += sweepBlock {
+				block := srcs[lo:min(lo+sweepBlock, len(srcs))]
+				ok, err := sw.block(block, e, math.MaxInt64)
+				if err != nil || !ok {
+					t.Fatalf("%s k=%d block %d: ok=%v err=%v", name, k, lo/sweepBlock, ok, err)
+				}
+				for w := 0; w < g.N(); w++ {
+					m := sw.mask(int32(w))
+					for i, x := range block {
+						want := o.NonemptyDistWithin(int(x), w, k, "") >= 0
+						if got := m&(1<<uint(i)) != 0; got != want {
+							t.Fatalf("%s k=%d: source %d → %d: sweep says %v, oracle %v", name, k, x, w, got, want)
+						}
+					}
+					if m>>uint(len(block)) != 0 {
+						t.Fatalf("%s k=%d: mask at %d has bits beyond the block: %x", name, k, w, m)
+					}
+				}
+				sw.reset()
+				assertScratchZero(t, sw)
+			}
+		}
+		if sw.scans == 0 {
+			t.Errorf("%s: no scans counted", name)
+		}
+		sw.close()
+	}
+}
+
+// A sweep that runs out of budget reports so and leaves the scratch
+// zeroed — it goes back to the pool as it came.
+func TestSweeperBudgetAbortLeavesScratchClean(t *testing.T) {
+	g := sweepFixtures()["random-150"]
+	f := g.Freeze()
+	poll := cancel.Every(context.Background(), 1)
+	sw := newSweeper(f, &poll)
+	defer sw.close()
+	srcs := make([]int32, sweepBlock)
+	for i := range srcs {
+		srcs[i] = int32(i)
+	}
+	for _, budget := range []int64{0, 1, 10, 100, 300} {
+		ok, err := sw.block(srcs, pattern.Edge{Bound: 5}, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			t.Fatalf("budget %d: a 5-level sweep of 64 sources over 420 edges fit", budget)
+		}
+		assertScratchZero(t, sw)
+	}
+	// "*" is all or nothing: below |E| it is not attempted.
+	if ok, _ := sw.block(srcs, pattern.Edge{Bound: pattern.Unbounded}, int64(f.M())-1); ok {
+		t.Fatal("condensation pass ran on a budget below |E|")
+	}
+	assertScratchZero(t, sw)
+}
+
+func TestSweeperCancelled(t *testing.T) {
+	g := sweepFixtures()["random-150"]
+	f := g.Freeze()
+	ctx, cancelCtx := context.WithCancel(context.Background())
+	cancelCtx()
+	poll := cancel.Every(ctx, cancelPollInterval) // far from its interval: only Now sees it
+	sw := newSweeper(f, &poll)
+	defer sw.close()
+	for _, k := range []int{2, pattern.Unbounded} {
+		ok, err := sw.block([]int32{0, 1, 2}, pattern.Edge{Bound: k}, math.MaxInt64)
+		if ok || !errors.Is(err, context.Canceled) {
+			t.Fatalf("k=%d: ok=%v err=%v, want context.Canceled", k, ok, err)
+		}
+		assertScratchZero(t, sw)
+	}
+}
+
+// sweepCase is one random graph/pattern pair with attribute predicates,
+// bounds 1..3 and "*", the occasional ranged or coloured edge.
+func sweepCase(seed int64) (*pattern.Pattern, *graph.Graph) {
+	r := rand.New(rand.NewSource(seed))
+	n := 20 + r.Intn(180)
+	g := graph.New(n)
+	for i := 0; i < n; i++ {
+		g.SetAttr(i, value.Tuple{"label": value.Str(fmt.Sprintf("L%d", r.Intn(3))), "w": value.Int(int64(r.Intn(100)))})
+	}
+	for i := 0; i < 3*n; i++ {
+		u, v := r.Intn(n), r.Intn(n)
+		if r.Intn(8) == 0 {
+			g.AddColoredEdge(u, v, "c")
+		} else {
+			g.AddEdge(u, v)
+		}
+	}
+	p := pattern.New()
+	np := 2 + r.Intn(3)
+	for i := 0; i < np; i++ {
+		pred := pattern.Label(fmt.Sprintf("L%d", r.Intn(3)))
+		if r.Intn(2) == 0 {
+			pred = append(pred, pattern.Atom{Attr: "w", Op: value.OpGE, Val: value.Int(int64(r.Intn(60)))})
+		}
+		p.AddNode(pred)
+	}
+	for i := 0; i < np+2; i++ {
+		from, to := r.Intn(np), r.Intn(np)
+		if p.HasEdge(from, to) {
+			continue
+		}
+		switch x := r.Intn(10); {
+		case x == 0:
+			p.AddColoredEdge(from, to, 1+r.Intn(3), "c")
+		case x == 1:
+			p.AddRangeEdge(from, to, 2, 2+r.Intn(3), "")
+		case x < 4:
+			p.MustAddEdge(from, to, pattern.Unbounded)
+		default:
+			p.MustAddEdge(from, to, 1+r.Intn(3))
+		}
+	}
+	return p, g
+}
+
+// With a snapshot MatchOpts sweeps, without one it probes pair by pair;
+// relation, InitialPairs and Removals must not tell the two apart — under
+// the cost rule, with every block forced to probes, every block forced to
+// sweep, and with the witness matrices capped away.
+func TestSweepEqualsProbe(t *testing.T) {
+	limits := []struct {
+		name        string
+		budget, cap int64
+	}{
+		{"rule", -1, -1},
+		{"all-fallback", 0, -1},
+		{"all-sweep", math.MaxInt64, -1},
+		{"no-witness-matrix", -1, 0},
+		{"all-sweep-no-witness-matrix", math.MaxInt64, 0},
+	}
+	for seed := int64(1); seed <= 30; seed++ {
+		p, g := sweepCase(seed)
+		o := BuildMatrixOracle(g)
+		var want Stats
+		ref, err := MatchContext(context.Background(), p, g, o, &want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := g.Freeze()
+		for _, lim := range limits {
+			restore := SweepLimitsForTest(lim.budget, lim.cap)
+			for _, workers := range []int{1, 3} {
+				var got Stats
+				res, err := MatchOpts(context.Background(), p, g, o, &got, MatchOptions{Frozen: f, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !relEqual(res.Relation(), ref.Relation()) || res.OK() != ref.OK() {
+					t.Fatalf("seed %d %s workers %d: relation differs from the probing run\npattern:\n%s", seed, lim.name, workers, p)
+				}
+				if got.InitialPairs != want.InitialPairs || got.Removals != want.Removals {
+					t.Fatalf("seed %d %s workers %d: pairs/removals %d/%d, probing run %d/%d",
+						seed, lim.name, workers, got.InitialPairs, got.Removals, want.InitialPairs, want.Removals)
+				}
+				if lim.budget == 0 && got.SweepScans > got.OracleQueries {
+					// Forced fallback still starts each sweep before giving
+					// up on its first node, so a few scans are expected.
+					t.Fatalf("seed %d %s: %d scans against %d probes", seed, lim.name, got.SweepScans, got.OracleQueries)
+				}
+			}
+			restore()
+		}
+	}
+}
+
+// The sweeper's arrays are pooled and every per-candidate structure is
+// sized by the candidate sets, so a steady-state query allocates
+// O(|Vp| + |Ep|) objects whatever |V| is: the same pattern over the same
+// 60 labelled nodes costs the same number of allocations in a graph ten
+// times the size.
+func TestMatchOptsAllocsIndependentOfGraphSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	build := func(n int) (*graph.Graph, *graph.Frozen, DistOracle) {
+		g := graph.New(n)
+		for i := 0; i < n; i++ {
+			label := "rest"
+			if i < 60 {
+				label = []string{"A", "B", "C"}[i%3]
+			}
+			g.SetAttr(i, value.Tuple{"label": value.Str(label)})
+			g.AddEdge(i, (i+1)%n)
+			g.AddEdge(i, (i+7)%n)
+		}
+		f := g.Freeze()
+		return g, f, NewBFSOracleFrozen(f)
+	}
+	p := pattern.New()
+	a, b, c := p.AddNode(pattern.Label("A")), p.AddNode(pattern.Label("B")), p.AddNode(pattern.Label("C"))
+	p.MustAddEdge(a, b, 2)
+	p.MustAddEdge(b, c, 3)
+	p.MustAddEdge(c, a, pattern.Unbounded)
+
+	measure := func(n int) float64 {
+		g, f, o := build(n)
+		run := func() {
+			if _, err := MatchOpts(context.Background(), p, g, o, nil, MatchOptions{Frozen: f}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the scratch pool, the condensation and the label index
+		return testing.AllocsPerRun(20, run)
+	}
+	small, large := measure(400), measure(4000)
+	if large > small+2 {
+		t.Errorf("allocations grow with |V|: %.0f at 400 nodes, %.0f at 4000", small, large)
+	}
+	if limit := float64(12 * (p.N() + p.EdgeCount())); small > limit {
+		t.Errorf("%.0f allocations for a %d-node %d-edge pattern, want at most %.0f", small, p.N(), p.EdgeCount(), limit)
+	}
+}

@@ -147,16 +147,3 @@ func (w *walkProber) Invalidate() {
 	w.fwd.valid = false
 	w.bwd.valid = false
 }
-
-// edgeWitness returns the witness length for pattern edge e from x to z:
-// the ranged walk check when e carries a lower bound, the oracle's
-// nonempty shortest path otherwise.
-func (st *state) edgeWitness(x, z int, e pattern.Edge, preferBackward bool) int {
-	if e.Ranged() {
-		if st.walks == nil {
-			st.walks = newWalkProber(st.frozen())
-		}
-		return st.walks.WalkWithin(x, z, e.MinBound, e.Bound, e.Color, preferBackward)
-	}
-	return st.o.NonemptyDistWithin(x, z, e.Bound, e.Color)
-}

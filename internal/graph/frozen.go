@@ -1,5 +1,7 @@
 package graph
 
+import "sync"
+
 // Frozen is an immutable CSR (compressed sparse row) snapshot of a Graph:
 // both adjacency directions packed into flat int32 arrays with per-node
 // offset indexes. A Frozen is safe for concurrent use by any number of
@@ -20,6 +22,13 @@ type Frozen struct {
 	inAdj  []int32
 	colors map[uint64]string // private copy; nil when the graph is uncolored
 	m      int
+
+	// Derived structures, built lazily on first use and shared by every
+	// reader of the snapshot (see Condensation and AttrIndex).
+	condOnce sync.Once
+	cond     *Condensation
+	attrMu   sync.RWMutex
+	attrIdx  map[string]*AttrIndex
 }
 
 // Freeze snapshots g into CSR form in O(|V|+|E|).

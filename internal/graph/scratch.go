@@ -38,3 +38,40 @@ func (s *Scratch) Reset(n int) {
 func (s *Scratch) Put() {
 	scratchPool.Put(s)
 }
+
+// SweepScratch bundles the per-worker buffers of a 64-source mask sweep
+// (internal/core's witness sweeps): three uint64-per-node arrays — the
+// masks seen so far, the current frontier's and the next frontier's —
+// plus the frontier and touched lists. At a million nodes that is 24 MB,
+// so it is pooled like Scratch rather than allocated per query.
+//
+// The contract is "zero in, zero out": GetSweepScratch hands the arrays
+// out all-zero, and the holder must zero every entry it wrote (through
+// its touched lists — never an O(|V|) clear per block) before Put.
+type SweepScratch struct {
+	Seen, Cur, Next []uint64
+	Frontier, Grown []int32 // current and next frontier
+	Touched         []int32 // entries of Seen that are nonzero
+}
+
+var sweepScratchPool = sync.Pool{New: func() interface{} { return new(SweepScratch) }}
+
+// GetSweepScratch returns a pooled SweepScratch whose three mask arrays
+// have length n and are all zero.
+func GetSweepScratch(n int) *SweepScratch {
+	s := sweepScratchPool.Get().(*SweepScratch)
+	if cap(s.Seen) < n {
+		s.Seen, s.Cur, s.Next = make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	}
+	// Within capacity every entry is zero by the Put contract, so
+	// re-slicing needs no clear.
+	s.Seen, s.Cur, s.Next = s.Seen[:n], s.Cur[:n], s.Next[:n]
+	return s
+}
+
+// Put returns the scratch to the pool. The mask arrays must be all-zero
+// again; the lists keep their grown capacity.
+func (s *SweepScratch) Put() {
+	s.Frontier, s.Grown, s.Touched = s.Frontier[:0], s.Grown[:0], s.Touched[:0]
+	sweepScratchPool.Put(s)
+}

@@ -63,75 +63,14 @@ func (s Stats) String() string {
 		s.Nodes, s.Edges, s.AvgDegree, s.MinOut, s.MaxOut, s.MinIn, s.MaxIn, s.Sinks, s.Sources)
 }
 
-// StronglyConnectedComponents returns the SCCs of g (Tarjan, iterative).
-// Components are returned in reverse topological order of the condensation.
+// StronglyConnectedComponents returns the SCCs of g in reverse
+// topological order of the condensation (see Frozen.Condensation, which
+// holds the one Tarjan implementation).
 func StronglyConnectedComponents(g *Graph) [][]int32 {
-	n := g.N()
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var (
-		stack []int32
-		comps [][]int32
-		next  int32
-	)
-	type frame struct {
-		v  int32
-		ei int
-	}
-	for root := 0; root < n; root++ {
-		if index[root] >= 0 {
-			continue
-		}
-		callStack := []frame{{v: int32(root)}}
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, int32(root))
-		onStack[root] = true
-		for len(callStack) > 0 {
-			f := &callStack[len(callStack)-1]
-			outs := g.out[f.v]
-			if f.ei < len(outs) {
-				w := outs[f.ei]
-				f.ei++
-				if index[w] < 0 {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					callStack = append(callStack, frame{v: w})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			v := f.v
-			callStack = callStack[:len(callStack)-1]
-			if len(callStack) > 0 {
-				p := &callStack[len(callStack)-1]
-				if low[v] < low[p.v] {
-					low[p.v] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var comp []int32
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				comps = append(comps, comp)
-			}
-		}
+	c := g.Freeze().Condensation()
+	comps := make([][]int32, c.Components())
+	for id := range comps {
+		comps[id] = c.Nodes(id)
 	}
 	return comps
 }

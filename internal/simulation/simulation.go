@@ -99,6 +99,17 @@ func runCore(ctx context.Context, p *pattern.Pattern, g adjacency, color colorFu
 			}
 			continue
 		}
+		if f, frozen := g.(*graph.Frozen); frozen {
+			cands, err := pattern.Candidates(f, pred, false, &poll)
+			if err != nil {
+				return nil, false, err
+			}
+			for _, x := range cands {
+				sim[u][x] = true
+			}
+			size[u] = len(cands)
+			continue
+		}
 		for x := 0; x < n; x++ {
 			if pred.Match(g.Attr(x)) {
 				sim[u][x] = true

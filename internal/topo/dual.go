@@ -64,8 +64,8 @@ func dualFixpoint(ctx context.Context, p *pattern.Pattern, f *graph.Frozen, opts
 
 	// Phase 1: candidate filtering. With a seed, only the seeded nodes are
 	// probed (sequentially — seeds are small by construction); otherwise
-	// the full scan shards over (pattern node, data-node span), writes
-	// disjoint because each (u, x) belongs to one task.
+	// one task per pattern node selects through the snapshot's attribute
+	// indexes (pattern.Candidates).
 	sim := make([][]bool, np)
 	for u := 0; u < np; u++ {
 		sim[u] = make([]bool, n)
@@ -89,27 +89,12 @@ func dualFixpoint(ctx context.Context, p *pattern.Pattern, f *graph.Frozen, opts
 			}
 		}
 	} else {
-		type candTask struct {
-			u      int
-			lo, hi int
-		}
-		var candTasks []candTask
-		for u := 0; u < np; u++ {
-			for _, s := range shardSpans(n, workers, 1) {
-				candTasks = append(candTasks, candTask{u, s[0], s[1]})
+		err := RunShards(workers, np, func(w, u int) error {
+			cands, err := pattern.Candidates(f, p.Pred(u), false, &pollers[w])
+			for _, x := range cands {
+				sim[u][x] = true
 			}
-		}
-		err := RunShards(workers, len(candTasks), func(w, t int) error {
-			task := candTasks[t]
-			pred := p.Pred(task.u)
-			row := sim[task.u]
-			for x := task.lo; x < task.hi; x++ {
-				if err := pollers[w].Err(); err != nil {
-					return err
-				}
-				row[x] = pred.Match(f.Attr(x))
-			}
-			return nil
+			return err
 		})
 		if err != nil {
 			return nil, err
