@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	gpmbench [-exp all|datasets|6a|6b|6c|6d|6e|6f|6g|6h|6i|6j|6k|fig9|gr|aff|2hop|oracle|oracle-parallel|million|ablation|engine|parallel|topo|plan|incsim|serve|cache]
+//	gpmbench [-exp all|datasets|6a|6b|6c|6d|6e|6f|6g|6h|6i|6j|6k|fig9|gr|aff|2hop|oracle|oracle-parallel|million|ablation|parallel|topo|plan|incsim]
 //	         [-scale 0.15] [-seed N] [-patterns 5] [-nodes N] [-workers N] [-json] [-v]
 //
 // -scale 1.0 reproduces the paper's exact dataset sizes; distance
@@ -15,11 +15,8 @@
 // oracles and measures the batched-parallel PLL build per worker count
 // (CI stores its -json form as bench_oracle.json); -exp plan measures
 // the subgraph-isomorphism query planner (symmetry breaking plus
-// counting) against unplanned VF2 (CI stores bench_plan.json); -exp
-// cache replays a repeated workload against gpmd's containment-aware
-// result cache, asserting hit responses byte-identical to cold ones and
-// a >= 50x hit-latency reduction (CI stores bench_cache.json). -workers
-// sets the
+// counting) against unplanned VF2 (CI stores bench_plan.json). The
+// daemon itself is measured by benchmark/, not here. -workers sets the
 // parallel-build concurrency for experiments that build indexes
 // (0 = GOMAXPROCS). -json emits one machine-readable document instead
 // of aligned tables, so successive runs can accumulate a perf

@@ -15,7 +15,6 @@ import (
 	"gpm/internal/incremental"
 	"gpm/internal/plan"
 	"gpm/internal/pll"
-	"gpm/internal/simulation"
 	"gpm/internal/subiso"
 	"gpm/internal/topo"
 	"gpm/internal/twohop"
@@ -519,7 +518,9 @@ func normalizeSeed(seed [][]int32, n int) [][]int32 {
 }
 
 // relationQuery is the single dispatch behind the four relation-valued
-// semantics. It holds the read lock across oracle acquisition, the
+// semantics. Match, sim and dual run one fixpoint kernel (core.MatchOpts):
+// sim and dual without a distance oracle, dual with its parent
+// constraints on. It holds the read lock across oracle acquisition, the
 // fixpoint and the generation read, so the returned generation is
 // exactly the graph version the relation describes.
 func (e *Engine) relationQuery(ctx context.Context, q RelationQuery) (*core.Result, MatchStats, uint64, error) {
@@ -538,63 +539,43 @@ func (e *Engine) relationQuery(ctx context.Context, q RelationQuery) (*core.Resu
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	gen := e.gen.Load()
+	stats := MatchStats{Oracle: OracleNone}
+	var o DistOracle
 	switch q.Semantics {
 	case RelMatch:
-		o, built, err := e.queryOracle(ctx)
-		if err != nil {
+		var err error
+		if o, stats.OracleBuild, err = e.queryOracle(ctx); err != nil {
 			return nil, MatchStats{}, 0, err
 		}
-		var cs core.Stats
-		start := time.Now()
-		res, err := core.MatchOpts(ctx, p, e.g, o, &cs, core.MatchOptions{
-			Workers: e.workers,
-			Frozen:  e.frozen(),
-			Seed:    q.Seed,
-		})
-		if err != nil {
-			return nil, MatchStats{}, 0, err
-		}
-		return res, MatchStats{
-			Oracle:        e.kind,
-			OracleBuild:   built,
-			MatchTime:     time.Since(start),
-			OracleQueries: cs.OracleQueries,
-			SweepScans:    cs.SweepScans,
-			Removals:      cs.Removals,
-			InitialPairs:  cs.InitialPairs,
-		}, gen, nil
-	case RelSim:
-		start := time.Now()
-		rel, ok, err := simulation.RunFrozenSeeded(ctx, p, e.frozen(), q.Seed)
-		if err != nil {
-			return nil, MatchStats{}, 0, err
-		}
-		return core.NewResult(p, e.g, rel, ok), MatchStats{
-			Oracle:    OracleNone,
-			MatchTime: time.Since(start),
-		}, gen, nil
-	case RelDual:
-		start := time.Now()
-		rel, ok, err := topo.DualSim(ctx, p, e.frozen(), topo.Options{Workers: e.workers, Seed: q.Seed})
-		if err != nil {
-			return nil, MatchStats{}, 0, err
-		}
-		return core.NewResult(p, e.g, rel, ok), MatchStats{
-			Oracle:    OracleNone,
-			MatchTime: time.Since(start),
-		}, gen, nil
+		stats.Oracle = e.kind
+	case RelSim, RelDual:
+		// No oracle: every witness is a single arc.
 	case RelStrong:
 		start := time.Now()
 		rel, ok, err := topo.StrongSim(ctx, p, e.frozen(), topo.Options{Workers: e.workers})
 		if err != nil {
 			return nil, MatchStats{}, 0, err
 		}
-		return core.NewResult(p, e.g, rel, ok), MatchStats{
-			Oracle:    OracleNone,
-			MatchTime: time.Since(start),
-		}, gen, nil
+		stats.MatchTime = time.Since(start)
+		return core.NewResult(p, e.g, rel, ok), stats, gen, nil
+	default:
+		return nil, MatchStats{}, 0, fmt.Errorf("gpm: unknown relation semantics %v", q.Semantics)
 	}
-	return nil, MatchStats{}, 0, fmt.Errorf("gpm: unknown relation semantics %v", q.Semantics)
+	var cs core.Stats
+	start := time.Now()
+	res, err := core.MatchOpts(ctx, p, e.g, o, &cs, core.MatchOptions{
+		Workers: e.workers,
+		Frozen:  e.frozen(),
+		Seed:    q.Seed,
+		Dual:    q.Semantics == RelDual,
+	})
+	if err != nil {
+		return nil, MatchStats{}, 0, err
+	}
+	stats.MatchTime = time.Since(start)
+	stats.OracleQueries, stats.SweepScans = cs.OracleQueries, cs.SweepScans
+	stats.Removals, stats.InitialPairs = cs.Removals, cs.InitialPairs
+	return res, stats, gen, nil
 }
 
 // Match computes the maximum bounded-simulation match of p against the

@@ -151,6 +151,37 @@ func TestRelationQueryMatchesPublicMethods(t *testing.T) {
 	}
 }
 
+// TestRelationQuerySimStatsEqualMatch: sim and dual run the match kernel
+// without an oracle, so they report its work counters. On an
+// all-bounds-one pattern sim does exactly match's work — equal
+// InitialPairs and Removals — and dual starts from the same candidates
+// and removes at least as many.
+func TestRelationQuerySimStatsEqualMatch(t *testing.T) {
+	ctx := context.Background()
+	e := NewEngine(relQueryGraph())
+	p := relQueryPattern()
+	stats := map[RelSemantics]MatchStats{}
+	for _, sem := range []RelSemantics{RelMatch, RelSim, RelDual} {
+		res, err := e.RelationQuery(ctx, RelationQuery{Semantics: sem, Pattern: p})
+		if err != nil {
+			t.Fatalf("%v: %v", sem, err)
+		}
+		stats[sem] = res.Stats
+	}
+	m, s, d := stats[RelMatch], stats[RelSim], stats[RelDual]
+	if s.InitialPairs != m.InitialPairs || s.Removals != m.Removals {
+		t.Errorf("sim pairs/removals %d/%d, match %d/%d", s.InitialPairs, s.Removals, m.InitialPairs, m.Removals)
+	}
+	if d.InitialPairs != m.InitialPairs || d.Removals < s.Removals {
+		t.Errorf("dual pairs/removals %d/%d, sim %d/%d", d.InitialPairs, d.Removals, s.InitialPairs, s.Removals)
+	}
+	for sem, st := range map[RelSemantics]MatchStats{RelSim: s, RelDual: d} {
+		if st.Oracle != OracleNone || st.InitialPairs == 0 || st.Removals == 0 || st.SweepScans == 0 || st.OracleQueries != 0 {
+			t.Errorf("%v stats %+v: want no oracle, no probes, and nonzero pairs, removals and scans", sem, st)
+		}
+	}
+}
+
 // TestRelationQuerySeededEquivalence: seeding with any superset of the
 // true relation — the exact relation itself, the full vertex set, or the
 // relation plus random noise — must return bit-identical answers to the

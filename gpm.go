@@ -220,7 +220,9 @@ func ResultGraphOf(res *Result, o DistOracle) *ResultGraph {
 // match lists and whether every pattern node matched.
 //
 // Deprecated: use [Engine.Simulate].
-func Simulate(p *Pattern, g *Graph) ([][]int32, bool, error) { return simulation.Run(p, g) }
+func Simulate(p *Pattern, g *Graph) ([][]int32, bool, error) {
+	return simulation.RunFrozen(context.Background(), p, g.Freeze())
+}
 
 // DualSimulate computes the maximum dual simulation of p in g (every
 // pattern edge bound must be 1): plain simulation extended with parent

@@ -80,14 +80,10 @@ func All(cfg Config) []*Table {
 		OracleStats(cfg),
 		OracleParallel(cfg),
 		Ablation(cfg),
-		EngineThroughput(cfg),
 		ParallelSpeedup(cfg),
 		TopoSpeedup(cfg),
 		PlanSpeedup(cfg),
 		IncSimSpeedup(cfg),
-		ServeThroughput(cfg),
-		ServeRecovery(cfg),
-		CacheSpeedup(cfg),
 	}
 }
 
@@ -144,8 +140,6 @@ func ByID(id string, cfg Config) ([]*Table, error) {
 		return []*Table{Million(cfg)}, nil
 	case "ablation":
 		return []*Table{Ablation(cfg)}, nil
-	case "engine":
-		return []*Table{EngineThroughput(cfg)}, nil
 	case "parallel", "parallel-speedup":
 		return []*Table{ParallelSpeedup(cfg)}, nil
 	case "topo":
@@ -154,13 +148,7 @@ func ByID(id string, cfg Config) ([]*Table, error) {
 		return []*Table{PlanSpeedup(cfg)}, nil
 	case "incsim":
 		return []*Table{IncSimSpeedup(cfg)}, nil
-	case "serve":
-		return []*Table{ServeThroughput(cfg), ServeRecovery(cfg)}, nil
-	case "serve-recovery":
-		return []*Table{ServeRecovery(cfg)}, nil
-	case "cache":
-		return []*Table{CacheSpeedup(cfg)}, nil
 	default:
-		return nil, fmt.Errorf("bench: unknown experiment %q (want all, datasets, 6a, 6b, 6c, 6d, 6e, 6f, 6g, 6h, 6i, 6j, 6k, fig9, gr, aff, 2hop, oracle, oracle-parallel, million, ablation, engine, parallel, topo, plan, incsim, serve, serve-recovery, cache)", id)
+		return nil, fmt.Errorf("bench: unknown experiment %q (want all, datasets, 6a, 6b, 6c, 6d, 6e, 6f, 6g, 6h, 6i, 6j, 6k, fig9, gr, aff, 2hop, oracle, oracle-parallel, million, ablation, parallel, topo, plan, incsim)", id)
 	}
 }

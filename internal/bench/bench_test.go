@@ -46,8 +46,6 @@ func TestAffStatsTable(t *testing.T) { checkTable(t, AffStats(tiny()), 1) }
 func TestTwoHopTable(t *testing.T)   { checkTable(t, TwoHopStats(tiny()), 3) }
 func TestAblationTable(t *testing.T) { checkTable(t, Ablation(tiny()), 2) }
 func TestPlanTable(t *testing.T)     { checkTable(t, PlanSpeedup(tiny()), 4) }
-func TestServeTable(t *testing.T)    { checkTable(t, ServeThroughput(tiny()), 4) }
-func TestCacheTable(t *testing.T)    { checkTable(t, CacheSpeedup(tiny()), 4) }
 func TestOracleTable(t *testing.T)   { checkTable(t, OracleStats(tiny()), 12) }
 
 // The million experiment's PLL == BFS gate must hold and be visible in

@@ -1,23 +1,37 @@
-package core
+package core_test
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
+	"gpm/internal/core"
 	"gpm/internal/graph"
 	"gpm/internal/pattern"
+	"gpm/internal/simulation"
+	"gpm/internal/topo"
 	"gpm/internal/value"
 )
 
-// decodeSweepCase deterministically builds a small labelled graph and a
-// bounded pattern from fuzz bytes: node counts, one label byte per node,
-// then triples — two of three wire a data edge (self-loops included),
-// the third a pattern edge whose bound cycles through 1, 2, 3 and "*".
-// Every byte string decodes to a valid case, so the fuzzer explores
-// semantics, not rejections.
-func decodeSweepCase(data []byte) (*pattern.Pattern, *graph.Graph) {
+// The semantics a FuzzSweep case runs under.
+const (
+	semMatch = iota
+	semSim
+	semDual
+)
+
+// decodeSweepCase deterministically builds a semantics, a small labelled
+// graph and a pattern from fuzz bytes: the semantics byte (match, sim,
+// dual), node counts, one label byte per node, then pairs — two of three
+// wire a data edge (self-loops included), the third a pattern edge. The
+// top two bits of a data edge's first byte, or of a pattern edge's
+// second, colour it (none, red, blue, red). Under match a pattern edge's
+// bound cycles through 1, 2, 3 and "*"; sim and dual are edge-to-edge,
+// so their bounds are all 1. Every byte string decodes to a valid case,
+// so the fuzzer explores semantics, not rejections.
+func decodeSweepCase(data []byte) (int, *pattern.Pattern, *graph.Graph) {
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -26,6 +40,7 @@ func decodeSweepCase(data []byte) (*pattern.Pattern, *graph.Graph) {
 		data = data[1:]
 		return b
 	}
+	sem := int(next()) % 3
 	n := 2 + int(next())%10 // 2..11 data nodes
 	np := 1 + int(next())%4 // 1..4 pattern nodes
 	g := graph.New(n)
@@ -37,45 +52,73 @@ func decodeSweepCase(data []byte) (*pattern.Pattern, *graph.Graph) {
 		p.AddNode(pattern.Label(fmt.Sprintf("L%d", next()%3)))
 	}
 	bounds := []int{1, 2, 3, pattern.Unbounded}
+	if sem != semMatch {
+		bounds = []int{1}
+	}
+	palette := []string{"", "red", "blue", "red"}
 	for i := 0; len(data) >= 2; i++ {
 		a, b := int(next()), int(next())
 		if i%3 == 2 {
 			if from, to := a%np, b%np; !p.HasEdge(from, to) {
-				p.MustAddEdge(from, to, bounds[(a/np)%len(bounds)])
+				if _, err := p.AddColoredEdge(from, to, bounds[(a/np)%len(bounds)], palette[b>>6]); err != nil {
+					panic(err)
+				}
 			}
 		} else {
-			g.AddEdge(a%n, b%n)
+			g.AddColoredEdge(a%n, b%n, palette[a>>6])
 		}
 	}
-	return p, g
+	return sem, p, g
 }
 
-// FuzzSweep pins the sweep path of MatchOpts — under the cost rule, which
-// on graphs this small sends most blocks to probes, and with every block
-// forced to sweep — against MatchNaive, the textbook fixpoint that shares
-// neither the counters, nor the witness matrices, nor the sweeps.
+// FuzzSweep pins MatchOpts over a snapshot — under the cost rule, with
+// every block forced to sweep, and with every block and removal forced
+// back to probes — against references that share neither its counters,
+// nor its witness matrices, nor its sweeps: MatchNaive for bounded
+// simulation, simulation.RunNaive and topo.NaiveDualSim for the
+// oracle-free simulation and dual simulation runs, whose outputs must
+// also pass simulation.IsSimulation and topo.IsDualSim.
 func FuzzSweep(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{2, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0})
-	f.Add([]byte{6, 2, 0, 1, 2, 0, 1, 2, 0, 1, 0, 1, 1, 2, 4, 1, 2, 3, 3, 3, 12, 0})
-	f.Add([]byte{9, 3, 1, 1, 2, 2, 0, 0, 1, 2, 0, 1, 2, 0, 0, 1, 1, 0, 9, 4, 2, 3, 3, 2, 1, 5, 4, 5, 5, 6, 6, 2})
+	f.Add([]byte{0, 2, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0})
+	f.Add([]byte{0, 6, 2, 0, 1, 2, 0, 1, 2, 0, 1, 0, 1, 1, 2, 4, 1, 2, 3, 3, 3, 12, 0})
+	f.Add([]byte{0, 9, 3, 1, 1, 2, 2, 0, 0, 1, 2, 0, 1, 2, 0, 0, 1, 1, 0, 9, 4, 2, 3, 3, 2, 1, 5, 4, 5, 5, 6, 6, 2})
+	f.Add([]byte{1, 6, 2, 0, 1, 2, 0, 1, 2, 0, 1, 0, 1, 1, 2, 4, 1, 2, 3, 3, 3, 12, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, g := decodeSweepCase(data)
-		o := BuildMatrixOracle(g)
-		want, err := MatchNaive(p, g, o)
-		if err != nil {
-			t.Fatalf("MatchNaive: %v", err)
-		}
+		sem, p, g := decodeSweepCase(data)
 		fz := g.Freeze()
-		for _, budget := range []int64{-1, math.MaxInt64} {
-			restore := SweepLimitsForTest(budget, -1)
-			got, err := MatchOpts(context.Background(), p, g, o, nil, MatchOptions{Frozen: fz})
+		var o core.DistOracle
+		var want [][]int32
+		var wantOK bool
+		switch sem {
+		case semMatch:
+			o = core.BuildMatrixOracle(g)
+			ref, err := core.MatchNaive(p, g, o)
+			if err != nil {
+				t.Fatalf("MatchNaive: %v", err)
+			}
+			want, wantOK = ref.Relation(), ref.OK()
+		case semSim:
+			var err error
+			if want, wantOK, err = simulation.RunNaive(p, fz); err != nil {
+				t.Fatalf("RunNaive: %v", err)
+			}
+		case semDual:
+			want, wantOK = topo.NaiveDualSim(p, fz, nil)
+		}
+		for _, lim := range [][2]int64{{-1, -1}, {math.MaxInt64, -1}, {0, 0}} {
+			restore := core.SweepLimitsForTest(lim[0], lim[1])
+			got, err := core.MatchOpts(context.Background(), p, g, o, nil, core.MatchOptions{Frozen: fz, Dual: sem == semDual})
 			restore()
 			if err != nil {
 				t.Fatalf("MatchOpts: %v", err)
 			}
-			if got.OK() != want.OK() || !relEqual(got.Relation(), want.Relation()) {
-				t.Fatalf("budget %d: sweep relation %v, naive %v\npattern:\n%s", budget, got.Relation(), want.Relation(), p)
+			rel := got.Relation()
+			if sem == semSim && !simulation.IsSimulation(p, fz, rel) || sem == semDual && !topo.IsDualSim(p, fz, rel) {
+				t.Fatalf("semantics %d limits %v: %v is not a simulation of its kind\npattern:\n%s", sem, lim, rel, p)
+			}
+			if got.OK() != wantOK || !reflect.DeepEqual(rel, want) {
+				t.Fatalf("semantics %d limits %v: kernel relation %v, naive %v\npattern:\n%s", sem, lim, rel, want, p)
 			}
 		}
 	})

@@ -96,7 +96,7 @@ func (r *Result) String() string {
 }
 
 // NewResult wraps a relation computed by another matching semantics
-// (dual or strong simulation, see internal/topo) into a Result, making
+// (strong simulation, see internal/topo) into a Result, making
 // it result-graph-capable and giving it the Result accessor set. mat
 // must hold ascending data-node ids per pattern node; ok reports whether
 // every pattern node matched. The caller hands over ownership of mat.
@@ -173,14 +173,40 @@ type MatchOptions struct {
 	// seeded runs return bit-identical results. Seeded initialisation is
 	// sequential (the scan it replaces is the part worth sharding).
 	Seed [][]int32
+	// Dual adds the parent constraint of dual simulation (Ma et al.,
+	// "Capturing Topology in Graph Pattern Matching"): for every pattern
+	// edge (u, u′), a pair (u′, z) also needs a member of mat(u) with an
+	// arc from it to z. The fixpoint then keeps two witness obligations
+	// per edge, the parent one swept along in-arcs. Dual is edge-to-edge:
+	// it requires a nil oracle.
+	Dual bool
 }
 
 // MatchOpts is MatchContext with explicit MatchOptions.
+//
+// o may be nil on an all-bounds-one pattern. Every witness is then one
+// arc, so the run is plain graph simulation (§2.2, remark 2) — or dual
+// simulation with opts.Dual — and needs no distance oracle: a probe is
+// priced as the BFS oracle's, so every block sweeps, and the rare
+// fallback probe is a one-hop adjacency check (EdgeOracle). g may be nil
+// only when opts.Frozen is set and opts.Seed is not.
 func MatchOpts(ctx context.Context, p *pattern.Pattern, g *graph.Graph, o DistOracle, stats *Stats, opts MatchOptions) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	st := &state{p: p, g: g, f: opts.Frozen, sweep: opts.Frozen != nil, seed: opts.Seed, stats: stats}
+	if o == nil {
+		if !p.AllBoundsOne() {
+			return nil, fmt.Errorf("core: pattern has a bound != 1; without a distance oracle only the edge-to-edge semantics (simulation, dual simulation) run")
+		}
+		o, st.sweep, st.edgeOnly = NewEdgeOracle(st.frozen()), true, true
+	} else if opts.Dual {
+		return nil, fmt.Errorf("core: dual simulation runs without a distance oracle")
+	}
+	st.constrain(opts.Dual)
 	workers := opts.Workers
 	if st.seed != nil {
 		if len(st.seed) != p.N() {
@@ -224,23 +250,57 @@ func MatchOpts(ctx context.Context, p *pattern.Pattern, g *graph.Graph, o DistOr
 
 // state carries the refinement data of one query.
 type state struct {
-	p     *pattern.Pattern
-	g     *graph.Graph
-	f     *graph.Frozen // CSR snapshot; lazily frozen when the caller gave none
-	sweep bool          // caller handed a snapshot: witness sweeps instead of pairwise probes
-	cost  int64         // c(o) of the cost rule (sweep.go)
+	p        *pattern.Pattern
+	g        *graph.Graph
+	f        *graph.Frozen // CSR snapshot; lazily frozen when the caller gave none
+	sweep    bool          // caller handed a snapshot: witness sweeps instead of pairwise probes
+	edgeOnly bool          // no oracle: every witness is one arc, coloured ones swept too
+	cost     int64         // c(o) of the cost rule (sweep.go)
+
+	cons []constraint // the witness obligations: one per pattern edge, two with Dual
+	into [][]int32    // per pattern node u, the constraints whose witnesses lie in cand(u)
 
 	// Everything per-candidate is indexed by position in cand(u), not by
 	// data node, so a query's state is O(Σ|cand|) whatever |V| is.
 	cand  [][]int32        // static candidate lists (predicate + out-degree test), ascending
 	inMat [][]bool         // per pattern node, by position in cand(u)
 	seed  [][]int32        // optional candidate restriction (MatchOptions.Seed)
-	cnt   [][]int32        // per pattern edge (u, u′), by position in cand(u)
-	wit   []*witnessMatrix // per pattern edge; nil where remove probes
+	cnt   [][]int32        // per constraint, by position in cand(from)
+	wit   []*witnessMatrix // per constraint; nil where remove probes
 	work  []removalItem
 	main  *prober // the sequential phases' prober
 
 	stats *Stats
+}
+
+// constraint is one witness obligation of the fixpoint, derived from
+// pattern edge e: every member of mat(from) needs a member of mat(to)
+// within e's bound — downstream along e for the child constraint every
+// semantics has, upstream against it for dual simulation's parent one.
+type constraint struct {
+	e        pattern.Edge
+	from, to int
+	parent   bool // witnesses lie upstream: sweeps follow in-arcs
+}
+
+// constrain lists the constraints: the child ones first, numbered as the
+// pattern edges, then with dual the parent ones in the same order.
+func (st *state) constrain(dual bool) {
+	st.into = make([][]int32, st.p.N())
+	add := func(c constraint) {
+		st.into[c.to] = append(st.into[c.to], int32(len(st.cons)))
+		st.cons = append(st.cons, c)
+	}
+	edges := st.p.Edges()
+	for _, e := range edges {
+		add(constraint{e: e, from: e.From, to: e.To})
+	}
+	if !dual {
+		return
+	}
+	for _, e := range edges {
+		add(constraint{e: e, from: e.To, to: e.From, parent: true})
+	}
 }
 
 // cancelPollInterval balances cancellation latency against the cost of
@@ -349,38 +409,38 @@ func (st *state) candidatesOf(u int, poll *cancel.Poller) ([]int32, error) {
 	return out, nil
 }
 
-// cntTask is one shard of counter seeding: blocks [lo, hi) of cand(From)
-// of pattern edge eid, sweepBlock candidates a block.
+// cntTask is one shard of counter seeding: blocks [lo, hi) of cand(from)
+// of constraint ci, sweepBlock candidates a block.
 type cntTask struct {
-	eid    int
+	ci     int
 	lo, hi int
 }
 
-// initCounters fills cnt[e][x] for every pattern edge and candidate
-// source and seeds the worklist with already-dead pairs, sharded over
-// (pattern edge, block span) — the O(|Ep||V|²) probes that dominate
-// Theorem 3.1's bound, or the sweeps that replace them. cnt rows are per
-// edge, block spans disjoint and a witness matrix is written one word
-// column per block, so writes never collide; inMat is read-only here.
+// initCounters fills cnt[c][x] for every constraint and candidate x of
+// its obligated node and seeds the worklist with already-dead pairs,
+// sharded over (constraint, block span) — the O(|Ep||V|²) probes that
+// dominate Theorem 3.1's bound, or the sweeps that replace them. cnt rows
+// are per constraint, block spans disjoint and a witness matrix is
+// written one word column per block, so writes never collide; inMat is
+// read-only here.
 func (st *state) initCounters(probers []*prober) error {
-	ne := st.p.EdgeCount()
-	st.cnt = make([][]int32, ne)
-	st.wit = make([]*witnessMatrix, ne)
+	nc := len(st.cons)
+	st.cnt = make([][]int32, nc)
+	st.wit = make([]*witnessMatrix, nc)
 	witnessBytes := witnessCap() // what the query may still spend on matrices
 	var tasks []cntTask
-	for eid := 0; eid < ne; eid++ {
-		e := st.p.EdgeAt(eid)
-		from, to := len(st.cand[e.From]), len(st.cand[e.To])
-		st.cnt[eid] = make([]int32, from)
+	for ci, c := range st.cons {
+		from, to := len(st.cand[c.from]), len(st.cand[c.to])
+		st.cnt[ci] = make([]int32, from)
 		blocks := (from + sweepBlock - 1) / sweepBlock
-		if st.sweep && sweepable(e) {
+		if st.sweepable(c) {
 			if size := int64(to) * int64(blocks) * 8; size <= witnessBytes {
 				witnessBytes -= size
-				st.wit[eid] = &witnessMatrix{words: blocks, bits: make([]uint64, to*blocks)}
+				st.wit[ci] = &witnessMatrix{words: blocks, bits: make([]uint64, to*blocks)}
 			}
 		}
 		for _, s := range shardSpans(blocks, len(probers), sweepBlock*to) {
-			tasks = append(tasks, cntTask{eid, s[0], s[1]})
+			tasks = append(tasks, cntTask{ci, s[0], s[1]})
 		}
 	}
 	dead := make([][]removalItem, len(tasks))
@@ -391,21 +451,21 @@ func (st *state) initCounters(probers []*prober) error {
 	if err != nil {
 		return err
 	}
-	// Deterministic worklist: edge-major, candidate-ascending, whatever
-	// the worker count.
+	// Deterministic worklist: constraint-major, candidate-ascending,
+	// whatever the worker count.
 	for _, d := range dead {
 		st.work = append(st.work, d...)
 	}
 	return nil
 }
 
-// countBlocks seeds the counters of one task and returns the sources
-// whose counter stayed at zero.
+// countBlocks seeds the counters of one task and returns the obligated
+// candidates whose counter stayed at zero.
 func (st *state) countBlocks(p *prober, t cntTask) ([]removalItem, error) {
-	e := st.p.EdgeAt(t.eid)
-	c, wm := st.cnt[t.eid], st.wit[t.eid]
-	from, to := st.cand[e.From], st.cand[e.To]
-	sweep := st.sweep && sweepable(e)
+	con := &st.cons[t.ci]
+	c, wm := st.cnt[t.ci], st.wit[t.ci]
+	from, to := st.cand[con.from], st.cand[con.to]
+	sweep := st.sweepable(*con)
 	var dead []removalItem
 	for b := t.lo; b < t.hi; b++ {
 		base := b * sweepBlock
@@ -414,7 +474,7 @@ func (st *state) countBlocks(p *prober, t cntTask) ([]removalItem, error) {
 		swept := false
 		if sweep {
 			var err error
-			swept, err = p.sweeper().block(srcs, e, blockBudget(st.cost, len(srcs), len(to)))
+			swept, err = p.sweeper().block(srcs, *con, blockBudget(st.cost, len(srcs), len(to)))
 			if err != nil {
 				return nil, err
 			}
@@ -443,7 +503,7 @@ func (st *state) countBlocks(p *prober, t cntTask) ([]removalItem, error) {
 					if err := p.poll.Err(); err != nil {
 						return nil, err
 					}
-					if st.inMat[e.To][j] && p.witness(int(x), int(z), e, false) >= 0 {
+					if st.inMat[con.to][j] && p.holds(con, int(x), int(z), false) {
 						c[i]++
 						if wm != nil {
 							wm.bits[j*wm.words+b] |= 1 << uint(i)
@@ -454,7 +514,7 @@ func (st *state) countBlocks(p *prober, t cntTask) ([]removalItem, error) {
 		}
 		for i, n := range c {
 			if n == 0 {
-				dead = append(dead, removalItem{int32(e.From), int32(base + i)})
+				dead = append(dead, removalItem{int32(con.from), int32(base + i)})
 			}
 		}
 	}
@@ -474,10 +534,12 @@ func (st *state) refine() error {
 }
 
 // remove deletes (u, x), x the j-th member of cand(u), from the relation
-// and propagates counter decrements to ancestor candidates within bound
-// of x: the set bits of row j where the edge kept a witness matrix, one
-// probe per ancestor candidate where it did not. Both visit ancestors in
-// ascending order.
+// and propagates counter decrements to the candidates x witnessed: for
+// every constraint whose witnesses lie in cand(u) — the child constraints
+// of edges entering u, and with dual the parent constraints of edges
+// leaving it — the set bits of row j where the constraint kept a witness
+// matrix, one probe per obligated candidate where it did not. Both visit
+// candidates in ascending order.
 func (st *state) remove(u, j int) error {
 	if !st.inMat[u][j] {
 		return nil
@@ -487,16 +549,16 @@ func (st *state) remove(u, j int) error {
 		st.stats.Removals++
 	}
 	p := st.main
-	for _, eid := range st.p.In(u) {
-		e := st.p.EdgeAt(int(eid))
-		c, alive := st.cnt[eid], st.inMat[e.From]
+	for _, ci := range st.into[u] {
+		con := &st.cons[ci]
+		c, alive := st.cnt[ci], st.inMat[con.from]
 		drop := func(i int) {
 			c[i]--
 			if c[i] == 0 {
-				st.work = append(st.work, removalItem{int32(e.From), int32(i)})
+				st.work = append(st.work, removalItem{int32(con.from), int32(i)})
 			}
 		}
-		if wm := st.wit[eid]; wm != nil {
+		if wm := st.wit[ci]; wm != nil {
 			for b, m := range wm.row(j) {
 				for ; m != 0; m &= m - 1 {
 					if err := p.poll.Err(); err != nil {
@@ -510,11 +572,11 @@ func (st *state) remove(u, j int) error {
 			continue
 		}
 		x := int(st.cand[u][j])
-		for i, xp := range st.cand[e.From] {
+		for i, xp := range st.cand[con.from] {
 			if err := p.poll.Err(); err != nil {
 				return err
 			}
-			if alive[i] && p.witness(int(xp), x, e, true) >= 0 {
+			if alive[i] && p.holds(con, int(xp), x, true) {
 				drop(i)
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,7 +9,6 @@ import (
 	"gpm/internal/fixtures"
 	"gpm/internal/graph"
 	"gpm/internal/pattern"
-	"gpm/internal/simulation"
 	"gpm/internal/value"
 )
 
@@ -134,6 +134,19 @@ func TestInvalidPattern(t *testing.T) {
 	}
 }
 
+// Dual simulation is edge-to-edge: MatchOpts refuses Dual next to a
+// distance oracle.
+func TestDualRefusesAnOracle(t *testing.T) {
+	g := graph.New(2)
+	g.AddEdge(0, 1)
+	p := pattern.New()
+	p.MustAddEdge(p.AddNode(nil), p.AddNode(nil), 1)
+	f := g.Freeze()
+	if _, err := MatchOpts(context.Background(), p, g, NewEdgeOracle(f), nil, MatchOptions{Frozen: f, Dual: true}); err == nil {
+		t.Error("Dual with an oracle accepted")
+	}
+}
+
 func TestUnboundedEdge(t *testing.T) {
 	// A -*-> B over a long chain: must match regardless of length.
 	g := graph.New(10)
@@ -225,31 +238,6 @@ func TestColoredMatch(t *testing.T) {
 	res, _ := Match(p, g)
 	if res.OK() {
 		t.Error("mixed-color path must not satisfy a colored pattern edge")
-	}
-}
-
-func TestBoundOneEqualsPlainSimulation(t *testing.T) {
-	// Bounded simulation with all bounds 1 coincides with HHK simulation
-	// (§2.2 remark 2).
-	check := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randomLabeledGraph(r, 1+r.Intn(12), r.Intn(25), 3)
-		p := randomPattern(r, 1+r.Intn(4), r.Intn(6), 3, 1, false)
-		simRel, simOK, err := simulation.Run(p, g)
-		if err != nil {
-			return true
-		}
-		res, err := Match(p, g)
-		if err != nil {
-			return false
-		}
-		if res.OK() != simOK {
-			return false
-		}
-		return relEqual(res.Relation(), simRel)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -631,15 +631,18 @@ func (s *pllShared) colorIndex(color string) *pll.Index {
 // frozen snapshot: it reports distance 1 when the edge (u, v) exists
 // (color-compatible), and no witness otherwise — correct only for
 // bound-1 probes, so it serves the all-bounds-one semantics (plain,
-// dual and strong simulation), whose result graphs need no path oracle.
-// The engine layer uses it to materialise topo result graphs without
-// building (and paying the memory for) a full distance oracle.
+// dual and strong simulation), which need no path oracle: MatchOpts
+// answers its fallback probes with it when called without an oracle,
+// and the engine layer materialises their result graphs with it.
 type EdgeOracle struct {
 	f *graph.Frozen
 }
 
 // NewEdgeOracle wraps f as a bound-1 DistOracle.
 func NewEdgeOracle(f *graph.Frozen) EdgeOracle { return EdgeOracle{f: f} }
+
+// CloneForWorker implements WorkerCloner: the oracle holds no state.
+func (o EdgeOracle) CloneForWorker() DistOracle { return o }
 
 // NonemptyDistWithin reports 1 when edge (u, v) exists with a compatible
 // color and the bound admits a length-1 path, -1 otherwise. Bounds

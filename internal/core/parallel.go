@@ -52,6 +52,16 @@ func (p *prober) witness(x, z int, e pattern.Edge, preferBackward bool) int {
 	return p.o.NonemptyDistWithin(x, z, e.Bound, e.Color)
 }
 
+// holds reports whether z witnesses constraint c for x: z lies within
+// the edge's bound downstream of x, or upstream for a parent constraint.
+// fixedWitness says the caller's loop keeps z and varies x.
+func (p *prober) holds(c *constraint, x, z int, fixedWitness bool) bool {
+	if c.parent {
+		return p.witness(z, x, c.e, !fixedWitness) >= 0
+	}
+	return p.witness(x, z, c.e, fixedWitness) >= 0
+}
+
 // sweeper returns the prober's sweeper, taking scratch from the pool on
 // first use.
 func (p *prober) sweeper() *sweeper {

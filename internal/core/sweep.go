@@ -45,12 +45,14 @@ func newSweeper(f *graph.Frozen, poll *cancel.Poller) *sweeper {
 // close returns the scratch to the pool.
 func (sw *sweeper) close() { sw.s.Put() }
 
-// bounded sweeps k levels out of srcs (at most sweepBlock of them), level
-// by level over a frontier list: a node is expanded at a level only with
-// the bits that first reached it at the previous one. It gives up —
-// ok false, masks already reset — once it has scanned more than budget
-// adjacency entries. After ok, mask is valid until reset.
-func (sw *sweeper) bounded(srcs []int32, k int, budget int64) (ok bool, err error) {
+// bounded sweeps c's bound in levels out of srcs (at most sweepBlock of
+// them), level by level over a frontier list: a node is expanded at a
+// level only with the bits that first reached it at the previous one.
+// It follows out-arcs, in-arcs for a parent constraint, and only arcs of
+// the edge's colour when it has one. It gives up — ok false, masks
+// already reset — once it has scanned more than budget adjacency
+// entries. After ok, mask is valid until reset.
+func (sw *sweeper) bounded(srcs []int32, c constraint, budget int64) (ok bool, err error) {
 	s := sw.s
 	front := s.Frontier[:0]
 	for i, x := range srcs {
@@ -61,6 +63,7 @@ func (sw *sweeper) bounded(srcs []int32, k int, budget int64) (ok bool, err erro
 	}
 	touched := s.Touched[:0]
 	var scanned int64
+	k, color := c.e.Bound, c.e.Color
 	for level := 1; level <= k && len(front) > 0; level++ {
 		if err = sw.poll.Now(); err != nil {
 			break
@@ -70,11 +73,14 @@ func (sw *sweeper) bounded(srcs []int32, k int, budget int64) (ok bool, err erro
 		for _, w := range front {
 			m := s.Cur[w]
 			s.Cur[w] = 0
-			out := sw.f.Out(int(w))
-			scanned += int64(len(out))
-			for _, y := range out {
+			adj := sw.f.Out(int(w))
+			if c.parent {
+				adj = sw.f.In(int(w))
+			}
+			scanned += int64(len(adj))
+			for _, y := range adj {
 				fresh := m &^ s.Seen[y]
-				if fresh == 0 {
+				if fresh == 0 || color != "" && sw.arcColor(w, y, c.parent) != color {
 					continue
 				}
 				if s.Seen[y] == 0 {
@@ -185,6 +191,15 @@ func (sw *sweeper) unbounded(srcs []int32) error {
 	return nil
 }
 
+// arcColor returns the colour of the arc a sweep crossed from w to y:
+// edge (w, y), or edge (y, w) when the sweep follows in-arcs.
+func (sw *sweeper) arcColor(w, y int32, reverse bool) string {
+	if reverse {
+		return sw.f.Color(int(y), int(w))
+	}
+	return sw.f.Color(int(w), int(y))
+}
+
 // mask returns the sources of the last sweep that reach z.
 func (sw *sweeper) mask(z int32) uint64 {
 	if sw.cond != nil {
@@ -205,12 +220,14 @@ func (sw *sweeper) reset() {
 	s.Touched = s.Touched[:0]
 }
 
-// witnessMatrix is W_e for one pattern edge e = (u, u′): one row per
-// member of cand(u′), one bit per member of cand(u), set when the latter
-// reaches the former within e's bound. remove(u′, z) walks row z instead
-// of probing every ancestor candidate.
+// witnessMatrix is W_c for one constraint c: one row per member of
+// cand(c.to), one bit per member of cand(c.from), set when the former
+// witnesses c for the latter — for a child constraint of edge (u, u′),
+// when the member of cand(u) reaches the member of cand(u′) within the
+// edge's bound. remove(c.to, z) walks row z instead of probing every
+// obligated candidate.
 type witnessMatrix struct {
-	words int // per row: ⌈|cand(u)| / 64⌉
+	words int // per row: ⌈|cand(c.from)| / 64⌉
 	bits  []uint64
 }
 
@@ -231,7 +248,8 @@ func (w *witnessMatrix) row(j int) []uint64 { return w.bits[j*w.words : (j+1)*w.
 // entry of an average label pair — LabelEntries / |V| — prices it at 187
 // there and follows the labelling as it grows. The BFS-backed oracles pay
 // a whole traversal whenever the probed source changes, so a probe is
-// priced at |E| and their blocks always sweep.
+// priced at |E| and their blocks always sweep. So do the blocks of a run
+// with no oracle at all (the EdgeOracle MatchOpts substitutes).
 const (
 	matrixProbeCost  = 16
 	unknownProbeCost = 16 // user-supplied oracles: assume the cheapest
@@ -249,7 +267,7 @@ func probeCost(o DistOracle, f *graph.Frozen) int64 {
 			}
 		}
 		return matrixProbeCost
-	case *BFSOracle, *TwoHopOracle:
+	case *BFSOracle, *TwoHopOracle, EdgeOracle:
 		return int64(f.M()) + 1
 	}
 	return unknownProbeCost
@@ -299,15 +317,20 @@ func witnessCap() int64 {
 	return witnessCapDefault
 }
 
-// sweepable reports whether edge e can be answered by a sweep: plain
-// bounds only. A ranged edge needs walk lengths (walkProber) and a
-// coloured one a traversal of the colour's subgraph (the oracle).
-func sweepable(e pattern.Edge) bool { return !e.Ranged() && e.Color == "" }
+// sweepable reports whether constraint c is answered by sweeps. A ranged
+// edge needs walk lengths (walkProber). A coloured edge keeps the
+// caller's oracle, which filters by colour itself — the cost rule does
+// not price the colour lookup a filtered sweep pays per arc, and a "*"
+// sweep through the condensation is colour-blind — so only a run without
+// an oracle, where every witness is one arc, sweeps coloured edges.
+func (st *state) sweepable(c constraint) bool {
+	return st.sweep && !c.e.Ranged() && (c.e.Color == "" || st.edgeOnly)
+}
 
-// block runs the sweep for one block of sources of edge e, reporting
-// whether the masks are ready (false: probe the block instead).
-func (sw *sweeper) block(srcs []int32, e pattern.Edge, budget int64) (bool, error) {
-	if e.Bound == pattern.Unbounded {
+// block runs the sweep for one block of sources of constraint c,
+// reporting whether the masks are ready (false: probe the block instead).
+func (sw *sweeper) block(srcs []int32, c constraint, budget int64) (bool, error) {
+	if c.e.Bound == pattern.Unbounded {
 		// One pass costs up to |E| whatever the block holds.
 		if budget < int64(sw.f.M()) {
 			return false, nil
@@ -315,5 +338,5 @@ func (sw *sweeper) block(srcs []int32, e pattern.Edge, budget int64) (bool, erro
 		err := sw.unbounded(srcs)
 		return err == nil, err
 	}
-	return sw.bounded(srcs, e.Bound, budget)
+	return sw.bounded(srcs, c, budget)
 }

@@ -76,7 +76,8 @@ func assertScratchZero(t *testing.T, sw *sweeper) {
 }
 
 // Bit i of the mask at w ⇔ the matrix oracle finds a nonempty path of at
-// most k edges from source i to w — for every block, node and bound.
+// most k edges from source i to w — or from w to source i for a parent
+// constraint — for every block, node and bound.
 func TestSweeperAgreesWithMatrixOracle(t *testing.T) {
 	for name, g := range sweepFixtures() {
 		f := g.Freeze()
@@ -87,20 +88,28 @@ func TestSweeperAgreesWithMatrixOracle(t *testing.T) {
 		for i := range srcs {
 			srcs[i] = int32(i)
 		}
-		for _, k := range []int{1, 2, 3, 5, pattern.Unbounded} {
-			e := pattern.Edge{Bound: k}
+		for _, c := range []constraint{
+			{e: pattern.Edge{Bound: 1}}, {e: pattern.Edge{Bound: 2}}, {e: pattern.Edge{Bound: 3}},
+			{e: pattern.Edge{Bound: 5}}, {e: pattern.Edge{Bound: pattern.Unbounded}},
+			{e: pattern.Edge{Bound: 1}, parent: true}, {e: pattern.Edge{Bound: 3}, parent: true},
+		} {
+			k := c.e.Bound
 			for lo := 0; lo < len(srcs); lo += sweepBlock {
 				block := srcs[lo:min(lo+sweepBlock, len(srcs))]
-				ok, err := sw.block(block, e, math.MaxInt64)
+				ok, err := sw.block(block, c, math.MaxInt64)
 				if err != nil || !ok {
-					t.Fatalf("%s k=%d block %d: ok=%v err=%v", name, k, lo/sweepBlock, ok, err)
+					t.Fatalf("%s k=%d parent=%v block %d: ok=%v err=%v", name, k, c.parent, lo/sweepBlock, ok, err)
 				}
 				for w := 0; w < g.N(); w++ {
 					m := sw.mask(int32(w))
 					for i, x := range block {
-						want := o.NonemptyDistWithin(int(x), w, k, "") >= 0
+						from, to := int(x), w
+						if c.parent {
+							from, to = to, from
+						}
+						want := o.NonemptyDistWithin(from, to, k, "") >= 0
 						if got := m&(1<<uint(i)) != 0; got != want {
-							t.Fatalf("%s k=%d: source %d → %d: sweep says %v, oracle %v", name, k, x, w, got, want)
+							t.Fatalf("%s k=%d parent=%v: source %d, node %d: sweep says %v, oracle %v", name, k, c.parent, x, w, got, want)
 						}
 					}
 					if m>>uint(len(block)) != 0 {
@@ -131,7 +140,7 @@ func TestSweeperBudgetAbortLeavesScratchClean(t *testing.T) {
 		srcs[i] = int32(i)
 	}
 	for _, budget := range []int64{0, 1, 10, 100, 300} {
-		ok, err := sw.block(srcs, pattern.Edge{Bound: 5}, budget)
+		ok, err := sw.block(srcs, constraint{e: pattern.Edge{Bound: 5}}, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +150,7 @@ func TestSweeperBudgetAbortLeavesScratchClean(t *testing.T) {
 		assertScratchZero(t, sw)
 	}
 	// "*" is all or nothing: below |E| it is not attempted.
-	if ok, _ := sw.block(srcs, pattern.Edge{Bound: pattern.Unbounded}, int64(f.M())-1); ok {
+	if ok, _ := sw.block(srcs, constraint{e: pattern.Edge{Bound: pattern.Unbounded}}, int64(f.M())-1); ok {
 		t.Fatal("condensation pass ran on a budget below |E|")
 	}
 	assertScratchZero(t, sw)
@@ -156,7 +165,7 @@ func TestSweeperCancelled(t *testing.T) {
 	sw := newSweeper(f, &poll)
 	defer sw.close()
 	for _, k := range []int{2, pattern.Unbounded} {
-		ok, err := sw.block([]int32{0, 1, 2}, pattern.Edge{Bound: k}, math.MaxInt64)
+		ok, err := sw.block([]int32{0, 1, 2}, constraint{e: pattern.Edge{Bound: k}}, math.MaxInt64)
 		if ok || !errors.Is(err, context.Canceled) {
 			t.Fatalf("k=%d: ok=%v err=%v, want context.Canceled", k, ok, err)
 		}

@@ -143,7 +143,7 @@ func FuzzIncDualSim(f *testing.F) {
 			if !topo.IsDualSim(p, fz, gotDual) {
 				t.Fatalf("dual watcher relation rejected by IsDualSim: %v", gotDual)
 			}
-			wantSim, _, err := topo.DualSim(ctx, p, fz, topo.Options{ChildOnly: true})
+			wantSim, _, err := simulation.RunFrozen(ctx, p, fz)
 			if err != nil {
 				t.Fatal(err)
 			}

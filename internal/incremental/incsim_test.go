@@ -8,6 +8,7 @@ import (
 
 	"gpm/internal/graph"
 	"gpm/internal/pattern"
+	"gpm/internal/simulation"
 	"gpm/internal/topo"
 	"gpm/internal/value"
 )
@@ -86,9 +87,14 @@ func TestSimMatcherMatchesRecompute(t *testing.T) {
 					if err := m.CheckInvariants(); err != nil {
 						t.Fatalf("seed %d batch %d: invariants: %v", seed, batch, err)
 					}
-					want, _, err := topo.DualSim(ctx, p, g.Freeze(), topo.Options{ChildOnly: childOnly})
+					var want [][]int32
+					if childOnly {
+						want, _, err = simulation.RunFrozen(ctx, p, g.Freeze())
+					} else {
+						want, _, err = topo.DualSim(ctx, p, g.Freeze(), topo.Options{})
+					}
 					if err != nil {
-						t.Fatalf("seed %d batch %d: DualSim: %v", seed, batch, err)
+						t.Fatalf("seed %d batch %d: recompute: %v", seed, batch, err)
 					}
 					if got := m.Relation(); !relationsEqual(got, want) {
 						t.Fatalf("seed %d batch %d (%s): incremental diverged\ngot:  %v\nwant: %v\nupdates: %v",

@@ -23,9 +23,9 @@ import "gpm/internal/value"
 // a stored answer for P by seeding Q's fixpoint with ∪_{(u,a)∈R} M(P)(a),
 // and the greatest fixpoint inside that superset is exactly M(Q,G).
 //
-// The fixpoint mirrors internal/topo's counter machinery (dualFixpoint):
-// per-pair witness counters, kills cascade through a worklist. Patterns
-// are tiny, so there is no sharding.
+// The fixpoint mirrors internal/core's counter/worklist kernel, which
+// also runs dual simulation: per-pair witness counters, kills cascade
+// through a worklist. Patterns are tiny, so there is no sharding.
 
 // ContainMode selects which edge conditions Containment enforces.
 type ContainMode int

@@ -1,6 +1,7 @@
 package simulation
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -16,6 +17,11 @@ func labeled(labels ...string) *graph.Graph {
 		g.AddNode(graph.Attrs{"label": value.Str(l)})
 	}
 	return g
+}
+
+// run is RunFrozen over a fresh snapshot of g.
+func run(p *pattern.Pattern, g *graph.Graph) ([][]int32, bool, error) {
+	return RunFrozen(context.Background(), p, g.Freeze())
 }
 
 func relEqual(a, b [][]int32) bool {
@@ -44,7 +50,7 @@ func TestSimpleEdge(t *testing.T) {
 	a := p.AddNode(pattern.Label("A"))
 	b := p.AddNode(pattern.Label("B"))
 	p.MustAddEdge(a, b, 1)
-	rel, ok, err := Run(p, g)
+	rel, ok, err := run(p, g)
 	if err != nil || !ok {
 		t.Fatalf("Run: ok=%v err=%v", ok, err)
 	}
@@ -63,7 +69,7 @@ func TestNoMatch(t *testing.T) {
 	a := p.AddNode(pattern.Label("A"))
 	b := p.AddNode(pattern.Label("B"))
 	p.MustAddEdge(a, b, 1)
-	rel, ok, err := Run(p, g)
+	rel, ok, err := run(p, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +93,7 @@ func TestCascadingRemoval(t *testing.T) {
 	c := p.AddNode(pattern.Label("C"))
 	p.MustAddEdge(a, b, 1)
 	p.MustAddEdge(b, c, 1)
-	rel, ok, _ := Run(p, g)
+	rel, ok, _ := run(p, g)
 	if ok {
 		t.Error("should fail: no A has a B-with-C child")
 	}
@@ -113,7 +119,7 @@ func TestCyclicPatternOnCyclicData(t *testing.T) {
 	b := p.AddNode(pattern.Label("B"))
 	p.MustAddEdge(a, b, 1)
 	p.MustAddEdge(b, a, 1)
-	rel, ok, _ := Run(p, g)
+	rel, ok, _ := run(p, g)
 	if !ok || len(rel[a]) != 1 || len(rel[b]) != 1 {
 		t.Errorf("cycle sim failed: %v ok=%v", rel, ok)
 	}
@@ -124,10 +130,10 @@ func TestRejectsBoundedPattern(t *testing.T) {
 	p.AddNode(nil)
 	p.AddNode(nil)
 	p.MustAddEdge(0, 1, 2)
-	if _, _, err := Run(p, graph.New(1)); err == nil {
+	if _, _, err := run(p, graph.New(1)); err == nil {
 		t.Error("bound-2 pattern accepted")
 	}
-	if _, _, err := RunNaive(p, graph.New(1)); err == nil {
+	if _, _, err := RunNaive(p, graph.New(1).Freeze()); err == nil {
 		t.Error("naive accepted bound-2 pattern")
 	}
 }
@@ -146,7 +152,7 @@ func TestColoredSimulation(t *testing.T) {
 	if _, err := p.AddColoredEdge(a, b, 1, "friend"); err != nil {
 		t.Fatal(err)
 	}
-	rel, ok, err := Run(p, g)
+	rel, ok, err := run(p, g)
 	if err != nil || !ok {
 		t.Fatalf("colored run: %v %v", ok, err)
 	}
@@ -157,7 +163,7 @@ func TestColoredSimulation(t *testing.T) {
 		t.Errorf("sim(B) = %v, want both Bs (no out-edge obligations)", rel[b])
 	}
 	// Naive agrees.
-	nRel, nOK, err := RunNaive(p, g)
+	nRel, nOK, err := RunNaive(p, g.Freeze())
 	if err != nil || nOK != ok || !relEqual(rel, nRel) {
 		t.Errorf("naive disagrees: %v %v %v", nRel, nOK, err)
 	}
@@ -194,8 +200,8 @@ func TestRunMatchesNaive(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g := randomLabeledGraph(r, 1+r.Intn(14), r.Intn(30), 3)
 		p := randomBoundOnePattern(r, 1+r.Intn(5), r.Intn(7), 3)
-		r1, ok1, err1 := Run(p, g)
-		r2, ok2, err2 := RunNaive(p, g)
+		r1, ok1, err1 := run(p, g)
+		r2, ok2, err2 := RunNaive(p, g.Freeze())
 		if (err1 == nil) != (err2 == nil) {
 			return false
 		}
@@ -216,7 +222,7 @@ func TestResultIsSimulation(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g := randomLabeledGraph(r, 1+r.Intn(14), r.Intn(30), 3)
 		p := randomBoundOnePattern(r, 1+r.Intn(5), r.Intn(7), 3)
-		rel, _, err := Run(p, g)
+		rel, _, err := run(p, g)
 		if err != nil {
 			return true
 		}

@@ -77,9 +77,10 @@ func contained(rel, sup [][]int32) bool {
 // FuzzDualSim drives DualSim (and StrongSim, which is built on it) with
 // random small graph/pattern pairs. Any input must terminate and uphold
 // the semantics invariants: the dual relation verifies against the
-// independent IsDualSim checker, is contained in plain simulation,
-// contains strong simulation, and is idempotent (a second run over the
-// same frozen snapshot returns the identical relation).
+// independent IsDualSim checker, equals the naive rescan's maximum, is
+// contained in plain simulation, contains strong simulation, and is
+// idempotent (a second run over the same frozen snapshot returns the
+// identical relation).
 func FuzzDualSim(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 0, 1, 0, 1, 0, 1, 1, 0})
@@ -95,6 +96,9 @@ func FuzzDualSim(f *testing.F) {
 		}
 		if !IsDualSim(p, fz, dual) {
 			t.Fatalf("DualSim output rejected by IsDualSim\nrel: %v\npattern:\n%s", dual, p)
+		}
+		if want, wantOK := NaiveDualSim(p, fz, nil); dualOK != wantOK || !reflect.DeepEqual(dual, want) {
+			t.Fatalf("DualSim %v is not the naive rescan's maximum %v\npattern:\n%s", dual, want, p)
 		}
 		sim, _, err := simulation.RunFrozen(ctx, p, fz)
 		if err != nil {

@@ -5,10 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// minShardWork is the smallest number of inner-loop iterations worth a
-// task switch, mirroring the parallel matching core's threshold.
-const minShardWork = 256
-
 // RunShards feeds task indexes 0..tasks-1 to a pool of workers goroutines
 // and hands each invocation its worker id, so tasks can use per-worker
 // scratch without locking. run must only write state disjoint per task
@@ -57,29 +53,4 @@ func RunShards(workers, tasks int, run func(worker, task int) error) error {
 	close(ch)
 	wg.Wait()
 	return firstErr
-}
-
-// shardSpans splits [0, n) into spans of roughly equal size targeting a
-// few tasks per worker, but never below minShardWork iterations each
-// (workUnit is the inner-loop cost of one index).
-func shardSpans(n, workers, workUnit int) [][2]int {
-	if n == 0 {
-		return nil
-	}
-	if workUnit < 1 {
-		workUnit = 1
-	}
-	size := (n + 4*workers - 1) / (4 * workers)
-	if size*workUnit < minShardWork {
-		size = (minShardWork + workUnit - 1) / workUnit
-	}
-	var spans [][2]int
-	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		spans = append(spans, [2]int{lo, hi})
-	}
-	return spans
 }

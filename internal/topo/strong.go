@@ -5,9 +5,20 @@ import (
 	"sync"
 
 	"gpm/internal/cancel"
+	"gpm/internal/core"
 	"gpm/internal/graph"
 	"gpm/internal/pattern"
 )
+
+// cancelPollInterval matches the matching core's amortised cancellation
+// polling rate.
+const cancelPollInterval = 4096
+
+// removal is one (pattern node, data node) pair queued for deletion.
+type removal struct {
+	u int32
+	x int32
+}
 
 // StrongSim computes strong simulation of p in f (Ma et al., §4): dual
 // simulation with locality. For every candidate center w — a data node
@@ -34,18 +45,22 @@ func StrongSim(ctx context.Context, p *pattern.Pattern, f *graph.Frozen, opts Op
 	if err := checkPattern(p); err != nil {
 		return nil, false, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
 	np, n := p.N(), f.N()
 
 	// Whole-graph dual simulation is both a prefilter (strong ⊆ dual, so
 	// per-ball candidates start from the dual relation) and the source
 	// of candidate centers (an unmatched center can never anchor a
-	// perfect subgraph).
-	dual, err := dualFixpoint(ctx, p, f, Options{Workers: opts.Workers})
+	// perfect subgraph). The ball workers read it as bitmaps.
+	dualRes, err := core.MatchOpts(ctx, p, nil, nil, nil, core.MatchOptions{Workers: opts.Workers, Frozen: f, Dual: true})
 	if err != nil {
 		return nil, false, err
+	}
+	dual := make([][]bool, np)
+	for u := range dual {
+		dual[u] = make([]bool, n)
+		for _, x := range dualRes.Mat(u) {
+			dual[u][x] = true
+		}
 	}
 
 	comps := Components(p)
@@ -60,10 +75,8 @@ func StrongSim(ctx context.Context, p *pattern.Pattern, f *graph.Frozen, opts Op
 	mark := make([]bool, n)
 	for ci, c := range comps {
 		for _, u := range c.Nodes {
-			for x := 0; x < n; x++ {
-				if dual[u][x] {
-					mark[x] = true
-				}
+			for _, x := range dualRes.Mat(u) {
+				mark[x] = true
 			}
 		}
 		for x := 0; x < n; x++ {

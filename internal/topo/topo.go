@@ -12,7 +12,10 @@
 //     edge leaving u has a successor witness (the child constraint of
 //     plain simulation) AND every pattern edge entering u has a
 //     predecessor witness. Dual simulation preserves parent topology
-//     that plain simulation ignores, at the same asymptotic cost.
+//     that plain simulation ignores, at the same asymptotic cost. Its
+//     fixpoint is internal/core's kernel with the parent constraints on;
+//     this package keeps the independent references tests compare it
+//     against (IsDualSim, NaiveDualSim).
 //
 //   - Strong simulation (StrongSim): dual simulation with locality. For
 //     every candidate center w, the ball Ĝ[w, dP] of radius dP (the
@@ -29,9 +32,10 @@
 //
 //	subiso pairs ⊆ strong ⊆ dual ⊆ plain simulation ⊆ bounded simulation
 //
-// Both functions traverse an immutable graph.Frozen snapshot and reuse
-// the pooled graph.Scratch buffers for ball extraction, so they are safe
-// to fan out across goroutines and allocation-light on the hot path.
+// Both functions traverse an immutable graph.Frozen snapshot; StrongSim
+// reuses the pooled graph.Scratch buffers for ball extraction, so it is
+// safe to fan out across goroutines and allocation-light on the hot
+// path.
 package topo
 
 import (
@@ -43,30 +47,13 @@ import (
 
 // Options tunes one DualSim or StrongSim call.
 type Options struct {
-	// Workers shards the work — candidate filtering and counter seeding
-	// for DualSim, per-center ball evaluation for StrongSim — across
-	// this many goroutines. Values <= 1 run fully sequentially. Every
-	// worker count produces bit-identical relations: the dual fixpoint
-	// is unique, and the strong result is an order-independent union
-	// over accepted balls.
+	// Workers shards the work — the kernel's initialisation for DualSim,
+	// per-center ball evaluation for StrongSim — across this many
+	// goroutines. Values <= 1 run fully sequentially. Every worker count
+	// produces bit-identical relations: the dual fixpoint is unique, and
+	// the strong result is an order-independent union over accepted
+	// balls.
 	Workers int
-
-	// ChildOnly drops the parent constraints from DualSim, collapsing it
-	// to plain graph simulation. It exists for differential testing —
-	// child-only dual simulation must equal simulation.Run and bounded
-	// simulation at k=1 — and is ignored by StrongSim.
-	ChildOnly bool
-
-	// Seed, when non-nil, restricts DualSim's candidate initialisation to
-	// the listed data nodes: Seed[u] must be an ascending, deduplicated
-	// superset of the true relation row of pattern node u (e.g. the dual
-	// relation of a containing pattern, see internal/pattern's
-	// Containment). The greatest fixpoint inside any superset of the
-	// maximum dual simulation is the maximum dual simulation, so seeding
-	// changes only the work done, never the result. Seeded initialisation
-	// runs sequentially. StrongSim ignores Seed: its per-ball fixpoints
-	// have no global relation to restrict.
-	Seed [][]int32
 }
 
 func (o Options) workers() int {

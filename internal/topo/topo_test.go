@@ -25,88 +25,12 @@ func colorOK(f *graph.Frozen, u, v int, want string) bool {
 // --- naive reference implementations -------------------------------------
 //
 // Independent textbook fixpoints, deliberately sharing no machinery with
-// the counter/worklist code under test: the naive dual rescans every pair
-// until stable, and the naive strong enumerates every node as a ball
-// center (not just the dual prefilter's image).
-
-func naiveDual(p *pattern.Pattern, f *graph.Frozen, childOnly bool) ([][]int32, bool) {
-	np, n := p.N(), f.N()
-	sim := make([][]bool, np)
-	for u := 0; u < np; u++ {
-		sim[u] = make([]bool, n)
-		for x := 0; x < n; x++ {
-			sim[u][x] = p.Pred(u).Match(f.Attr(x))
-		}
-	}
-	inBall := func(int) bool { return true }
-	naiveDualFixpoint(p, f, sim, inBall, childOnly)
-	rel := make([][]int32, np)
-	ok := true
-	for u := 0; u < np; u++ {
-		for x := 0; x < n; x++ {
-			if sim[u][x] {
-				rel[u] = append(rel[u], int32(x))
-			}
-		}
-		if len(rel[u]) == 0 {
-			ok = false
-		}
-	}
-	return rel, ok
-}
-
-// naiveDualFixpoint repeatedly deletes pairs violating the child or
-// parent constraint, restricted to the data nodes inBall accepts.
-func naiveDualFixpoint(p *pattern.Pattern, f *graph.Frozen, sim [][]bool, inBall func(int) bool, childOnly bool) {
-	for changed := true; changed; {
-		changed = false
-		for u := 0; u < p.N(); u++ {
-			for x := 0; x < f.N(); x++ {
-				if !sim[u][x] || !inBall(x) {
-					continue
-				}
-				dead := false
-				for _, eid := range p.Out(u) {
-					e := p.EdgeAt(int(eid))
-					found := false
-					for _, y := range f.Out(x) {
-						if inBall(int(y)) && sim[e.To][y] && colorOK(f, x, int(y), e.Color) {
-							found = true
-							break
-						}
-					}
-					if !found {
-						dead = true
-						break
-					}
-				}
-				if !dead && !childOnly {
-					for _, eid := range p.In(u) {
-						e := p.EdgeAt(int(eid))
-						found := false
-						for _, z := range f.In(x) {
-							if inBall(int(z)) && sim[e.From][z] && colorOK(f, int(z), x, e.Color) {
-								found = true
-								break
-							}
-						}
-						if !found {
-							dead = true
-							break
-						}
-					}
-				}
-				if dead {
-					sim[u][x] = false
-					changed = true
-				}
-			}
-		}
-	}
-}
+// the counter/worklist code under test: the naive dual (topo.NaiveDualSim)
+// rescans every pair until stable, and the naive strong enumerates every
+// node as a ball center (not just the dual prefilter's image).
 
 // naiveStrong evaluates every data node as a ball center with a fresh
-// (unseeded) in-ball dual fixpoint.
+// (unseeded) in-ball naive dual fixpoint.
 func naiveStrong(p *pattern.Pattern, f *graph.Frozen) ([][]int32, bool) {
 	np, n := p.N(), f.N()
 	res := make([][]bool, np)
@@ -124,20 +48,16 @@ func naiveStrong(p *pattern.Pattern, f *graph.Frozen) ([][]int32, bool) {
 			f.BallInto(center, c.Radius, dist, &queue)
 			inBall := func(x int) bool { return dist[x] >= 0 }
 
+			// The in-ball dual fixpoint. Pattern components share no edge,
+			// so c's rows do not depend on the other components'.
+			dual, _ := topo.NaiveDualSim(p, f, inBall)
 			sim := make([][]bool, np)
-			for _, u := range c.Nodes {
+			for u, row := range dual {
 				sim[u] = make([]bool, n)
-				for x := 0; x < n; x++ {
-					sim[u][x] = inBall(x) && p.Pred(u).Match(f.Attr(x))
+				for _, x := range row {
+					sim[u][x] = true
 				}
 			}
-			for u := 0; u < np; u++ {
-				if sim[u] == nil {
-					sim[u] = make([]bool, n) // nodes outside c: empty rows
-				}
-			}
-			sub := p // fixpoint only visits c's nodes via the rows seeded above
-			naiveDualCompFixpoint(sub, f, sim, inBall, c)
 
 			matched := false
 			for _, u := range c.Nodes {
@@ -214,56 +134,6 @@ func naiveStrong(p *pattern.Pattern, f *graph.Frozen) ([][]int32, bool) {
 		}
 	}
 	return rel, ok
-}
-
-// naiveDualCompFixpoint is naiveDualFixpoint restricted to one pattern
-// Component's nodes and edges.
-func naiveDualCompFixpoint(p *pattern.Pattern, f *graph.Frozen, sim [][]bool, inBall func(int) bool, c topo.Component) {
-	for changed := true; changed; {
-		changed = false
-		for _, u := range c.Nodes {
-			for x := 0; x < f.N(); x++ {
-				if !sim[u][x] || !inBall(x) {
-					continue
-				}
-				dead := false
-				for _, eid := range p.Out(u) {
-					e := p.EdgeAt(int(eid))
-					found := false
-					for _, y := range f.Out(x) {
-						if inBall(int(y)) && sim[e.To][y] && colorOK(f, x, int(y), e.Color) {
-							found = true
-							break
-						}
-					}
-					if !found {
-						dead = true
-						break
-					}
-				}
-				if !dead {
-					for _, eid := range p.In(u) {
-						e := p.EdgeAt(int(eid))
-						found := false
-						for _, z := range f.In(x) {
-							if inBall(int(z)) && sim[e.From][z] && colorOK(f, int(z), x, e.Color) {
-								found = true
-								break
-							}
-						}
-						if !found {
-							dead = true
-							break
-						}
-					}
-				}
-				if dead {
-					sim[u][x] = false
-					changed = true
-				}
-			}
-		}
-	}
 }
 
 func hasEdge(f *graph.Frozen, u, v int) bool {
@@ -397,39 +267,47 @@ func TestStrongAcceptsRealCycle(t *testing.T) {
 	}
 }
 
-// topo.DualSim must equal the naive rescan fixpoint on random workloads, for
-// both the full semantics and the child-only collapse.
+// topo.DualSim must equal the naive rescan fixpoint on random workloads.
 func TestDualSimMatchesNaive(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		p, f := randomCase(seed, 60, 180, 4, 5)
-		for _, childOnly := range []bool{false, true} {
-			got, gotOK, err := topo.DualSim(context.Background(), p, f, topo.Options{ChildOnly: childOnly})
-			if err != nil {
-				t.Fatalf("seed %d childOnly=%v: %v", seed, childOnly, err)
-			}
-			want, wantOK := naiveDual(p, f, childOnly)
-			if gotOK != wantOK || !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d childOnly=%v: topo.DualSim diverges from naive\n got %v ok=%v\nwant %v ok=%v",
-					seed, childOnly, got, gotOK, want, wantOK)
-			}
+		got, gotOK, err := topo.DualSim(context.Background(), p, f, topo.Options{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		want, wantOK := topo.NaiveDualSim(p, f, nil)
+		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: topo.DualSim diverges from naive\n got %v ok=%v\nwant %v ok=%v",
+				seed, got, gotOK, want, wantOK)
 		}
 	}
 }
 
-// Child-only dual simulation is plain graph simulation.
+// Child-only dual simulation is plain graph simulation: the sim entry
+// point runs the same kernel as DualSim with the parent constraints off,
+// so it must equal the naive simulation rescan and contain DualSim.
 func TestDualChildOnlyEqualsSimulation(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		p, f := randomCase(seed, 50, 150, 4, 5)
-		got, gotOK, err := topo.DualSim(context.Background(), p, f, topo.Options{ChildOnly: true})
+		got, gotOK, err := simulation.RunFrozen(context.Background(), p, f)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		want, wantOK, err := simulation.RunFrozen(context.Background(), p, f)
+		want, wantOK, err := simulation.RunNaive(p, f)
 		if err != nil {
-			t.Fatalf("seed %d: simulation: %v", seed, err)
+			t.Fatalf("seed %d: naive simulation: %v", seed, err)
 		}
-		if gotOK != wantOK || !reflect.DeepEqual(got, normalize(want)) {
-			t.Errorf("seed %d: child-only dual != plain simulation", seed)
+		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: child-only kernel != naive plain simulation", seed)
+		}
+		dual, _, err := topo.DualSim(context.Background(), p, f, topo.Options{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for u := range dual {
+			if !subset(dual[u], got[u]) {
+				t.Errorf("seed %d: dual(%d) = %v ⊄ sim(%d) = %v", seed, u, dual[u], u, got[u])
+			}
 		}
 	}
 }
@@ -533,14 +411,16 @@ func TestIsDualSim(t *testing.T) {
 	}
 }
 
-// normalize maps nil rows to nil for DeepEqual comparisons between
-// packages that append vs pre-allocate.
-func normalize(rel [][]int32) [][]int32 {
-	out := make([][]int32, len(rel))
-	for i, l := range rel {
-		if len(l) > 0 {
-			out[i] = l
+// subset reports a ⊆ b for ascending rows.
+func subset(a, b []int32) bool {
+	j := 0
+	for _, x := range a {
+		for j < len(b) && b[j] < x {
+			j++
+		}
+		if j == len(b) || b[j] != x {
+			return false
 		}
 	}
-	return out
+	return true
 }
