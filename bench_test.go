@@ -16,6 +16,7 @@
 //	BenchmarkFig9*          – appendix Fig 9 bound sweep
 //	BenchmarkGr*            – appendix |Gr| result-graph statistics
 //	BenchmarkAblation*      – DESIGN.md ablations (naive fixpoint, matrix build)
+//	BenchmarkColoredMatch*  – coloured /match past the auto matrix threshold
 package gpm_test
 
 import (
@@ -25,6 +26,7 @@ import (
 	"testing"
 
 	"gpm"
+	"gpm/internal/difftest"
 )
 
 // Shared fixtures, built once.
@@ -352,5 +354,72 @@ func BenchmarkStrongSim(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkColoredMatchAuto times bounded Match with coloured pattern
+// edges on a 5000-node, two-colour stand-in under WithAutoOracle, the
+// engine gpmd binds by default. first is a fresh engine's first query,
+// so whatever the auto oracle builds up front (an index, per-colour
+// sub-indexes) lands in it; steady cycles the patterns on a warm engine.
+func BenchmarkColoredMatchAuto(b *testing.B) {
+	w := difftest.NewWorkload(3, difftest.Config{Nodes: 5000, Attrs: 20, Colors: 2, Patterns: 8})
+	ctx := context.Background()
+	b.Run("first", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			eng := gpm.NewEngine(w.G, gpm.WithAutoOracle())
+			if _, err := eng.Match(ctx, w.Patterns[i%len(w.Patterns)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("steady", func(b *testing.B) {
+		eng := gpm.NewEngine(w.G, gpm.WithAutoOracle())
+		for _, p := range w.Patterns {
+			if _, err := eng.Match(ctx, p); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.Match(ctx, w.Patterns[i%len(w.Patterns)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkMatchPastWitnessCap times bounded Match where the 32 MiB
+// per-query cap on witness matrices binds: a 20000-node graph with a
+// two-value label alphabet, so every pattern node has ~10000 candidates
+// and a witness matrix costs ~12 MB an edge. Edges past the cap refine
+// by probes, one backward BFS per removal under BFS, one label merge
+// per obligated candidate under PLL (the kind WithAutoOracle picked
+// here before it stopped building labellings). Oracle builds happen
+// before the timer; probes/op and removals/op show the fallback's size.
+func BenchmarkMatchPastWitnessCap(b *testing.B) {
+	for _, seed := range []int64{0, 4} { // ER and power-law, label-only predicates
+		w := difftest.NewWorkload(seed, difftest.Config{Nodes: 20000, Attrs: 2, Patterns: 8})
+		for _, kind := range []gpm.OracleKind{gpm.OraclePLL, gpm.OracleAuto} {
+			b.Run(fmt.Sprintf("seed=%d/%v", seed, kind), func(b *testing.B) {
+				ctx := context.Background()
+				eng := gpm.NewEngine(w.G, gpm.WithOracle(kind))
+				if _, err := eng.Match(ctx, w.Patterns[0]); err != nil {
+					b.Fatal(err)
+				}
+				var probes, removals int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r, err := eng.Match(ctx, w.Patterns[i%len(w.Patterns)])
+					if err != nil {
+						b.Fatal(err)
+					}
+					probes += r.Stats.OracleQueries
+					removals += r.Stats.Removals
+				}
+				b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+				b.ReportMetric(float64(removals)/float64(b.N), "removals/op")
+			})
+		}
 	}
 }

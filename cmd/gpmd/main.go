@@ -13,7 +13,7 @@
 //	     -graph social=social.graph -graph cites=cites.graph
 //	     -dataset tube=youtube:0.1:7
 //	     [-oracle auto|matrix|bfs|2hop|pll] [-workers N] [-timeout 30s]
-//	     [-cache-bytes N]
+//	     [-cache-bytes N] [-debug-addr ADDR]
 //	     [-wal DIR [-wal-sync always|none] [-snapshot-every N]] [-v]
 //
 // -graph binds a graph file in the .graph text format under a name;
@@ -22,6 +22,10 @@
 // names the graph it queries, so one daemon serves many graphs, each
 // behind its own engine with its own cached oracle. -timeout is the
 // default per-request deadline; requests may lower it via timeout_ms.
+// -oracle auto, the default, gives each graph of up to 4096 nodes a
+// distance matrix and serves larger ones by BFS-priced witness sweeps,
+// building no index; pll builds a pruned-landmark labelling on the first
+// bounded query, and again on the first one after each effective update.
 //
 // -cache-bytes budgets the relation-result cache: responses to /match,
 // /simulate, /dual and /strong are cached under the pattern's canonical
@@ -39,6 +43,10 @@
 // to exactly the state of a process that never crashed. -wal-sync
 // chooses whether every append reaches disk before the HTTP response
 // ("always", the default) or rides the page cache ("none").
+//
+// -debug-addr serves net/http/pprof's /debug/pprof/ endpoints on a
+// second listener, off by default, so profiles never share the public
+// address.
 package main
 
 import (
@@ -50,6 +58,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -84,6 +93,7 @@ type options struct {
 	walDir    string
 	walSync   string
 	snapEvery int
+	debugAddr string
 	verbose   bool
 }
 
@@ -104,13 +114,14 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&opts.listen, "listen", ":8474", "listen address")
 	fs.Var(&opts.graphs, "graph", "bind a graph file: name=path (repeatable)")
 	fs.Var(&opts.datasets, "dataset", "bind a dataset stand-in: name=matter|pblog|youtube[:scale[:seed]] (repeatable)")
-	fs.StringVar(&opts.oracle, "oracle", "auto", "distance oracle: auto | matrix | bfs | 2hop | pll")
+	fs.StringVar(&opts.oracle, "oracle", "auto", "distance oracle: auto (matrix up to 4096 nodes, else bfs) | matrix | bfs | 2hop | pll")
 	fs.IntVar(&opts.workers, "workers", 0, "matching and oracle-build parallelism per engine (0 = GOMAXPROCS)")
 	fs.DurationVar(&opts.timeout, "timeout", 30*time.Second, "default per-request deadline (0 = none)")
 	fs.Int64Var(&opts.cacheB, "cache-bytes", 64<<20, "relation-result cache budget in bytes (0 = no caching)")
 	fs.StringVar(&opts.walDir, "wal", "", "write-ahead log directory; enables crash recovery (empty = in-memory only)")
 	fs.StringVar(&opts.walSync, "wal-sync", "always", "WAL append durability: always (fsync per batch) | none (page cache)")
 	fs.IntVar(&opts.snapEvery, "snapshot-every", 256, "WAL snapshot cadence in update batches (0 = only at startup and shutdown)")
+	fs.StringVar(&opts.debugAddr, "debug-addr", "", "serve net/http/pprof on this address (empty = off)")
 	fs.BoolVar(&opts.verbose, "v", false, "log requests and lifecycle to stderr")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -287,6 +298,17 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) error
 		return err
 	}
 	fmt.Fprintf(stdout, "gpmd: serving %s on %s\n", strings.Join(srv.GraphNames(), ", "), ln.Addr())
+	if opts.debugAddr != "" {
+		dln, err := net.Listen("tcp", opts.debugAddr)
+		if err != nil {
+			ln.Close()
+			return fmt.Errorf("-debug-addr: %v", err)
+		}
+		debugSrv := &http.Server{Handler: debugMux()}
+		go debugSrv.Serve(dln)
+		defer debugSrv.Close()
+		fmt.Fprintf(stdout, "gpmd: debug endpoints on %s\n", dln.Addr())
+	}
 
 	mux := http.NewServeMux()
 	mux.Handle("/", srv)
@@ -327,6 +349,18 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) error
 	}
 	fmt.Fprintf(stdout, "gpmd: drained\n")
 	return nil
+}
+
+// debugMux routes net/http/pprof's handlers, the way its import registers
+// them on http.DefaultServeMux, which gpmd never serves.
+func debugMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // publishExpvar exposes the server's aggregate stats at /debug/vars

@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -147,6 +149,66 @@ func TestServeLifecycle(t *testing.T) {
 	// output is golden.
 	port := regexp.MustCompile(`127\.0\.0\.1:\d+`)
 	checkGolden(t, "lifecycle.golden", port.ReplaceAll(stdout.Bytes(), []byte("127.0.0.1:PORT")))
+}
+
+// TestDebugListener: -debug-addr serves the pprof index on its own
+// listener, and the public listener does not serve it.
+func TestDebugListener(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	errCh := make(chan error, 1)
+	probed := make(chan error, 1)
+	go func() {
+		errCh <- run([]string{
+			"-listen", "127.0.0.1:0",
+			"-debug-addr", "127.0.0.1:0",
+			"-graph", "tiny=" + filepath.Join("testdata", "tiny.graph"),
+		}, &stdout, &stderr, func(addr string) {
+			probed <- probeDebug(addr, stdout.String())
+		})
+	}()
+	if err := <-probed; err != nil {
+		t.Error(err)
+	}
+	select {
+	case err := <-errCh:
+		if err != nil {
+			t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("daemon did not drain after ready returned")
+	}
+}
+
+// probeDebug checks both listeners; out is the daemon's stdout so far,
+// which names the debug address.
+func probeDebug(addr, out string) error {
+	m := regexp.MustCompile(`debug endpoints on (\S+)`).FindStringSubmatch(out)
+	if m == nil {
+		return fmt.Errorf("stdout names no debug listener: %q", out)
+	}
+	get := func(base string) (int, string, error) {
+		resp, err := http.Get("http://" + base + "/debug/pprof/")
+		if err != nil {
+			return 0, "", err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body), err
+	}
+	code, body, err := get(m[1])
+	if err != nil {
+		return err
+	}
+	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
+		return fmt.Errorf("debug listener /debug/pprof/: status %d, body %.80q", code, body)
+	}
+	if code, _, err = get(addr); err != nil {
+		return err
+	}
+	if code == http.StatusOK {
+		return errors.New("public listener serves /debug/pprof/")
+	}
+	return nil
 }
 
 // TestWALLifecycle runs the daemon twice against one WAL directory: the

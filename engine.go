@@ -26,8 +26,9 @@ import (
 type OracleKind int
 
 const (
-	// OracleAuto picks a concrete kind from |V| and |E| when the engine
-	// binds its graph (see resolveOracleKind).
+	// OracleAuto picks a concrete kind from |V| when the engine binds its
+	// graph: the matrix up to 4096 nodes, BFS above (see
+	// resolveOracleKind). It never builds a labelling.
 	OracleAuto OracleKind = iota
 	// OracleMatrix precomputes the all-pairs distance matrix: O(1)
 	// queries, O(|V|²) memory — the paper's main Match configuration.
@@ -40,7 +41,7 @@ const (
 	// OraclePLL answers from a pruned-landmark distance labelling
 	// (Akiba–Iwata–Yoshida): exact distances in label-merge time with
 	// memory that scales with the graph's hub structure instead of
-	// |V|² — the auto choice for graphs past the matrix threshold.
+	// |V|². Opt-in only: the Exp-2 and million-node baseline.
 	OraclePLL
 	// OracleNone marks queries that use no distance oracle (plain
 	// simulation, subgraph-isomorphism enumeration).
@@ -67,24 +68,24 @@ func (k OracleKind) String() string {
 }
 
 // Threshold for OracleAuto. A distance matrix costs 4·|V|² bytes, so it
-// is reserved for graphs where that is at most ~64 MB; past that, the
-// pruned-landmark labelling takes over — exact distances like the
-// matrix, memory that follows the graph's hub structure. Only graphs
-// too large for the labelling's 24-bit hub ids fall back to plain BFS.
+// is reserved for graphs where that is at most ~64 MB.
 const autoMatrixMaxNodes = 4096
 
+// resolveOracleKind resolves OracleAuto. Past the matrix threshold it
+// picks BFS, which builds nothing: the fixpoint prices a BFS probe at a
+// whole traversal, so every witness sweeps over the frozen snapshot. No
+// labelling is built up front or rebuilt after an update. Where the
+// witness-matrix cap binds, a removal's fallback probes share one
+// backward BFS, which measured faster than PLL's per-candidate label
+// merges (BenchmarkMatchPastWitnessCap).
 func resolveOracleKind(k OracleKind, g *Graph) OracleKind {
 	if k != OracleAuto {
 		return k
 	}
-	switch {
-	case g.N() <= autoMatrixMaxNodes:
+	if g.N() <= autoMatrixMaxNodes {
 		return OracleMatrix
-	case g.N() <= pll.MaxNodes:
-		return OraclePLL
-	default:
-		return OracleBFS
 	}
+	return OracleBFS
 }
 
 // ErrGraphTooLarge reports that the bound graph's node count exceeds
@@ -109,13 +110,16 @@ type engineConfig struct {
 // queries in MatchStats, it is not a strategy). Forcing OraclePLL on a
 // graph with more nodes than PLL labels can address does not panic:
 // the engine binds, and oracle-backed queries fail with an error
-// wrapping [ErrGraphTooLarge] (OracleAuto instead falls back to BFS).
+// wrapping [ErrGraphTooLarge].
 func WithOracle(k OracleKind) EngineOption {
 	return func(c *engineConfig) { c.kind = k }
 }
 
 // WithAutoOracle lets the engine pick the oracle from the bound graph's
-// size and density — equivalent to WithOracle(OracleAuto).
+// size — equivalent to WithOracle(OracleAuto): the distance matrix up
+// to 4096 nodes, BFS above. Past the threshold bounded queries are
+// answered by witness sweeps over the graph's adjacency, coloured edges
+// included, so the engine builds no index at all.
 func WithAutoOracle() EngineOption {
 	return func(c *engineConfig) { c.kind = OracleAuto }
 }

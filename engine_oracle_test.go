@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"gpm"
+	"gpm/internal/difftest"
 	"gpm/internal/pll"
 )
 
@@ -131,18 +132,88 @@ func TestEngineOraclePLLTooLarge(t *testing.T) {
 		t.Fatalf("Simulate on oversized PLL engine: %v", err)
 	}
 
-	// Auto on the same oversized graph falls back to BFS instead of
-	// erroring. The graph must also clear the auto matrix threshold, or
-	// auto would resolve to OracleMatrix before PLL is even considered.
+	// Auto past the matrix threshold is BFS, which addresses any graph:
+	// the labelling's limit never reaches it.
 	big := gpm.NewGraph(4200)
 	for i := 0; i < 4199; i++ {
 		big.AddEdge(i, i+1)
 	}
 	auto := gpm.NewEngine(big, gpm.WithAutoOracle())
 	if k := auto.OracleKind(); k != gpm.OracleBFS {
-		t.Fatalf("auto on an over-MaxNodes graph resolved %v, want bfs fallback", k)
+		t.Fatalf("auto on a 4200-node graph resolved %v, want bfs", k)
 	}
 	if _, err := auto.Match(context.Background(), p); err != nil {
-		t.Fatalf("auto fallback Match: %v", err)
+		t.Fatalf("auto Match: %v", err)
+	}
+}
+
+// TestEngineAutoBuildsNoLabelling: past the matrix threshold an auto
+// engine is BFS-backed and builds nothing. Bounded matches, coloured
+// matches among them, a batch and a result graph are all answered by
+// witness sweeps — no PLL build, no build time charged, no probe — and
+// equal the paper's probe-per-pair Match over a BFS oracle.
+// Not parallel: it installs the global build hook.
+func TestEngineAutoBuildsNoLabelling(t *testing.T) {
+	w := difftest.NewWorkload(5, difftest.Config{Nodes: 4200, Colors: 2, Patterns: 6})
+	var builds atomic.Int64
+	gpm.SetTestHookPLLBuild(func() { builds.Add(1) })
+	defer gpm.SetTestHookPLLBuild(nil)
+
+	eng := gpm.NewEngine(w.G, gpm.WithAutoOracle(), gpm.WithWorkers(2))
+	if k := eng.OracleKind(); k != gpm.OracleBFS {
+		t.Fatalf("auto on %d nodes resolved %v, want bfs", w.G.N(), k)
+	}
+	ctx := context.Background()
+	colored := 0
+	var nonEmpty *gpm.MatchResult
+	for i, p := range w.Patterns {
+		if p.Colored() {
+			colored++
+		}
+		res, err := eng.Match(ctx, p)
+		if err != nil {
+			t.Fatalf("pattern %d: %v", i, err)
+		}
+		if st := res.Stats; st.Oracle != gpm.OracleBFS || st.OracleBuild != 0 || st.OracleQueries != 0 || st.SweepScans == 0 {
+			t.Errorf("pattern %d: stats %+v, want a BFS-served sweep with no build and no probe", i, st)
+		}
+		want, err := gpm.MatchBFS(p, w.G)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Relation(), want.Relation()) || res.OK() != want.OK() {
+			t.Errorf("pattern %d: auto relation diverges from probe-per-pair Match", i)
+		}
+		if res.Pairs() > 0 && nonEmpty == nil {
+			nonEmpty = res
+		}
+	}
+	if colored == 0 {
+		t.Fatal("workload has no coloured pattern")
+	}
+
+	batch, err := eng.MatchBatch(ctx, w.Patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range batch {
+		if res.Stats.OracleBuild != 0 || res.Stats.Oracle != gpm.OracleBFS {
+			t.Errorf("batch %d: stats %+v", i, res.Stats)
+		}
+		want, _ := gpm.MatchBFS(w.Patterns[i], w.G)
+		if !reflect.DeepEqual(res.Relation(), want.Relation()) {
+			t.Errorf("batch %d: relation diverges from probe-per-pair Match", i)
+		}
+	}
+
+	if nonEmpty == nil {
+		t.Fatal("every pattern matched nothing; the result graph check needs a match")
+	}
+	got := eng.ResultGraph(nonEmpty)
+	if want := gpm.ResultGraphOf(nonEmpty.Result, gpm.NewBFSOracle(w.G)); !reflect.DeepEqual(got, want) {
+		t.Error("result graph diverges from the BFS-probed one")
+	}
+	if n := builds.Load(); n != 0 {
+		t.Fatalf("auto engine ran %d PLL builds, want 0", n)
 	}
 }

@@ -140,20 +140,22 @@ func boundOnePattern() *gpm.Pattern {
 	return p
 }
 
-// TestEngineAutoOracle checks the WithAutoOracle |V|/|E| heuristics at
-// the documented thresholds.
+// TestEngineAutoOracle checks WithAutoOracle's one threshold: the
+// distance matrix up to 4096 nodes, BFS above it whatever the density.
+// Auto never resolves to a labelling.
 func TestEngineAutoOracle(t *testing.T) {
-	small := gpm.NewGraph(100)
-	if k := gpm.NewEngine(small, gpm.WithAutoOracle()).OracleKind(); k != gpm.OracleMatrix {
-		t.Errorf("small |V|: auto picked %v, want matrix", k)
+	for _, n := range []int{100, 4096} {
+		if k := gpm.NewEngine(gpm.NewGraph(n), gpm.WithAutoOracle()).OracleKind(); k != gpm.OracleMatrix {
+			t.Errorf("%d nodes: auto picked %v, want matrix", n, k)
+		}
 	}
 
 	largeSparse := gpm.NewGraph(5000)
 	for i := 0; i < 4999; i++ {
 		largeSparse.AddEdge(i, i+1)
 	}
-	if k := gpm.NewEngine(largeSparse, gpm.WithAutoOracle()).OracleKind(); k != gpm.OraclePLL {
-		t.Errorf("large sparse: auto picked %v, want pll", k)
+	if k := gpm.NewEngine(largeSparse, gpm.WithAutoOracle()).OracleKind(); k != gpm.OracleBFS {
+		t.Errorf("large sparse: auto picked %v, want bfs", k)
 	}
 
 	largeDense := gpm.NewGraph(5000)
@@ -162,8 +164,8 @@ func TestEngineAutoOracle(t *testing.T) {
 			largeDense.AddEdge(i, (i+off)%5000)
 		}
 	}
-	if k := gpm.NewEngine(largeDense, gpm.WithAutoOracle()).OracleKind(); k != gpm.OraclePLL {
-		t.Errorf("large dense: auto picked %v, want pll", k)
+	if k := gpm.NewEngine(largeDense, gpm.WithAutoOracle()).OracleKind(); k != gpm.OracleBFS {
+		t.Errorf("large dense: auto picked %v, want bfs", k)
 	}
 
 	// The default (no options) is the paper's matrix configuration.

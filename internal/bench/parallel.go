@@ -52,7 +52,8 @@ func ParallelSpeedup(cfg Config) *Table {
 	var wantSum uint64
 	for _, w := range []int{1, 2, 4, 8} {
 		eng := gpm.NewEngine(g, gpm.WithWorkers(w), gpm.WithAutoOracle())
-		// Pay the lazy oracle build before timing.
+		// Warm the engine before timing: auto builds the matrix up to
+		// 4096 nodes, else nothing (BFS).
 		if _, err := eng.Match(context.Background(), ps[0]); err != nil {
 			panic(err)
 		}

@@ -22,16 +22,17 @@ const (
 	semDual
 )
 
-// decodeSweepCase deterministically builds a semantics, a small labelled
-// graph and a pattern from fuzz bytes: the semantics byte (match, sim,
-// dual), node counts, one label byte per node, then pairs — two of three
-// wire a data edge (self-loops included), the third a pattern edge. The
-// top two bits of a data edge's first byte, or of a pattern edge's
-// second, colour it (none, red, blue, red). Under match a pattern edge's
-// bound cycles through 1, 2, 3 and "*"; sim and dual are edge-to-edge,
-// so their bounds are all 1. Every byte string decodes to a valid case,
-// so the fuzzer explores semantics, not rejections.
-func decodeSweepCase(data []byte) (int, *pattern.Pattern, *graph.Graph) {
+// decodeSweepCase deterministically builds a semantics, an oracle choice,
+// a small labelled graph and a pattern from fuzz bytes: the semantics
+// byte (match, sim, dual; under match, its next bit picks the kernel's
+// oracle: matrix or BFS), node counts, one label byte per node, then
+// pairs — two of three wire a data edge (self-loops included), the third
+// a pattern edge. The top two bits of a data edge's first byte, or of a
+// pattern edge's second, colour it (none, red, blue, red). Under match a
+// pattern edge's bound cycles through 1, 2, 3 and "*"; sim and dual are
+// edge-to-edge, so their bounds are all 1. Every byte string decodes to
+// a valid case, so the fuzzer explores semantics, not rejections.
+func decodeSweepCase(data []byte) (sem int, bfs bool, p *pattern.Pattern, g *graph.Graph) {
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -40,14 +41,15 @@ func decodeSweepCase(data []byte) (int, *pattern.Pattern, *graph.Graph) {
 		data = data[1:]
 		return b
 	}
-	sem := int(next()) % 3
+	first := int(next())
+	sem, bfs = first%3, first/3%2 == 1
 	n := 2 + int(next())%10 // 2..11 data nodes
 	np := 1 + int(next())%4 // 1..4 pattern nodes
-	g := graph.New(n)
+	g = graph.New(n)
 	for i := 0; i < n; i++ {
 		g.SetAttr(i, graph.Attrs{"label": value.Str(fmt.Sprintf("L%d", next()%3))})
 	}
-	p := pattern.New()
+	p = pattern.New()
 	for i := 0; i < np; i++ {
 		p.AddNode(pattern.Label(fmt.Sprintf("L%d", next()%3)))
 	}
@@ -68,14 +70,16 @@ func decodeSweepCase(data []byte) (int, *pattern.Pattern, *graph.Graph) {
 			g.AddColoredEdge(a%n, b%n, palette[a>>6])
 		}
 	}
-	return sem, p, g
+	return sem, bfs, p, g
 }
 
 // FuzzSweep pins MatchOpts over a snapshot — under the cost rule, with
 // every block forced to sweep, and with every block and removal forced
 // back to probes — against references that share neither its counters,
-// nor its witness matrices, nor its sweeps: MatchNaive for bounded
-// simulation, simulation.RunNaive and topo.NaiveDualSim for the
+// nor its witness matrices, nor its sweeps: MatchNaive over a distance
+// matrix for bounded simulation, whose kernel runs against the matrix or
+// against BFS (which prices a probe at a traversal, so coloured bounded
+// edges sweep), simulation.RunNaive and topo.NaiveDualSim for the
 // oracle-free simulation and dual simulation runs, whose outputs must
 // also pass simulation.IsSimulation and topo.IsDualSim.
 func FuzzSweep(f *testing.F) {
@@ -85,7 +89,7 @@ func FuzzSweep(f *testing.F) {
 	f.Add([]byte{0, 9, 3, 1, 1, 2, 2, 0, 0, 1, 2, 0, 1, 2, 0, 0, 1, 1, 0, 9, 4, 2, 3, 3, 2, 1, 5, 4, 5, 5, 6, 6, 2})
 	f.Add([]byte{1, 6, 2, 0, 1, 2, 0, 1, 2, 0, 1, 0, 1, 1, 2, 4, 1, 2, 3, 3, 3, 12, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sem, p, g := decodeSweepCase(data)
+		sem, bfs, p, g := decodeSweepCase(data)
 		fz := g.Freeze()
 		var o core.DistOracle
 		var want [][]int32
@@ -96,6 +100,9 @@ func FuzzSweep(f *testing.F) {
 			ref, err := core.MatchNaive(p, g, o)
 			if err != nil {
 				t.Fatalf("MatchNaive: %v", err)
+			}
+			if bfs {
+				o = core.NewBFSOracleFrozen(fz)
 			}
 			want, wantOK = ref.Relation(), ref.OK()
 		case semSim:
@@ -118,7 +125,7 @@ func FuzzSweep(f *testing.F) {
 				t.Fatalf("semantics %d limits %v: %v is not a simulation of its kind\npattern:\n%s", sem, lim, rel, p)
 			}
 			if got.OK() != wantOK || !reflect.DeepEqual(rel, want) {
-				t.Fatalf("semantics %d limits %v: kernel relation %v, naive %v\npattern:\n%s", sem, lim, rel, want, p)
+				t.Fatalf("semantics %d bfs %v limits %v: kernel relation %v, naive %v\npattern:\n%s", sem, bfs, lim, rel, want, p)
 			}
 		}
 	})

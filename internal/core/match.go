@@ -202,7 +202,7 @@ func MatchOpts(ctx context.Context, p *pattern.Pattern, g *graph.Graph, o DistOr
 		if !p.AllBoundsOne() {
 			return nil, fmt.Errorf("core: pattern has a bound != 1; without a distance oracle only the edge-to-edge semantics (simulation, dual simulation) run")
 		}
-		o, st.sweep, st.edgeOnly = NewEdgeOracle(st.frozen()), true, true
+		o, st.sweep = NewEdgeOracle(st.frozen()), true
 	} else if opts.Dual {
 		return nil, fmt.Errorf("core: dual simulation runs without a distance oracle")
 	}
@@ -250,12 +250,11 @@ func MatchOpts(ctx context.Context, p *pattern.Pattern, g *graph.Graph, o DistOr
 
 // state carries the refinement data of one query.
 type state struct {
-	p        *pattern.Pattern
-	g        *graph.Graph
-	f        *graph.Frozen // CSR snapshot; lazily frozen when the caller gave none
-	sweep    bool          // caller handed a snapshot: witness sweeps instead of pairwise probes
-	edgeOnly bool          // no oracle: every witness is one arc, coloured ones swept too
-	cost     int64         // c(o) of the cost rule (sweep.go)
+	p     *pattern.Pattern
+	g     *graph.Graph
+	f     *graph.Frozen // CSR snapshot; lazily frozen when the caller gave none
+	sweep bool          // caller handed a snapshot: witness sweeps instead of pairwise probes
+	cost  int64         // c(o) of the cost rule (sweep.go)
 
 	cons []constraint // the witness obligations: one per pattern edge, two with Dual
 	into [][]int32    // per pattern node u, the constraints whose witnesses lie in cand(u)

@@ -365,8 +365,8 @@ func (o *TwoHopOracle) NonemptyDistWithin(u, v, bound int, color string) int {
 // PLLOracle answers queries from a pruned-landmark labelling (package
 // pll): exact distances in label-merge time with memory that scales
 // with the graph's hub structure instead of |V|² — the oracle that
-// takes bounded simulation to million-node graphs, and the engine's
-// auto choice past the matrix threshold. Per-color sub-labelings are
+// takes bounded simulation to million-node graphs when an engine opts in
+// with WithOracle(OraclePLL). Per-color sub-labelings are
 // built lazily the way MatrixOracle builds color submatrices.
 //
 // A PLLOracle is single-goroutine state: its probe caches expand one

@@ -318,13 +318,18 @@ func witnessCap() int64 {
 }
 
 // sweepable reports whether constraint c is answered by sweeps. A ranged
-// edge needs walk lengths (walkProber). A coloured edge keeps the
-// caller's oracle, which filters by colour itself — the cost rule does
-// not price the colour lookup a filtered sweep pays per arc, and a "*"
-// sweep through the condensation is colour-blind — so only a run without
-// an oracle, where every witness is one arc, sweeps coloured edges.
+// edge needs walk lengths (walkProber). A coloured edge with a finite
+// bound sweeps over colour-filtered arcs when a probe costs a traversal
+// (BFS, 2-hop, no oracle): the probe's BFS does the same colour lookup
+// per arc, so the cost rule prices both sides alike. Against a matrix or
+// a labelling the colour lookup is unpriced, so the oracle keeps the
+// edge; and a "*" sweep through the condensation is colour-blind, so a
+// coloured "*" edge always probes.
 func (st *state) sweepable(c constraint) bool {
-	return st.sweep && !c.e.Ranged() && (c.e.Color == "" || st.edgeOnly)
+	if !st.sweep || c.e.Ranged() {
+		return false
+	}
+	return c.e.Color == "" || c.e.Bound != pattern.Unbounded && st.cost > int64(st.f.M())
 }
 
 // block runs the sweep for one block of sources of constraint c,

@@ -48,6 +48,7 @@ package difftest
 import (
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 
 	"gpm"
 	"gpm/internal/generator"
@@ -71,6 +72,10 @@ type Config struct {
 	K        int     // hop-bound upper limit; 1 forces all-bounds-one (default 3)
 	StarProb float64 // probability of an unbounded edge
 	IsoBias  bool    // bias patterns toward isomorphic embeddability
+	// Colors, when positive, paints the workload: every data edge takes
+	// one of Colors colours or stays plain, and every pattern edge
+	// demands one of them with probability 1/2.
+	Colors int
 }
 
 func (c Config) withDefaults() Config {
@@ -130,7 +135,46 @@ func NewWorkload(seed int64, cfg Config) *Workload {
 			Seed:      seed*1009 + int64(i)*31,
 		}, g))
 	}
+	if cfg.Colors > 0 {
+		paint(w, cfg.Colors)
+	}
 	return w
+}
+
+// paint rebuilds w's graph and patterns with coloured edges, deterministic
+// in w.Seed. Patterns are generated before painting, so a coloured
+// pattern edge may lose its witnesses; the differential suites want both
+// outcomes.
+func paint(w *Workload, colors int) {
+	r := rand.New(rand.NewSource(w.Seed))
+	color := func() string { return fmt.Sprintf("c%d", r.Intn(colors)) }
+	g := gpm.NewGraph(w.G.N())
+	for v := 0; v < g.N(); v++ {
+		g.SetAttr(v, w.G.Attr(v))
+	}
+	for _, e := range w.G.EdgeList() {
+		c := ""
+		if r.Intn(colors+1) > 0 {
+			c = color()
+		}
+		g.AddColoredEdge(int(e[0]), int(e[1]), c)
+	}
+	w.G = g
+	for i, p := range w.Patterns {
+		q := gpm.NewPattern()
+		for u := 0; u < p.N(); u++ {
+			q.AddNode(p.Pred(u))
+		}
+		for _, e := range p.Edges() {
+			if r.Intn(2) == 0 {
+				e.Color = color()
+			}
+			if _, err := q.AddColoredEdge(e.From, e.To, e.Bound, e.Color); err != nil {
+				panic(err)
+			}
+		}
+		w.Patterns[i] = q
+	}
 }
 
 // RelationsEqual reports whether two relations are identical: same number

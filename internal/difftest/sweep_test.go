@@ -19,7 +19,11 @@ import (
 // probe differently and so falls back to probing at different points, at
 // every worker count, and at both extremes of the cost rule: every block
 // probed (budget 0), every block swept (budget ∞), and no witness matrix
-// kept (cap 0), where removals probe again.
+// kept (cap 0), where removals probe again. Coloured workloads repeat
+// the check with bounded and "*" coloured edges: the BFS and 2-hop rows
+// sweep their bounded coloured edges over colour-filtered arcs, the
+// matrix and PLL rows probe them, and every row probes coloured "*"
+// edges.
 //
 // The same kernel run without an oracle is plain simulation, and with
 // its parent constraints dual simulation. Their rows are refereed by
@@ -28,8 +32,12 @@ import (
 // under every limit and worker count.
 func TestSweepEqualsProbeAcrossOraclesAndWorkers(t *testing.T) {
 	ctx := context.Background()
-	for seed := int64(1); seed <= workloads; seed++ {
-		w := NewWorkload(seed, Config{StarProb: 0.2})
+	for seed := int64(1); seed <= 2*workloads; seed++ {
+		cfg := Config{StarProb: 0.2}
+		if seed > workloads {
+			cfg.Colors = 2
+		}
+		w := NewWorkload(seed, cfg)
 		f := w.G.Freeze()
 		pllO, err := core.BuildPLLOracle(ctx, w.G)
 		if err != nil {
@@ -54,7 +62,8 @@ func TestSweepEqualsProbeAcrossOraclesAndWorkers(t *testing.T) {
 			}
 		}
 
-		w = NewWorkload(seed, Config{K: 1})
+		cfg.K, cfg.StarProb = 1, 0
+		w = NewWorkload(seed, cfg)
 		f = w.G.Freeze()
 		for pi, p := range w.Patterns {
 			simRel, simOK, err := simulation.RunNaive(p, f)

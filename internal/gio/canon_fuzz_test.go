@@ -114,7 +114,7 @@ func TestCanonicalTextRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2 != c1 {
+	if c2.Text != c1.Text || c2.Digest != c1.Digest {
 		t.Fatalf("round trip changed canonical form:\n%q\n%q", c1.Text, c2.Text)
 	}
 }

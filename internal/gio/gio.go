@@ -311,7 +311,9 @@ type scanner struct {
 
 func newScanner(r io.Reader) *scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	// A nil buffer starts at 4 KiB and grows on demand up to the cap, so
+	// parsing a short pattern costs a short buffer.
+	sc.Buffer(nil, 16*1024*1024)
 	return &scanner{sc: sc}
 }
 

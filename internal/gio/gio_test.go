@@ -3,6 +3,7 @@ package gio
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -296,4 +297,26 @@ func longestLine(b []byte) int {
 		}
 	}
 	return longest
+}
+
+// Parsing a short pattern must not pay for a long-line buffer: the
+// scanner starts small and grows only when a line needs it.
+func TestReadPatternAllocatesLittle(t *testing.T) {
+	const text = "pattern 3\nnode 0 label = A\nnode 1 label = B\nedge 0 1 2\nedge 1 2 *\n"
+	if _, err := ReadPattern(strings.NewReader(text)); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ReadPattern(strings.NewReader(text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp >= 8<<10 {
+		t.Fatalf("ReadPattern of a 5-line pattern allocates %d B/op, want < 8 KiB", perOp)
+	}
 }

@@ -29,6 +29,12 @@ type Canon struct {
 	Text string
 	// Digest is the 64-bit FNV-1a hash of Text.
 	Digest uint64
+	// Perm is the winning node order: Perm[i] is the original node id
+	// placed at canonical position i. Isomorphic spellings share Text
+	// and Digest but not Perm, so a relation computed for one spelling
+	// reaches another through the two orders: the row of the first's
+	// node Perm[i] is the row of the second's node Perm′[i].
+	Perm []int
 }
 
 const (
@@ -61,7 +67,7 @@ func (pt *Pattern) Canonical() (Canon, error) {
 	text := cs.render()
 	h := fnv.New64a()
 	h.Write([]byte(text))
-	return Canon{Text: text, Digest: h.Sum64()}, nil
+	return Canon{Text: text, Digest: h.Sum64(), Perm: cs.bestPerm}, nil
 }
 
 // canonPredicate returns the predicate with atoms sorted by surface

@@ -410,6 +410,26 @@ func TestCanonicalRelabelInvariant(t *testing.T) {
 		if got.Text != want.Text || got.Digest != want.Digest {
 			t.Fatalf("seed %d: canonical form not relabel-invariant\noriginal:\n%s\nrelabeled:\n%s", seed, want.Text, got.Text)
 		}
+		// The two orders compose into an isomorphism: the original's node
+		// at canonical position i is the relabelled one's node there.
+		iso := make([]int, p.N())
+		for i, u := range want.Perm {
+			iso[u] = got.Perm[i]
+		}
+		for u := 0; u < p.N(); u++ {
+			if canonPredicate(p.Pred(u)).String() != canonPredicate(shuffled.Pred(iso[u])).String() {
+				t.Fatalf("seed %d: Perm maps node %d onto %d with another predicate", seed, u, iso[u])
+			}
+		}
+		sigs := map[[2]int]string{}
+		for _, f := range shuffled.Edges() {
+			sigs[[2]int{f.From, f.To}] = edgeSig(f)
+		}
+		for _, e := range p.Edges() {
+			if sig, ok := sigs[[2]int{iso[e.From], iso[e.To]}]; !ok || sig != edgeSig(e) {
+				t.Fatalf("seed %d: Perm maps edge %d->%d onto no equal edge", seed, e.From, e.To)
+			}
+		}
 	}
 }
 

@@ -13,6 +13,12 @@
 // entries without any flush, while net-no-op batches leave the token —
 // and therefore every cached answer — untouched.
 //
+// Rows are numbered by a spelling, not by the canonical form: an entry
+// keeps its rows and pattern in the numbering of the request text that
+// computed it, plus that text's canonical node order (pattern.Canon
+// Perm). A hit from an isomorphic spelling with other node ids gets the
+// rows permuted into its own numbering, through the two orders.
+//
 // The containment fallback is the paper-adjacent piece (Fan et al.'s
 // VLDB 2010 framework treats matches as relations; containment between
 // patterns transfers to containment between their relations): when the
@@ -28,6 +34,7 @@ package qcache
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 
 	"gpm/internal/pattern"
@@ -64,13 +71,15 @@ func (k Key) bucket() bucketKey {
 type entry struct {
 	key   Key
 	canon string // canonical pattern text: digest-collision guard
+	perm  []int  // canonical node order of the spelling pat and rel use; nil if unknown
 	pat   *pattern.Pattern
 	rel   [][]int32
 	ok    bool
 	size  int64
-	// wire is the encoded hit response for this entry, memoised by the
-	// server after the first exact hit so later hits skip the JSON encode
-	// entirely. Nil until set; billed against the byte budget.
+	// wire is the encoded hit response for this entry, in perm's
+	// numbering, memoised by the server after the first exact hit from
+	// that spelling so later ones skip the JSON encode entirely. Nil until
+	// set; billed against the byte budget.
 	wire []byte
 }
 
@@ -109,19 +118,13 @@ type Cache struct {
 	items   map[Key]*list.Element
 	buckets map[bucketKey]map[*list.Element]struct{}
 
-	// canonical-form memo: raw request pattern text -> canonical form.
-	// The mapping is pure (text in, canonical out), so entries never need
-	// invalidating; the two-generation rotation bounds memory instead of
-	// tracking recency per entry.
-	memo, memoPrev map[string]canonRef
+	// canonical-form memo: raw request pattern text -> canonical form and
+	// node order. The mapping is pure (text in, canonical out), so entries
+	// never need invalidating; the two-generation rotation bounds memory
+	// instead of tracking recency per entry.
+	memo, memoPrev map[string]pattern.Canon
 
 	hits, misses, containment, evictions int64
-}
-
-// canonRef is a memoised canonicalisation result.
-type canonRef struct {
-	digest uint64
-	text   string
 }
 
 // canonMemoCap bounds each memo generation; at most 2*canonMemoCap
@@ -137,61 +140,118 @@ func New(maxBytes int64) *Cache {
 		ll:      list.New(),
 		items:   make(map[Key]*list.Element),
 		buckets: make(map[bucketKey]map[*list.Element]struct{}),
-		memo:    make(map[string]canonRef),
+		memo:    make(map[string]pattern.Canon),
 	}
 }
 
-// Canon looks up a memoised canonicalisation of raw pattern text. A hit
-// lets the request path skip both the pattern parse and the canonical
-// search; a miss means the caller must compute them (and should record
-// the result with PutCanon).
-func (c *Cache) Canon(text string) (digest uint64, canonText string, ok bool) {
+// Spelling looks up the memoised canonical form of raw pattern text,
+// with the text's node order. A hit lets the request path skip both the
+// pattern parse and the canonical search; a miss means the caller must
+// compute them (and should record the result with PutSpelling).
+func (c *Cache) Spelling(text string) (pattern.Canon, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ref, found := c.memo[text]; found {
-		return ref.digest, ref.text, true
+	if cn, found := c.memo[text]; found {
+		return cn, true
 	}
-	if ref, found := c.memoPrev[text]; found {
-		c.memo[text] = ref // promote so a rotation doesn't drop a live text
-		return ref.digest, ref.text, true
+	if cn, found := c.memoPrev[text]; found {
+		c.memo[text] = cn // promote so a rotation doesn't drop a live text
+		return cn, true
 	}
-	return 0, "", false
+	return pattern.Canon{}, false
 }
 
-// PutCanon memoises one text -> canonical form mapping.
-func (c *Cache) PutCanon(text string, digest uint64, canonText string) {
+// PutSpelling memoises one text -> canonical form mapping.
+func (c *Cache) PutSpelling(text string, cn pattern.Canon) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.memo) >= canonMemoCap {
 		c.memoPrev = c.memo
-		c.memo = make(map[string]canonRef)
+		c.memo = make(map[string]pattern.Canon)
 	}
-	c.memo[text] = canonRef{digest: digest, text: canonText}
+	c.memo[text] = cn
 }
 
-// Get looks up an exact entry. canon must be the canonical text whose
-// digest is key.Digest: a stored entry with a different text is a digest
-// collision and reported as a miss. The returned relation and wire bytes
-// are shared — callers must not mutate them; wire is nil until the first
-// exact hit memoises the encoded response via SetWire.
+// Canon, PutCanon, Get and Put are the order-blind forms of Spelling,
+// PutSpelling, GetSpelled and PutSpelled: they pass no node order, so
+// the order is unknown and rows come back as stored, whichever spelling
+// stored them, with no memoised response.
+
+// Canon is Spelling without the node order.
+//
+// Deprecated: use Spelling; Canon stays only for benchmark/layers.go.
+func (c *Cache) Canon(text string) (digest uint64, canonText string, ok bool) {
+	cn, ok := c.Spelling(text)
+	return cn.Digest, cn.Text, ok
+}
+
+// PutCanon is PutSpelling with the node order unknown.
+//
+// Deprecated: use PutSpelling; PutCanon stays only for benchmark/layers.go.
+func (c *Cache) PutCanon(text string, digest uint64, canonText string) {
+	c.PutSpelling(text, pattern.Canon{Text: canonText, Digest: digest})
+}
+
+// Get is GetSpelled with the node order unknown.
+//
+// Deprecated: use GetSpelled; Get stays only for benchmark/layers.go.
 func (c *Cache) Get(key Key, canon string) (rel [][]int32, wire []byte, ok bool, hit bool) {
+	return c.GetSpelled(key, pattern.Canon{Text: canon})
+}
+
+// Put is PutSpelled with the node order unknown.
+//
+// Deprecated: use PutSpelled; Put stays only for benchmark/layers.go.
+func (c *Cache) Put(key Key, canon string, pat *pattern.Pattern, rel [][]int32, resOK bool) {
+	c.PutSpelled(key, pattern.Canon{Text: canon}, pat, rel, resOK)
+}
+
+// GetSpelled looks up an exact entry for the spelling sp. sp.Text must be
+// the canonical text whose digest is key.Digest: a stored entry with a
+// different text is a digest collision and reported as a miss. The rows
+// come back in sp's numbering: the stored rows when sp's node order is
+// the entry's, else a reordering of them. When either order is unknown
+// (nil) the stored rows come back as they are. The returned rows and
+// wire bytes are shared — callers must not mutate them. wire is non-nil
+// only when sp's order is known and the entry's, and an earlier hit
+// memoised the encoded response via SetWire.
+func (c *Cache) GetSpelled(key Key, sp pattern.Canon) (rel [][]int32, wire []byte, ok bool, hit bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, found := c.items[key]
-	if !found || el.Value.(*entry).canon != canon {
+	if !found || el.Value.(*entry).canon != sp.Text {
 		c.misses++
 		return nil, nil, false, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
 	e := el.Value.(*entry)
-	return e.rel, e.wire, e.ok, true
+	switch {
+	case sameOrder(e.perm, sp.Perm):
+		return e.rel, e.wire, e.ok, true
+	case e.perm == nil || sp.Perm == nil:
+		return e.rel, nil, e.ok, true
+	}
+	rel = make([][]int32, len(e.rel))
+	for i, orig := range e.perm {
+		rel[sp.Perm[i]] = e.rel[orig]
+	}
+	return rel, nil, e.ok, true
 }
 
-// SetWire memoises the encoded hit response for an existing entry. The
-// bytes are billed against the budget (evicting from the cold end as
-// needed) so a cache full of large responses cannot outgrow -cache-bytes.
-func (c *Cache) SetWire(key Key, canon string, wire []byte) {
+// sameOrder reports whether two canonical node orders are known and
+// agree.
+func sameOrder(a, b []int) bool {
+	return a != nil && b != nil && slices.Equal(a, b)
+}
+
+// SetWire memoises the encoded hit response for an existing entry, as
+// the spelling sp numbers it. Only the spelling whose order the entry
+// holds may set it, so replayed bytes are always in the entry's
+// numbering. The bytes are billed against the budget (evicting from the
+// cold end as needed) so a cache full of large responses cannot outgrow
+// -cache-bytes.
+func (c *Cache) SetWire(key Key, sp pattern.Canon, wire []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, found := c.items[key]
@@ -199,7 +259,7 @@ func (c *Cache) SetWire(key Key, canon string, wire []byte) {
 		return
 	}
 	e := el.Value.(*entry)
-	if e.canon != canon || e.wire != nil {
+	if e.canon != sp.Text || e.wire != nil || !sameOrder(e.perm, sp.Perm) {
 		return
 	}
 	e.wire = wire
@@ -215,12 +275,14 @@ func (c *Cache) SetWire(key Key, canon string, wire []byte) {
 	}
 }
 
-// Put stores a relation under key. pat must be the parsed pattern the
-// relation answers (kept for containment probes) and canon its canonical
-// text. Entries larger than the whole budget are silently not cached;
-// an existing entry under the same key is refreshed in place.
-func (c *Cache) Put(key Key, canon string, pat *pattern.Pattern, rel [][]int32, resOK bool) {
-	size := entrySize(canon, pat, rel)
+// PutSpelled stores a relation under key. pat must be the parsed pattern
+// the relation answers (kept for containment probes), spelled as sp: rel
+// and pat share one numbering, and sp carries its canonical text and
+// node order. Entries larger than the whole budget are silently not
+// cached; an existing entry under the same key is refreshed in place,
+// dropping its memoised response.
+func (c *Cache) PutSpelled(key Key, sp pattern.Canon, pat *pattern.Pattern, rel [][]int32, resOK bool) {
+	size := entrySize(sp.Text, pat, rel)
 	if size > c.max {
 		return
 	}
@@ -229,10 +291,10 @@ func (c *Cache) Put(key Key, canon string, pat *pattern.Pattern, rel [][]int32, 
 	if el, dup := c.items[key]; dup {
 		e := el.Value.(*entry)
 		c.bytes += size - e.size
-		e.canon, e.pat, e.rel, e.ok, e.size = canon, pat, rel, resOK, size
+		e.canon, e.perm, e.pat, e.rel, e.ok, e.size, e.wire = sp.Text, sp.Perm, pat, rel, resOK, size, nil
 		c.ll.MoveToFront(el)
 	} else {
-		e := &entry{key: key, canon: canon, pat: pat, rel: rel, ok: resOK, size: size}
+		e := &entry{key: key, canon: sp.Text, perm: sp.Perm, pat: pat, rel: rel, ok: resOK, size: size}
 		el := c.ll.PushFront(e)
 		c.items[key] = el
 		bk := key.bucket()
@@ -269,7 +331,10 @@ func (c *Cache) remove(el *list.Element) {
 // pattern that contains p under mode and, when one is found, derives a
 // candidate seed for p: seed[u] is the union of the cached relation's
 // rows over u's containment witnesses. The rows may be unsorted and
-// carry duplicates — gpm.Engine.RelationQuery normalises seeds. Entries
+// carry duplicates — gpm.Engine.RelationQuery normalises seeds. The
+// containment witnesses name nodes of the cached pattern, whose numbering
+// its rows share, so the seed is right whichever spelling stored the
+// entry and whichever spelling p is. Entries
 // whose relation was not total (ok false) still seed correctly: an empty
 // witnessed row just proves the query node matches nothing.
 func (c *Cache) Seed(graph string, generation uint64, semantics string, p *pattern.Pattern, mode pattern.ContainMode) ([][]int32, bool) {

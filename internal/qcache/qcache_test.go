@@ -2,6 +2,7 @@ package qcache
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"gpm/internal/pattern"
@@ -175,22 +176,136 @@ func TestSeedRejectsNonContaining(t *testing.T) {
 func TestSetWire(t *testing.T) {
 	c := New(1 << 20)
 	p := labelPattern("A", "B")
-	key, canon := keyOf(p, "g", 0, "match")
-	c.SetWire(key, canon, []byte("early")) // no entry yet: ignored
-	c.Put(key, canon, p, [][]int32{{1}, {2}}, true)
+	sp, err := p.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key{Graph: "g", Semantics: "match", Digest: sp.Digest}
+	c.SetWire(key, sp, []byte("early")) // no entry yet: ignored
+	c.PutSpelled(key, sp, p, [][]int32{{1}, {2}}, true)
 	before := c.Stats().Bytes
-	if _, wire, _, hit := c.Get(key, canon); !hit || wire != nil {
+	if _, wire, _, hit := c.GetSpelled(key, sp); !hit || wire != nil {
 		t.Fatalf("before SetWire: hit=%v wire=%q", hit, wire)
 	}
-	c.SetWire(key, canon+"x", []byte("collision")) // wrong canon: ignored
-	c.SetWire(key, canon, []byte("body\n"))
-	c.SetWire(key, canon, []byte("other\n")) // first write wins
-	_, wire, _, hit := c.Get(key, canon)
+	collision := sp
+	collision.Text += "x"
+	c.SetWire(key, collision, []byte("collision")) // wrong canon: ignored
+	c.SetWire(key, sp, []byte("body\n"))
+	c.SetWire(key, sp, []byte("other\n")) // first write wins
+	_, wire, _, hit := c.GetSpelled(key, sp)
 	if !hit || string(wire) != "body\n" {
 		t.Fatalf("after SetWire: hit=%v wire=%q", hit, wire)
 	}
 	if got := c.Stats().Bytes; got != before+5 {
 		t.Errorf("wire bytes not billed: %d -> %d, want +5", before, got)
+	}
+}
+
+// renamed rebuilds p with node u renumbered to perm[u] and the edges in
+// the same order: an isomorphic spelling with other node ids.
+func renamed(p *pattern.Pattern, perm []int) *pattern.Pattern {
+	q := pattern.New()
+	for u := 0; u < p.N(); u++ {
+		q.AddNode(nil)
+	}
+	for u := 0; u < p.N(); u++ {
+		q.SetPred(perm[u], p.Pred(u))
+	}
+	for _, e := range p.Edges() {
+		q.MustAddEdge(perm[e.From], perm[e.To], e.Bound)
+	}
+	return q
+}
+
+// A hit from a spelling that numbers the nodes differently gets the rows
+// in its own numbering, and never the first spelling's memoised bytes.
+func TestGetSpelledRenumbersRows(t *testing.T) {
+	c := New(1 << 20)
+	p := labelPattern("A", "B", "C")
+	q := renamed(p, []int{2, 0, 1}) // p's node u is q's node perm[u]
+	sp, err := p.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sq, err := q.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Digest != sq.Digest || sp.Text != sq.Text {
+		t.Fatal("renamed spelling has another canonical form")
+	}
+	key := Key{Graph: "g", Semantics: "match", Digest: sp.Digest}
+	c.PutSpelled(key, sp, p, [][]int32{{10}, {20}, {30}}, true)
+	c.SetWire(key, sq, []byte("q's bytes")) // not the entry's order: ignored
+	c.SetWire(key, sp, []byte("p's bytes"))
+
+	rows, wire, _, hit := c.GetSpelled(key, sq)
+	if !hit || wire != nil {
+		t.Fatalf("renamed hit: hit=%v wire=%q, want rows and no memoised bytes", hit, wire)
+	}
+	if want := [][]int32{{20}, {30}, {10}}; !reflect.DeepEqual(rows, want) {
+		t.Fatalf("renamed hit rows %v, want %v (q's numbering)", rows, want)
+	}
+	if _, wire, _, _ := c.GetSpelled(key, sp); string(wire) != "p's bytes" {
+		t.Fatalf("original spelling's hit wire = %q", wire)
+	}
+}
+
+// The order-blind Put and Get leave the node order unknown: rows come
+// back as stored, never permuted, and no memoised bytes are set or
+// replayed across an unknown order.
+func TestUnknownOrderReturnsStoredRows(t *testing.T) {
+	p := labelPattern("A", "B", "C")
+	q := renamed(p, []int{2, 0, 1})
+	sp, err := p.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sq, err := q.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key{Graph: "g", Semantics: "match", Digest: sp.Digest}
+	stored := [][]int32{{10}, {20}, {30}}
+
+	c := New(1 << 20) // unknown order stored, known order asks
+	c.Put(key, sp.Text, p, stored, true)
+	c.SetWire(key, sq, []byte("q's bytes"))
+	if rows, wire, _, hit := c.GetSpelled(key, sq); !hit || wire != nil || !reflect.DeepEqual(rows, stored) {
+		t.Fatalf("Put then GetSpelled: hit=%v wire=%q rows %v, want %v", hit, wire, rows, stored)
+	}
+
+	c = New(1 << 20) // known order stored, unknown order asks
+	c.PutSpelled(key, sq, q, stored, true)
+	c.SetWire(key, sq, []byte("q's bytes"))
+	if rows, wire, _, hit := c.Get(key, sp.Text); !hit || wire != nil || !reflect.DeepEqual(rows, stored) {
+		t.Fatalf("PutSpelled then Get: hit=%v wire=%q rows %v, want %v", hit, wire, rows, stored)
+	}
+}
+
+// Seed over an entry stored by one spelling, probed by a renamed
+// refinement: the seed rows must follow the refinement's numbering, so
+// they cover its true relation.
+func TestSeedRenamedRefinement(t *testing.T) {
+	c := New(1 << 20)
+	loose := labelPattern("A", "", "C")
+	sp, err := loose.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := [][]int32{{1, 2}, {3, 4}, {5}}
+	c.PutSpelled(Key{Graph: "g", Semantics: "sim", Digest: sp.Digest}, sp, loose, rel, true)
+
+	// The refinement pins loose's wildcard middle to B, and numbers the
+	// nodes C, A, B.
+	strict := renamed(labelPattern("A", "B", "C"), []int{1, 2, 0})
+	seed, found := c.Seed("g", 0, "sim", strict, pattern.ContainChild)
+	if !found {
+		t.Fatal("renamed refinement found no containing entry")
+	}
+	want := [][]int32{{5}, {1, 2}, {3, 4}}
+	if !reflect.DeepEqual(seed, want) {
+		t.Fatalf("seed %v, want %v in the refinement's numbering", seed, want)
 	}
 }
 

@@ -111,7 +111,10 @@ func scrubStats(t *testing.T, raw []byte, stats client.Stats) []byte {
 // TestCacheHitByteIdentity: with the cache on, a repeated query — and an
 // isomorphic relabeled spelling of it — must be served from the cache
 // ("hit" marker) with a body byte-identical (modulo the stats block) to
-// the cold response, which itself matches the in-process engine.
+// the cold answer for the spelling that was sent: the relabeled spelling
+// gets its rows in its own node numbering, not the cached spelling's.
+// Repeats in either order must not let one spelling's memoised bytes
+// answer the other.
 func TestCacheHitByteIdentity(t *testing.T) {
 	g := testGraph()
 	ref := gpm.NewEngine(g.Clone())
@@ -126,41 +129,46 @@ func TestCacheHitByteIdentity(t *testing.T) {
 
 	for _, sem := range []string{"match", "sim", "dual", "strong"} {
 		t.Run(sem, func(t *testing.T) {
-			p := testPattern(g, 5)
-			text := patternText(t, p)
-			cold, coldRel := queryRaw(t, ts, sem, "g", text)
-			if coldRel.Stats.Cache != "" {
-				t.Fatalf("cold query carries cache marker %q", coldRel.Stats.Cache)
-			}
-			// The cold response must match the engine; every semantics is
-			// checked through the unified RelationQuery reference.
 			relSem, err := gpm.ParseRelSemantics(sem)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := ref.RelationQuery(ctx, gpm.RelationQuery{Semantics: relSem, Pattern: p})
-			if err != nil {
-				t.Fatal(err)
+			// coldBody is the engine's cold answer for q, carrying stats.
+			coldBody := func(q *gpm.Pattern, pairs int, stats client.Stats) []byte {
+				res, err := ref.RelationQuery(ctx, gpm.RelationQuery{Semantics: relSem, Pattern: q})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return encodeWire(t, client.Relation{Graph: "g", Semantics: sem, OK: res.OK, Pairs: pairs, Matches: res.Relation, Stats: stats})
 			}
-			want := client.Relation{Graph: "g", Semantics: sem, OK: res.OK, Pairs: coldRel.Pairs, Matches: res.Relation, Stats: coldRel.Stats}
-			if !bytes.Equal(cold, encodeWire(t, want)) {
-				t.Fatalf("cold response diverges from engine:\ngot:  %s\nwant: %s", cold, encodeWire(t, want))
+			p := testPattern(g, 5)
+			iso := reverseTestPattern(p)
+			text, isoText := patternText(t, p), patternText(t, iso)
+			cold, coldRel := queryRaw(t, ts, sem, "g", text)
+			if coldRel.Stats.Cache != "" {
+				t.Fatalf("cold query carries cache marker %q", coldRel.Stats.Cache)
 			}
+			if want := coldBody(p, coldRel.Pairs, coldRel.Stats); !bytes.Equal(cold, want) {
+				t.Fatalf("cold response diverges from engine:\ngot:  %s\nwant: %s", cold, want)
+			}
+			isoWant := coldBody(iso, coldRel.Pairs, coldRel.Stats)
 
-			hit, hitRel := queryRaw(t, ts, sem, "g", text)
-			if hitRel.Stats.Cache != "hit" {
-				t.Fatalf("repeat query cache marker = %q, want \"hit\"", hitRel.Stats.Cache)
-			}
-			if !bytes.Equal(scrubStats(t, hit, coldRel.Stats), cold) {
-				t.Fatalf("cache hit not byte-identical to cold response:\nhit:  %s\ncold: %s", hit, cold)
-			}
-
-			iso, isoRel := queryRaw(t, ts, sem, "g", patternText(t, reverseTestPattern(p)))
-			if isoRel.Stats.Cache != "hit" {
-				t.Fatalf("isomorphic relabeling cache marker = %q, want \"hit\" (canonical digests must collide)", isoRel.Stats.Cache)
-			}
-			if !bytes.Equal(scrubStats(t, iso, coldRel.Stats), cold) {
-				t.Fatalf("isomorphic hit not byte-identical to cold response:\niso:  %s\ncold: %s", iso, cold)
+			for i, q := range []struct {
+				name, text string
+				want       []byte
+			}{
+				{"repeat", text, cold},
+				{"relabeled", isoText, isoWant},
+				{"repeat after relabeled", text, cold},
+				{"relabeled again", isoText, isoWant},
+			} {
+				hit, hitRel := queryRaw(t, ts, sem, "g", q.text)
+				if hitRel.Stats.Cache != "hit" {
+					t.Fatalf("%d %s: cache marker = %q, want \"hit\" (canonical digests must collide)", i, q.name, hitRel.Stats.Cache)
+				}
+				if !bytes.Equal(scrubStats(t, hit, coldRel.Stats), q.want) {
+					t.Fatalf("%d %s: hit differs from the cold answer for the spelling sent:\nhit:  %s\nwant: %s", i, q.name, hit, q.want)
+				}
 			}
 		})
 	}

@@ -451,9 +451,10 @@ func (s *Server) relationHandler(semantics string) http.HandlerFunc {
 
 // relationQuery runs one relation-valued query end to end through the
 // engine's unified dispatch, fronted by the result cache: exact
-// canonical-digest hits return the cached relation verbatim; on a miss
-// a cached containing pattern's relation seeds the fixpoint; either way
-// the response rows are byte-identical to a cold computation. A non-nil
+// canonical-digest hits return the cached relation in the numbering of
+// the spelling that was sent; on a miss a cached containing pattern's
+// relation seeds the fixpoint; either way the response rows are
+// byte-identical to a cold computation of the sent pattern. A non-nil
 // raw return is the complete encoded response body (a memoised hit) and
 // takes precedence over the relation.
 func (s *Server) relationQuery(r *http.Request, semantics string, req client.QueryRequest) (*client.Relation, []byte, error) {
@@ -478,17 +479,17 @@ func (s *Server) relationQuery(r *http.Request, semantics string, req client.Que
 	// error below.
 	var (
 		key       qcache.Key
-		canonText string
+		spelling  pattern.Canon
 		cacheable bool
 		gen       uint64
 	)
 	if s.cache != nil {
-		if digest, ctext, ok := s.cache.Canon(req.Pattern); ok {
+		if sp, ok := s.cache.Spelling(req.Pattern); ok {
 			gen = b.eng.Generation()
-			key = qcache.Key{Graph: b.name, Generation: gen, Semantics: semantics, Digest: digest}
-			canonText = ctext
+			key = qcache.Key{Graph: b.name, Generation: gen, Semantics: semantics, Digest: sp.Digest}
+			spelling = sp
 			cacheable = true
-			if rel, raw, hit := s.cacheHit(b.name, semantics, key, canonText); hit {
+			if rel, raw, hit := s.cacheHit(b.name, semantics, key, spelling); hit {
 				return rel, raw, nil
 			}
 		}
@@ -504,12 +505,12 @@ func (s *Server) relationQuery(r *http.Request, semantics string, req client.Que
 	// missing key is a performance event, never a correctness one.
 	if s.cache != nil && !cacheable {
 		if c, cerr := p.Canonical(); cerr == nil {
-			s.cache.PutCanon(req.Pattern, c.Digest, c.Text)
+			s.cache.PutSpelling(req.Pattern, c)
 			gen = b.eng.Generation()
 			key = qcache.Key{Graph: b.name, Generation: gen, Semantics: semantics, Digest: c.Digest}
-			canonText = c.Text
+			spelling = c
 			cacheable = true
-			if rel, raw, hit := s.cacheHit(b.name, semantics, key, canonText); hit {
+			if rel, raw, hit := s.cacheHit(b.name, semantics, key, spelling); hit {
 				return rel, raw, nil
 			}
 		}
@@ -548,7 +549,7 @@ func (s *Server) relationQuery(r *http.Request, semantics string, req client.Que
 		// Store under the generation the query actually observed — it is
 		// exactly the graph state the relation describes.
 		key.Generation = res.Generation
-		s.cache.Put(key, canonText, p, res.Relation, res.OK)
+		s.cache.PutSpelled(key, spelling, p, res.Relation, res.OK)
 	}
 	rel := relationOf(b.name, semantics, res.OK, countPairs(res.Relation), res.Relation, res.Stats)
 	rel.Stats.Cache = marker
@@ -556,15 +557,16 @@ func (s *Server) relationQuery(r *http.Request, semantics string, req client.Que
 	return rel, nil, nil
 }
 
-// cacheHit serves one exact cache hit. The first hit for an entry builds
-// the response and memoises its encoded bytes in the cache; every later
-// hit returns those bytes verbatim, skipping the JSON encode. Hit
-// responses are deterministic — the graph name and semantics are part of
-// the key, the rows are immutable, and the stats block carries no
-// wall-clock readings — so replaying the bytes is byte-identical to
-// re-encoding.
-func (s *Server) cacheHit(graph, semantics string, key qcache.Key, canonText string) (*client.Relation, []byte, bool) {
-	cached, wire, resOK, hit := s.cache.Get(key, canonText)
+// cacheHit serves one exact cache hit, its rows in the numbering of the
+// spelling that was sent. The first hit from the spelling that computed
+// an entry memoises the encoded response in the cache; every later hit
+// from a spelling with the same node order returns those bytes verbatim,
+// skipping the JSON encode. Hit responses are deterministic — the graph
+// name and semantics are part of the key, the rows are immutable, and the
+// stats block carries no wall-clock readings — so replaying the bytes is
+// byte-identical to re-encoding.
+func (s *Server) cacheHit(graph, semantics string, key qcache.Key, sp pattern.Canon) (*client.Relation, []byte, bool) {
+	cached, wire, resOK, hit := s.cache.GetSpelled(key, sp)
 	if !hit {
 		return nil, nil, false
 	}
@@ -574,13 +576,17 @@ func (s *Server) cacheHit(graph, semantics string, key qcache.Key, canonText str
 	}
 	rel := relationOf(graph, semantics, resOK, countPairs(cached), cached, gpm.MatchStats{Oracle: gpm.OracleNone})
 	rel.Stats.Cache = "hit"
-	if body, err := json.Marshal(rel); err == nil {
-		// writeJSON goes through json.Encoder, which appends a newline;
-		// match it so memoised bytes are identical to the encoded path.
-		s.cache.SetWire(key, canonText, append(body, '\n'))
-	}
 	s.stats.record(semantics, rel.Stats)
-	return rel, nil, true
+	body, err := json.Marshal(rel)
+	if err != nil {
+		return rel, nil, true
+	}
+	// writeJSON goes through json.Encoder, which appends a newline; match
+	// it so memoised bytes are identical to the encoded path. SetWire
+	// keeps them only when sp's order is the entry's.
+	body = append(body, '\n')
+	s.cache.SetWire(key, sp, body)
+	return nil, body, true
 }
 
 func countPairs(rel [][]int32) int {
