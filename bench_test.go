@@ -358,35 +358,73 @@ func BenchmarkStrongSim(b *testing.B) {
 }
 
 // BenchmarkColoredMatchAuto times bounded Match with coloured pattern
-// edges on a 5000-node, two-colour stand-in under WithAutoOracle, the
-// engine gpmd binds by default. first is a fresh engine's first query,
-// so whatever the auto oracle builds up front (an index, per-colour
-// sub-indexes) lands in it; steady cycles the patterns on a warm engine.
+// edges on a two-colour stand-in under WithAutoOracle, the engine gpmd
+// binds by default: 3000 nodes land on auto's matrix side, 5000 on its
+// BFS side. first is a fresh engine's first query, so whatever the auto
+// oracle builds up front lands in it; steady cycles the patterns on a
+// warm engine. probes/op counts the oracle probes.
 func BenchmarkColoredMatchAuto(b *testing.B) {
-	w := difftest.NewWorkload(3, difftest.Config{Nodes: 5000, Attrs: 20, Colors: 2, Patterns: 8})
-	ctx := context.Background()
-	b.Run("first", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+	for _, nodes := range []int{3000, 5000} {
+		w := difftest.NewWorkload(3, difftest.Config{Nodes: nodes, Attrs: 20, Colors: 2, Patterns: 8})
+		ctx := context.Background()
+		match := func(b *testing.B, eng *gpm.Engine, i int) int64 {
+			r, err := eng.Match(ctx, w.Patterns[i%len(w.Patterns)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			return r.Stats.OracleQueries
+		}
+		b.Run(fmt.Sprintf("nodes=%d/first", nodes), func(b *testing.B) {
+			var probes int64
+			for i := 0; i < b.N; i++ {
+				probes += match(b, gpm.NewEngine(w.G, gpm.WithAutoOracle()), i)
+			}
+			b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+		})
+		b.Run(fmt.Sprintf("nodes=%d/steady", nodes), func(b *testing.B) {
 			eng := gpm.NewEngine(w.G, gpm.WithAutoOracle())
-			if _, err := eng.Match(ctx, w.Patterns[i%len(w.Patterns)]); err != nil {
+			for i := range w.Patterns {
+				match(b, eng, i)
+			}
+			var probes int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				probes += match(b, eng, i)
+			}
+			b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+		})
+	}
+}
+
+// BenchmarkRangedMatch times bounded Match with the hopranges example's
+// pattern edge, a walk of 2..4 hops, on every edge of a 3000-node
+// stand-in's patterns, under the matrix oracle (built before the timer),
+// which no ranged edge asks.
+func BenchmarkRangedMatch(b *testing.B) {
+	w := difftest.NewWorkload(3, difftest.Config{Nodes: 3000, Attrs: 20, Patterns: 8})
+	ps := make([]*gpm.Pattern, len(w.Patterns))
+	for i, p := range w.Patterns {
+		ps[i] = gpm.NewPattern()
+		for u := 0; u < p.N(); u++ {
+			ps[i].AddNode(p.Pred(u))
+		}
+		for _, e := range p.Edges() {
+			if _, err := ps[i].AddRangeEdge(e.From, e.To, 2, 4, ""); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
-	b.Run("steady", func(b *testing.B) {
-		eng := gpm.NewEngine(w.G, gpm.WithAutoOracle())
-		for _, p := range w.Patterns {
-			if _, err := eng.Match(ctx, p); err != nil {
-				b.Fatal(err)
-			}
+	}
+	ctx := context.Background()
+	eng := gpm.NewEngine(w.G, gpm.WithOracle(gpm.OracleMatrix))
+	if _, err := eng.Match(ctx, ps[0]); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Match(ctx, ps[i%len(ps)]); err != nil {
+			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Match(ctx, w.Patterns[i%len(w.Patterns)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkMatchPastWitnessCap times bounded Match where the 32 MiB

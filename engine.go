@@ -364,9 +364,9 @@ func (e *Engine) queryOracle(ctx context.Context) (DistOracle, time.Duration, er
 		}
 		return core.NewTwoHopOracleFrozen(e.frozenLocked(), idx), built, nil
 	case OraclePLL:
-		// The root oracle (shared labelling + color sub-labelings) is
-		// cached; every query takes a clone with fresh probe caches,
-		// since those are single-goroutine state.
+		// The root oracle (the shared labelling) is cached; every query
+		// takes a clone with fresh probe caches, since those are
+		// single-goroutine state.
 		if po := e.po.Load(); po != nil {
 			return po.CloneForWorker(), 0, nil
 		}
@@ -954,8 +954,8 @@ func (e *Engine) register(m incremental.Maintainer, needsMatrix bool) *Watcher {
 //
 // A batch with no net structural effect (empty, or every touched edge
 // inserted-then-deleted within the batch) keeps the cached frozen
-// snapshot, 2-hop labelling, PLL labelling and color submatrices: they
-// still describe the graph, so later queries skip the rebuild.
+// snapshot, 2-hop labelling and PLL labelling: they still describe the
+// graph, so later queries skip the rebuild.
 func (e *Engine) Update(updates ...Update) ([]WatchDelta, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -982,12 +982,9 @@ func (e *Engine) Update(updates ...Update) ([]WatchDelta, error) {
 		return deltas, nil
 	}
 	e.gen.Add(1)
-	// The main matrix was maintained in place; color submatrices, the
-	// 2-hop labelling, the PLL labelling and the frozen CSR snapshot
-	// were not, so drop them for lazy rebuild.
-	if mo := e.mo.Load(); mo != nil {
-		mo.InvalidateColors()
-	}
+	// The matrix was maintained in place; the 2-hop labelling, the PLL
+	// labelling and the frozen CSR snapshot were not, so drop them for
+	// lazy rebuild.
 	e.idx.Store(nil)
 	e.po.Store(nil)
 	e.fz.Store(nil)

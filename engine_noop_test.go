@@ -141,8 +141,7 @@ func TestUpdateInvalidationUniform(t *testing.T) {
 	}
 	for _, kind := range kinds {
 		e := NewEngine(build(), WithOracle(kind))
-		// Populate every lazy cache this kind owns, color sublabels
-		// included.
+		// Populate every lazy cache this kind owns.
 		for _, p := range []*Pattern{plain, colored} {
 			if _, err := e.Match(context.Background(), p); err != nil {
 				t.Fatalf("%v: %v", kind, err)

@@ -59,7 +59,7 @@ func TestEngineMatchEquivalence(t *testing.T) {
 
 // TestEngineConcurrentMatch hammers one shared engine from many
 // goroutines; run under -race this is the concurrency-safety check. The
-// colored patterns force the lazily built color submatrices to race.
+// colored patterns sweep on every query, whatever the oracle.
 func TestEngineConcurrentMatch(t *testing.T) {
 	g := gpm.NewGraph(0)
 	const n = 120

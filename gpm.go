@@ -89,7 +89,10 @@ type (
 	ResultGraph = core.ResultGraph
 	// ResultEdge is one result-graph edge with its witness length.
 	ResultEdge = core.ResultEdge
-	// DistOracle answers bounded nonempty-path distance queries.
+	// DistOracle answers one question: NonemptyDistWithin(u, v, bound),
+	// the colour-blind shortest nonempty path from u to v, or -1 past
+	// bound. Coloured and ranged pattern edges are swept, never asked of
+	// an oracle.
 	DistOracle = core.DistOracle
 
 	// Update is an edge insertion or deletion.

@@ -31,12 +31,12 @@ type cancellingOracle struct {
 	n      int
 }
 
-func (c *cancellingOracle) NonemptyDistWithin(u, v, bound int, color string) int {
+func (c *cancellingOracle) NonemptyDistWithin(u, v, bound int) int {
 	c.n++
 	if c.n == c.after {
 		c.cancel()
 	}
-	return c.inner.NonemptyDistWithin(u, v, bound, color)
+	return c.inner.NonemptyDistWithin(u, v, bound)
 }
 
 func TestMatchContextCancelledMidFixpoint(t *testing.T) {

@@ -25,13 +25,16 @@ const (
 // decodeSweepCase deterministically builds a semantics, an oracle choice,
 // a small labelled graph and a pattern from fuzz bytes: the semantics
 // byte (match, sim, dual; under match, its next bit picks the kernel's
-// oracle: matrix or BFS), node counts, one label byte per node, then
-// pairs — two of three wire a data edge (self-loops included), the third
-// a pattern edge. The top two bits of a data edge's first byte, or of a
-// pattern edge's second, colour it (none, red, blue, red). Under match a
-// pattern edge's bound cycles through 1, 2, 3 and "*"; sim and dual are
-// edge-to-edge, so their bounds are all 1. Every byte string decodes to
-// a valid case, so the fuzzer explores semantics, not rejections.
+// oracle: matrix or BFS, and the bit after allows ranged edges), node
+// counts, one label byte per node, then pairs — two of three wire a data
+// edge (self-loops included), the third a pattern edge. The top two bits
+// of a data edge's first byte, or of a pattern edge's second, colour it
+// (none, red, blue, red). Under match a pattern edge's bound cycles
+// through 1, 2, 3 and "*", or, when ranged edges are allowed and bit 5
+// of its second byte is set, through the ranges [2, 2] .. [2, 5]; sim
+// and dual are edge-to-edge, so their bounds are all 1. Every byte
+// string decodes to a valid case, so the fuzzer explores semantics, not
+// rejections.
 func decodeSweepCase(data []byte) (sem int, bfs bool, p *pattern.Pattern, g *graph.Graph) {
 	next := func() byte {
 		if len(data) == 0 {
@@ -43,6 +46,7 @@ func decodeSweepCase(data []byte) (sem int, bfs bool, p *pattern.Pattern, g *gra
 	}
 	first := int(next())
 	sem, bfs = first%3, first/3%2 == 1
+	ranged := sem == semMatch && first/6%2 == 1
 	n := 2 + int(next())%10 // 2..11 data nodes
 	np := 1 + int(next())%4 // 1..4 pattern nodes
 	g = graph.New(n)
@@ -62,7 +66,14 @@ func decodeSweepCase(data []byte) (sem int, bfs bool, p *pattern.Pattern, g *gra
 		a, b := int(next()), int(next())
 		if i%3 == 2 {
 			if from, to := a%np, b%np; !p.HasEdge(from, to) {
-				if _, err := p.AddColoredEdge(from, to, bounds[(a/np)%len(bounds)], palette[b>>6]); err != nil {
+				pick, color := (a/np)%len(bounds), palette[b>>6]
+				var err error
+				if ranged && b>>5&1 == 1 {
+					_, err = p.AddRangeEdge(from, to, 2, 2+pick, color)
+				} else {
+					_, err = p.AddColoredEdge(from, to, bounds[pick], color)
+				}
+				if err != nil {
 					panic(err)
 				}
 			}
@@ -78,8 +89,9 @@ func decodeSweepCase(data []byte) (sem int, bfs bool, p *pattern.Pattern, g *gra
 // back to probes — against references that share neither its counters,
 // nor its witness matrices, nor its sweeps: MatchNaive over a distance
 // matrix for bounded simulation, whose kernel runs against the matrix or
-// against BFS (which prices a probe at a traversal, so coloured bounded
-// edges sweep), simulation.RunNaive and topo.NaiveDualSim for the
+// against BFS (coloured and ranged edges sweep under either, and at cap
+// 0 sweep once from each removed node), simulation.RunNaive and
+// topo.NaiveDualSim for the
 // oracle-free simulation and dual simulation runs, whose outputs must
 // also pass simulation.IsSimulation and topo.IsDualSim.
 func FuzzSweep(f *testing.F) {

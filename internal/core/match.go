@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"gpm/internal/cancel"
@@ -163,7 +164,9 @@ type MatchOptions struct {
 	// snapshot (sweep.go) and candidate selection to its attribute
 	// indexes; relation, worklist order and Stats.InitialPairs/Removals
 	// are identical either way. Without it MatchOpts is the paper's
-	// Fig. 4 verbatim, one probe per candidate pair.
+	// Fig. 4 verbatim, one probe per candidate pair, except that coloured
+	// and ranged edges, which no oracle answers, sweep over a snapshot
+	// frozen on first need.
 	Frozen *graph.Frozen
 	// Seed, when non-nil, restricts each pattern node's initial candidate
 	// set to the given data nodes (ascending, deduped, in-range; one
@@ -254,7 +257,7 @@ type state struct {
 	g     *graph.Graph
 	f     *graph.Frozen // CSR snapshot; lazily frozen when the caller gave none
 	sweep bool          // caller handed a snapshot: witness sweeps instead of pairwise probes
-	cost  int64         // c(o) of the cost rule (sweep.go)
+	cost  int64         // c(o) of the cost rule (sweep.go); plain edges only
 
 	cons []constraint // the witness obligations: one per pattern edge, two with Dual
 	into [][]int32    // per pattern node u, the constraints whose witnesses lie in cand(u)
@@ -265,7 +268,7 @@ type state struct {
 	inMat [][]bool         // per pattern node, by position in cand(u)
 	seed  [][]int32        // optional candidate restriction (MatchOptions.Seed)
 	cnt   [][]int32        // per constraint, by position in cand(from)
-	wit   []*witnessMatrix // per constraint; nil where remove probes
+	wit   []*witnessMatrix // per constraint; nil where remove probes or sweeps
 	work  []removalItem
 	main  *prober // the sequential phases' prober
 
@@ -472,9 +475,12 @@ func (st *state) countBlocks(p *prober, t cntTask) ([]removalItem, error) {
 		c := c[base : base+len(srcs)]
 		swept := false
 		if sweep {
+			budget := int64(math.MaxInt64)
+			if !labelled(con.e) {
+				budget = blockBudget(st.cost, len(srcs), len(to))
+			}
 			var err error
-			swept, err = p.sweeper().block(srcs, *con, blockBudget(st.cost, len(srcs), len(to)))
-			if err != nil {
+			if swept, err = p.sweeper().block(srcs, *con, budget); err != nil {
 				return nil, err
 			}
 		}
@@ -502,7 +508,7 @@ func (st *state) countBlocks(p *prober, t cntTask) ([]removalItem, error) {
 					if err := p.poll.Err(); err != nil {
 						return nil, err
 					}
-					if st.inMat[con.to][j] && p.holds(con, int(x), int(z), false) {
+					if st.inMat[con.to][j] && p.holds(con, int(x), int(z)) {
 						c[i]++
 						if wm != nil {
 							wm.bits[j*wm.words+b] |= 1 << uint(i)
@@ -537,8 +543,10 @@ func (st *state) refine() error {
 // every constraint whose witnesses lie in cand(u) — the child constraints
 // of edges entering u, and with dual the parent constraints of edges
 // leaving it — the set bits of row j where the constraint kept a witness
-// matrix, one probe per obligated candidate where it did not. Both visit
-// candidates in ascending order.
+// matrix. Where it did not, a plain constraint probes once per obligated
+// candidate, and a labelled one sweeps once from x against the
+// constraint's direction (walks reverse into walks of the same length).
+// All three visit candidates in ascending order.
 func (st *state) remove(u, j int) error {
 	if !st.inMat[u][j] {
 		return nil
@@ -571,11 +579,26 @@ func (st *state) remove(u, j int) error {
 			continue
 		}
 		x := int(st.cand[u][j])
+		if labelled(con.e) {
+			rev := *con
+			rev.parent = !rev.parent
+			sw := p.sweeper()
+			if _, err := sw.block([]int32{int32(x)}, rev, math.MaxInt64); err != nil {
+				return err
+			}
+			for i, xp := range st.cand[con.from] {
+				if alive[i] && sw.mask(xp) != 0 {
+					drop(i)
+				}
+			}
+			sw.reset()
+			continue
+		}
 		for i, xp := range st.cand[con.from] {
 			if err := p.poll.Err(); err != nil {
 				return err
 			}
-			if alive[i] && p.holds(con, int(xp), x, true) {
+			if alive[i] && p.holds(con, int(xp), x) {
 				drop(i)
 			}
 		}
@@ -698,21 +721,68 @@ func IsMatch(p *pattern.Pattern, g *graph.Graph, rel [][]int32, o DistOracle) bo
 }
 
 // witnessFunc returns a probe closure answering plain edges through the
-// oracle and ranged edges through a shared walk prober. f, when non-nil,
-// is a pre-frozen snapshot of g for the prober; nil freezes lazily on the
-// first ranged probe.
+// oracle, and coloured and ranged edges from walkLengths, recomputed
+// whenever the source or the edge changes (callers fix both and vary
+// the target). f, when non-nil, is a pre-frozen snapshot of g; nil
+// freezes lazily on the first labelled edge.
 func witnessFunc(g *graph.Graph, f *graph.Frozen, o DistOracle) func(x, z int, e pattern.Edge) int {
-	var wp *walkProber
+	var dist []int32
+	var from int
+	var last pattern.Edge
 	return func(x, z int, e pattern.Edge) int {
-		if e.Ranged() {
-			if wp == nil {
-				if f == nil {
-					f = g.Freeze()
-				}
-				wp = newWalkProber(f)
-			}
-			return wp.WalkWithin(x, z, e.MinBound, e.Bound, e.Color, false)
+		if !labelled(e) {
+			return o.NonemptyDistWithin(x, z, e.Bound)
 		}
-		return o.NonemptyDistWithin(x, z, e.Bound, e.Color)
+		if dist == nil {
+			if f == nil {
+				f = g.Freeze()
+			}
+			dist = make([]int32, f.N())
+		} else if x == from && e == last {
+			return int(dist[z])
+		}
+		from, last = x, e
+		walkLengths(f, x, e, dist)
+		return int(dist[z])
+	}
+}
+
+// walkLengths sets dist[y] to the length of the shortest walk from src
+// to y that crosses only arcs of e's colour (any arc when it has none)
+// and whose length lies in e's window — [MinBound, Bound] for a ranged
+// edge, [1, Bound] otherwise — or to -1 where there is none. Without a
+// lower bound the shortest such walk is a path, so a first-reach BFS
+// does; with one, walks may revisit nodes, so each level keeps its whole
+// frontier. It is the per-source referee of the kernel's labelled
+// sweeps and shares no code with them.
+func walkLengths(f *graph.Frozen, src int, e pattern.Edge, dist []int32) {
+	for i := range dist {
+		dist[i] = -1
+	}
+	hi := e.Bound
+	if hi == pattern.Unbounded {
+		hi = f.N() // no shortest path is longer
+	}
+	on := make([]bool, f.N()) // reached so far; within one level when ranged
+	cur := []int32{int32(src)}
+	for l := 1; l <= hi && len(cur) > 0; l++ {
+		var next []int32
+		for _, x := range cur {
+			for _, y := range f.Out(int(x)) {
+				if !on[y] && (e.Color == "" || f.Color(int(x), int(y)) == e.Color) {
+					on[y] = true
+					next = append(next, y)
+				}
+			}
+		}
+		for _, y := range next {
+			if l >= e.MinBound && dist[y] < 0 {
+				dist[y] = int32(l)
+			}
+			if e.Ranged() {
+				on[y] = false
+			}
+		}
+		cur = next
 	}
 }

@@ -8,7 +8,6 @@ package core
 
 import (
 	"context"
-	"sync"
 
 	"gpm/internal/graph"
 	"gpm/internal/matrix"
@@ -16,16 +15,18 @@ import (
 	"gpm/internal/twohop"
 )
 
-// DistOracle answers the distance queries Match needs: the length of the
-// shortest *nonempty* path from u to v (≥ 1; a node reaches itself only
-// through a cycle), restricted to edges of the given color when color is
-// non-empty. It returns -1 when no such path exists or when the shortest
-// one is longer than bound (bound < 0 means unbounded, the pattern's "*").
+// DistOracle answers the one distance query Match needs: the length of
+// the shortest *nonempty* path from u to v (≥ 1; a node reaches itself
+// only through a cycle). It returns -1 when no such path exists or when
+// the shortest one is longer than bound (bound < 0 means unbounded, the
+// pattern's "*"). Paths are colour-blind: the fixpoint never asks an
+// oracle about a coloured or ranged pattern edge, whose witness is a
+// labelled walk it sweeps instead (sweep.go).
 //
 // Oracles may cache per-source/per-target state and are not safe for
 // concurrent use unless documented otherwise.
 type DistOracle interface {
-	NonemptyDistWithin(u, v, bound int, color string) int
+	NonemptyDistWithin(u, v, bound int) int
 }
 
 // WorkerCloner is implemented by oracles that can hand out additional
@@ -57,30 +58,17 @@ func clampToBound(d, bound int) int {
 
 // MatrixOracle answers queries in O(1) from a precomputed all-pairs
 // distance matrix — the oracle behind the paper's main Match algorithm.
-// Per-color sub-matrices for the edge-color extension are built lazily.
 //
 // Unlike the BFS-backed oracles, a MatrixOracle is safe for concurrent
-// queries as long as the graph and matrix are not mutated meanwhile: the
-// plain-edge path reads the immutable matrix only, and the lazy
-// color-submatrix cache is guarded by a mutex around a per-color
-// sync.Once, so distinct colors build concurrently while racing builders
-// of the same color coalesce into one build.
+// queries as long as the matrix is not mutated meanwhile: it only reads
+// the matrix.
 type MatrixOracle struct {
-	g       *graph.Graph
-	m       *matrix.Matrix
-	colorMu sync.Mutex
-	colors  map[string]*colorEntry // distance matrices of color subgraphs
-}
-
-// colorEntry coalesces concurrent builds of one color submatrix.
-type colorEntry struct {
-	once sync.Once
-	m    *matrix.Matrix
+	m *matrix.Matrix
 }
 
 // NewMatrixOracle wraps an existing matrix; the matrix must describe g.
 func NewMatrixOracle(g *graph.Graph, m *matrix.Matrix) *MatrixOracle {
-	return &MatrixOracle{g: g, m: m}
+	return &MatrixOracle{m: m}
 }
 
 // BuildMatrixOracle computes the distance matrix of g and wraps it. This
@@ -97,53 +85,13 @@ func (o *MatrixOracle) Matrix() *matrix.Matrix { return o.m }
 func (o *MatrixOracle) CloneForWorker() DistOracle { return o }
 
 // NonemptyDistWithin implements DistOracle.
-func (o *MatrixOracle) NonemptyDistWithin(u, v, bound int, color string) int {
-	m := o.m
-	if color != "" {
-		m = o.colorMatrix(color)
-	}
-	return clampToBound(m.NonemptyDist(u, v), bound)
+func (o *MatrixOracle) NonemptyDistWithin(u, v, bound int) int {
+	return clampToBound(o.m.NonemptyDist(u, v), bound)
 }
 
-func (o *MatrixOracle) colorMatrix(color string) *matrix.Matrix {
-	o.colorMu.Lock()
-	if o.colors == nil {
-		o.colors = make(map[string]*colorEntry)
-	}
-	e, ok := o.colors[color]
-	if !ok {
-		e = &colorEntry{}
-		o.colors[color] = e
-	}
-	o.colorMu.Unlock()
-	e.once.Do(func() {
-		// Build the color subgraph once and take its matrix; matrix.New
-		// itself fans the per-source BFS across all CPUs. Other colors
-		// build concurrently — only same-color builders wait here.
-		sub := graph.New(o.g.N())
-		o.g.Edges(func(u, v int) {
-			if c, _ := o.g.Color(u, v); c == color {
-				sub.AddEdge(u, v)
-			}
-		})
-		e.m = matrix.New(sub)
-	})
-	return e.m
-}
-
-// InvalidateColors drops the cached color submatrices. The engine layer
-// calls it after edge updates: the main matrix is maintained in place by
-// DynMatrix, but color submatrices are rebuilt on demand.
-func (o *MatrixOracle) InvalidateColors() {
-	o.colorMu.Lock()
-	o.colors = nil
-	o.colorMu.Unlock()
-}
-
-// bfsCache holds one full BFS frontier keyed by (node, direction, color).
+// bfsCache holds one full BFS frontier keyed by (node, direction).
 type bfsCache struct {
 	node    int
-	color   string
 	valid   bool
 	dist    []int32
 	scratch []int32
@@ -156,13 +104,12 @@ func (c *bfsCache) ensure(n int) {
 	}
 }
 
-func (c *bfsCache) reset(node int, color string, n int) {
+func (c *bfsCache) reset(node int, n int) {
 	c.ensure(n)
 	for i := range c.dist {
 		c.dist[i] = -1
 	}
 	c.node = node
-	c.color = color
 	c.valid = true
 }
 
@@ -223,47 +170,42 @@ func (o *BFSOracle) Invalidate() {
 }
 
 // NonemptyDistWithin implements DistOracle.
-func (o *BFSOracle) NonemptyDistWithin(u, v, bound int, color string) int {
+func (o *BFSOracle) NonemptyDistWithin(u, v, bound int) int {
 	if u == v {
-		return clampToBound(o.cycleLen(u, color), bound)
+		return clampToBound(o.cycleLen(u), bound)
 	}
-	d := o.pairDist(u, v, color)
-	return clampToBound(d, bound)
+	return clampToBound(o.pairDist(u, v), bound)
 }
 
-func (o *BFSOracle) pairDist(u, v int, color string) int {
-	if o.fwd.valid && o.fwd.node == u && o.fwd.color == color {
+func (o *BFSOracle) pairDist(u, v int) int {
+	if o.fwd.valid && o.fwd.node == u {
 		o.lastU, o.lastV = u, v
 		return int(o.fwd.dist[v])
 	}
-	if o.bwd.valid && o.bwd.node == v && o.bwd.color == color {
+	if o.bwd.valid && o.bwd.node == v {
 		o.lastU, o.lastV = u, v
 		return int(o.bwd.dist[u])
 	}
 	// Miss: build the frontier for the endpoint that repeated, guessing
 	// forward when neither did.
 	if v == o.lastV && u != o.lastU {
-		o.buildBackward(v, color)
+		o.buildBackward(v)
 		o.lastU, o.lastV = u, v
 		return int(o.bwd.dist[u])
 	}
-	o.buildForward(u, color)
+	o.buildForward(u)
 	o.lastU, o.lastV = u, v
 	return int(o.fwd.dist[v])
 }
 
 // cycleLen returns the shortest nonempty cycle through u: one backward
 // frontier to u, then the best successor.
-func (o *BFSOracle) cycleLen(u int, color string) int {
-	if !(o.bwd.valid && o.bwd.node == u && o.bwd.color == color) {
-		o.buildBackward(u, color)
+func (o *BFSOracle) cycleLen(u int) int {
+	if !(o.bwd.valid && o.bwd.node == u) {
+		o.buildBackward(u)
 	}
-	f := o.frozen()
 	best := -1
-	for _, w := range f.Out(u) {
-		if color != "" && f.Color(u, int(w)) != color {
-			continue
-		}
+	for _, w := range o.frozen().Out(u) {
 		if dw := o.bwd.dist[w]; dw >= 0 && (best < 0 || int(dw)+1 < best) {
 			best = int(dw) + 1
 		}
@@ -271,20 +213,19 @@ func (o *BFSOracle) cycleLen(u int, color string) int {
 	return best
 }
 
-func (o *BFSOracle) buildForward(u int, color string) {
-	o.fwd.reset(u, color, o.frozen().N())
-	bfsDirected(o.frozen(), u, color, false, o.fwd.dist, &o.fwd.scratch)
+func (o *BFSOracle) buildForward(u int) {
+	o.fwd.reset(u, o.frozen().N())
+	bfsDirected(o.frozen(), u, false, o.fwd.dist, &o.fwd.scratch)
 }
 
-func (o *BFSOracle) buildBackward(v int, color string) {
-	o.bwd.reset(v, color, o.frozen().N())
-	bfsDirected(o.frozen(), v, color, true, o.bwd.dist, &o.bwd.scratch)
+func (o *BFSOracle) buildBackward(v int) {
+	o.bwd.reset(v, o.frozen().N())
+	bfsDirected(o.frozen(), v, true, o.bwd.dist, &o.bwd.scratch)
 }
 
 // bfsDirected runs an unbounded BFS from src into dist (pre-filled -1)
-// over the frozen snapshot, following in-edges when reverse is true and,
-// when color is non-empty, only edges of that color.
-func bfsDirected(f *graph.Frozen, src int, color string, reverse bool, dist []int32, scratch *[]int32) {
+// over the frozen snapshot, following in-edges when reverse is true.
+func bfsDirected(f *graph.Frozen, src int, reverse bool, dist []int32, scratch *[]int32) {
 	queue := (*scratch)[:0]
 	dist[src] = 0
 	queue = append(queue, int32(src))
@@ -301,17 +242,6 @@ func bfsDirected(f *graph.Frozen, src int, color string, reverse bool, dist []in
 			if dist[y] >= 0 {
 				continue
 			}
-			if color != "" {
-				var c string
-				if reverse {
-					c = f.Color(int(y), int(x))
-				} else {
-					c = f.Color(int(x), int(y))
-				}
-				if c != color {
-					continue
-				}
-			}
 			dist[y] = dx + 1
 			queue = append(queue, y)
 		}
@@ -322,8 +252,7 @@ func bfsDirected(f *graph.Frozen, src int, color string, reverse bool, dist []in
 // TwoHopOracle is the paper's "2-hop" variant: a 2-hop reachability
 // labelling filters out unreachable pairs in label-intersection time, and
 // only reachable pairs fall through to (cached) BFS for the exact
-// distance. Labels ignore colors, which keeps them a sound filter for
-// color-restricted queries.
+// distance.
 type TwoHopOracle struct {
 	idx *twohop.Index
 	bfs *BFSOracle
@@ -355,52 +284,37 @@ func (o *TwoHopOracle) CloneForWorker() DistOracle {
 }
 
 // NonemptyDistWithin implements DistOracle.
-func (o *TwoHopOracle) NonemptyDistWithin(u, v, bound int, color string) int {
+func (o *TwoHopOracle) NonemptyDistWithin(u, v, bound int) int {
 	if !o.idx.ReachableNonempty(o.bfs.frozen(), u, v) {
 		return -1
 	}
-	return o.bfs.NonemptyDistWithin(u, v, bound, color)
+	return o.bfs.NonemptyDistWithin(u, v, bound)
 }
 
 // PLLOracle answers queries from a pruned-landmark labelling (package
 // pll): exact distances in label-merge time with memory that scales
 // with the graph's hub structure instead of |V|² — the oracle that
 // takes bounded simulation to million-node graphs when an engine opts in
-// with WithOracle(OraclePLL). Per-color sub-labelings are
-// built lazily the way MatrixOracle builds color submatrices.
+// with WithOracle(OraclePLL).
 //
 // A PLLOracle is single-goroutine state: its probe caches expand one
 // endpoint's label into a hub-indexed distance array, so Match's
 // endpoint-major sweeps cost one array lookup per label entry of the
 // swept endpoint. For parallel matching each worker takes a
-// CloneForWorker, which shares the labelling, the frozen snapshot and
-// the color sub-labelings but owns its probe caches.
+// CloneForWorker, which shares the labelling and the frozen snapshot but
+// owns its probe caches.
 type PLLOracle struct {
-	sh       *pllShared
+	f        *graph.Frozen // shared, immutable
+	idx      *pll.Index    // shared, immutable
 	fwd, bwd pllProbe
 	lastU    int
 	lastV    int
 }
 
-// pllShared is the immutable-after-build state every worker clone of a
-// PLLOracle shares.
-type pllShared struct {
-	f       *graph.Frozen
-	idx     *pll.Index
-	colorMu sync.Mutex
-	colors  map[string]*pllColorEntry // labellings of color subgraphs
-}
-
-// pllColorEntry coalesces concurrent builds of one color sub-labelling.
-type pllColorEntry struct {
-	once sync.Once
-	idx  *pll.Index
-}
-
 // NewPLLOracleFrozen wraps a prebuilt labelling over the snapshot it
 // was built from.
 func NewPLLOracleFrozen(f *graph.Frozen, idx *pll.Index) *PLLOracle {
-	return &PLLOracle{sh: &pllShared{f: f, idx: idx}, lastU: -1, lastV: -1}
+	return &PLLOracle{f: f, idx: idx, lastU: -1, lastV: -1}
 }
 
 // BuildPLLOracle freezes g and constructs its pruned-landmark
@@ -416,69 +330,61 @@ func BuildPLLOracle(ctx context.Context, g *graph.Graph) (*PLLOracle, error) {
 }
 
 // Index exposes the underlying labelling.
-func (o *PLLOracle) Index() *pll.Index { return o.sh.idx }
+func (o *PLLOracle) Index() *pll.Index { return o.idx }
 
 // CloneForWorker implements WorkerCloner: the clone shares the
-// labelling and the color sub-labelings but owns its probe caches.
+// labelling but owns its probe caches.
 func (o *PLLOracle) CloneForWorker() DistOracle {
-	return &PLLOracle{sh: o.sh, lastU: -1, lastV: -1}
+	return NewPLLOracleFrozen(o.f, o.idx)
 }
 
 // NonemptyDistWithin implements DistOracle.
-func (o *PLLOracle) NonemptyDistWithin(u, v, bound int, color string) int {
+func (o *PLLOracle) NonemptyDistWithin(u, v, bound int) int {
 	if bound == 0 {
 		return -1 // nonempty paths have length >= 1
 	}
-	idx := o.sh.idx
-	if color != "" {
-		idx = o.sh.colorIndex(color)
-	}
 	if u == v {
-		return clampToBound(o.cycleLen(u, bound, color, idx), bound)
+		return clampToBound(o.cycleLen(u, bound), bound)
 	}
-	return clampToBound(o.pairDist(u, v, bound, color, idx), bound)
+	return clampToBound(o.pairDist(u, v, bound), bound)
 }
 
-func (o *PLLOracle) pairDist(u, v, bound int, color string, idx *pll.Index) int {
-	if o.bwd.valid && o.bwd.node == v && o.bwd.color == color {
+func (o *PLLOracle) pairDist(u, v, bound int) int {
+	if o.bwd.valid && o.bwd.node == v {
 		o.lastU, o.lastV = u, v
-		return o.scanOut(u, bound, idx)
+		return o.scanOut(u, bound)
 	}
-	if o.fwd.valid && o.fwd.node == u && o.fwd.color == color {
+	if o.fwd.valid && o.fwd.node == u {
 		o.lastU, o.lastV = u, v
-		return o.scanIn(v, bound, idx)
+		return o.scanIn(v, bound)
 	}
 	// Miss: expand the endpoint that repeated, guessing forward when
 	// neither did (the same heuristic as BFSOracle — Match's loops fix
 	// one endpoint and sweep the other).
 	if v == o.lastV && u != o.lastU {
-		o.loadBackward(v, color, idx)
+		o.loadBackward(v)
 		o.lastU, o.lastV = u, v
-		return o.scanOut(u, bound, idx)
+		return o.scanOut(u, bound)
 	}
-	o.loadForward(u, color, idx)
+	o.loadForward(u)
 	o.lastU, o.lastV = u, v
-	return o.scanIn(v, bound, idx)
+	return o.scanIn(v, bound)
 }
 
 // cycleLen returns the shortest nonempty cycle through u: the backward
-// probe caches distances to u, then every color-compatible successor w
-// contributes 1 + d(w, u).
-func (o *PLLOracle) cycleLen(u, bound int, color string, idx *pll.Index) int {
-	if !(o.bwd.valid && o.bwd.node == u && o.bwd.color == color) {
-		o.loadBackward(u, color, idx)
+// probe caches distances to u, then every successor w contributes
+// 1 + d(w, u).
+func (o *PLLOracle) cycleLen(u, bound int) int {
+	if !(o.bwd.valid && o.bwd.node == u) {
+		o.loadBackward(u)
 	}
 	inner := -1
 	if bound > 0 {
 		inner = bound - 1
 	}
-	f := o.sh.f
 	best := -1
-	for _, w := range f.Out(u) {
-		if color != "" && f.Color(u, int(w)) != color {
-			continue
-		}
-		if dw := o.scanOut(int(w), inner, idx); dw >= 0 && (best < 0 || dw+1 < best) {
+	for _, w := range o.f.Out(u) {
+		if dw := o.scanOut(int(w), inner); dw >= 0 && (best < 0 || dw+1 < best) {
 			best = dw + 1
 			if best == 1 {
 				break
@@ -495,7 +401,8 @@ func (o *PLLOracle) cycleLen(u, bound int, color string, idx *pll.Index) int {
 // path skips entries whose raw distance field alone exceeds the bound
 // (saturated fields under-report, so the skip is safe) and stops once
 // the running best hits 1, the minimum nonempty distance.
-func (o *PLLOracle) scanOut(u, bound int, idx *pll.Index) int {
+func (o *PLLOracle) scanOut(u, bound int) int {
+	idx := o.idx
 	best := idx.BPDistWithin(u, o.bwd.node, bound)
 	if best >= 0 && best <= 1 {
 		return best
@@ -520,7 +427,8 @@ func (o *PLLOracle) scanOut(u, bound int, idx *pll.Index) int {
 }
 
 // scanIn is scanOut mirrored: d(fwd.node, v) via v's in-label.
-func (o *PLLOracle) scanIn(v, bound int, idx *pll.Index) int {
+func (o *PLLOracle) scanIn(v, bound int) int {
+	idx := o.idx
 	best := idx.BPDistWithin(o.fwd.node, v, bound)
 	if best >= 0 && best <= 1 {
 		return best
@@ -544,24 +452,24 @@ func (o *PLLOracle) scanIn(v, bound int, idx *pll.Index) int {
 	return best
 }
 
-func (o *PLLOracle) loadForward(u int, color string, idx *pll.Index) {
-	o.fwd.reset(o.sh.idx.N())
-	for _, w := range idx.OutLabel(u) {
+func (o *PLLOracle) loadForward(u int) {
+	o.fwd.reset(o.idx.N())
+	for _, w := range o.idx.OutLabel(u) {
 		h := pll.Hub(w)
-		o.fwd.dist[h] = idx.OutDist(u, w)
+		o.fwd.dist[h] = o.idx.OutDist(u, w)
 		o.fwd.touched = append(o.fwd.touched, h)
 	}
-	o.fwd.node, o.fwd.color, o.fwd.valid = u, color, true
+	o.fwd.node, o.fwd.valid = u, true
 }
 
-func (o *PLLOracle) loadBackward(v int, color string, idx *pll.Index) {
-	o.bwd.reset(o.sh.idx.N())
-	for _, w := range idx.InLabel(v) {
+func (o *PLLOracle) loadBackward(v int) {
+	o.bwd.reset(o.idx.N())
+	for _, w := range o.idx.InLabel(v) {
 		h := pll.Hub(w)
-		o.bwd.dist[h] = idx.InDist(v, w)
+		o.bwd.dist[h] = o.idx.InDist(v, w)
 		o.bwd.touched = append(o.bwd.touched, h)
 	}
-	o.bwd.node, o.bwd.color, o.bwd.valid = v, color, true
+	o.bwd.node, o.bwd.valid = v, true
 }
 
 // pllProbe caches one endpoint's label expanded into a hub-indexed
@@ -571,7 +479,6 @@ func (o *PLLOracle) loadBackward(v int, color string, idx *pll.Index) {
 // array lookups with no special-casing.
 type pllProbe struct {
 	node    int
-	color   string
 	valid   bool
 	dist    []int32
 	touched []int32
@@ -591,45 +498,9 @@ func (c *pllProbe) reset(n int) {
 	c.touched = c.touched[:0]
 }
 
-// colorIndex returns the labelling of the color-induced subgraph,
-// building it on first use; same-color builders coalesce, distinct
-// colors build concurrently.
-func (s *pllShared) colorIndex(color string) *pll.Index {
-	s.colorMu.Lock()
-	if s.colors == nil {
-		s.colors = make(map[string]*pllColorEntry)
-	}
-	e, ok := s.colors[color]
-	if !ok {
-		e = &pllColorEntry{}
-		s.colors[color] = e
-	}
-	s.colorMu.Unlock()
-	e.once.Do(func() {
-		sub := graph.New(s.f.N())
-		s.f.Edges(func(u, v int) {
-			if s.f.Color(u, v) == color {
-				sub.AddEdge(u, v)
-			}
-		})
-		fz := sub.Freeze()
-		// Background context: the sub-labelling is a shared cache that
-		// outlives the query that happens to build it first, so one
-		// caller's deadline must not poison it for everyone else.
-		idx, err := pll.Build(context.Background(), fz, pll.AutoOptions(fz))
-		if err != nil {
-			// The subgraph has the node count of the main graph, whose
-			// build already succeeded — unreachable.
-			panic(err)
-		}
-		e.idx = idx
-	})
-	return e.idx
-}
-
 // EdgeOracle answers distance queries by direct adjacency scan over a
-// frozen snapshot: it reports distance 1 when the edge (u, v) exists
-// (color-compatible), and no witness otherwise — correct only for
+// frozen snapshot: it reports distance 1 when the edge (u, v) exists,
+// and no witness otherwise — correct only for
 // bound-1 probes, so it serves the all-bounds-one semantics (plain,
 // dual and strong simulation), which need no path oracle: MatchOpts
 // answers its fallback probes with it when called without an oracle,
@@ -644,19 +515,16 @@ func NewEdgeOracle(f *graph.Frozen) EdgeOracle { return EdgeOracle{f: f} }
 // CloneForWorker implements WorkerCloner: the oracle holds no state.
 func (o EdgeOracle) CloneForWorker() DistOracle { return o }
 
-// NonemptyDistWithin reports 1 when edge (u, v) exists with a compatible
-// color and the bound admits a length-1 path, -1 otherwise. Bounds
-// beyond 1 are still answered by adjacency only: callers must only use
-// this oracle with all-bounds-one patterns.
-func (o EdgeOracle) NonemptyDistWithin(u, v, bound int, color string) int {
+// NonemptyDistWithin reports 1 when edge (u, v) exists and the bound
+// admits a length-1 path, -1 otherwise. Bounds beyond 1 are still
+// answered by adjacency only: callers must only use this oracle with
+// all-bounds-one patterns.
+func (o EdgeOracle) NonemptyDistWithin(u, v, bound int) int {
 	if bound >= 0 && bound < 1 {
 		return -1
 	}
 	for _, y := range o.f.Out(u) {
-		if int(y) != v {
-			continue
-		}
-		if color == "" || o.f.Color(u, v) == color {
+		if int(y) == v {
 			return 1
 		}
 	}

@@ -9,6 +9,7 @@ import (
 
 	"gpm/internal/graph"
 	"gpm/internal/matrix"
+	"gpm/internal/pattern"
 )
 
 func lineGraph(n int) *graph.Graph {
@@ -33,7 +34,7 @@ func TestMatrixOracleBasics(t *testing.T) {
 		{0, 1, 1, 1},
 	}
 	for _, c := range cases {
-		if got := o.NonemptyDistWithin(c.u, c.v, c.bound, ""); got != c.want {
+		if got := o.NonemptyDistWithin(c.u, c.v, c.bound); got != c.want {
 			t.Errorf("matrix (%d,%d,b=%d) = %d, want %d", c.u, c.v, c.bound, got, c.want)
 		}
 	}
@@ -53,13 +54,13 @@ func TestOracleSelfCycle(t *testing.T) {
 		"2hop":   BuildTwoHopOracle(g),
 		"pll":    mustBuildPLL(t, g),
 	} {
-		if got := o.NonemptyDistWithin(0, 0, -1, ""); got != 2 {
+		if got := o.NonemptyDistWithin(0, 0, -1); got != 2 {
 			t.Errorf("%s: self-cycle dist = %d, want 2", name, got)
 		}
-		if got := o.NonemptyDistWithin(0, 0, 1, ""); got != -1 {
+		if got := o.NonemptyDistWithin(0, 0, 1); got != -1 {
 			t.Errorf("%s: self-cycle within 1 = %d, want -1", name, got)
 		}
-		if got := o.NonemptyDistWithin(2, 2, -1, ""); got != -1 {
+		if got := o.NonemptyDistWithin(2, 2, -1); got != -1 {
 			t.Errorf("%s: acyclic node self dist = %d, want -1", name, got)
 		}
 	}
@@ -80,7 +81,7 @@ func TestBFSOracleCachePatterns(t *testing.T) {
 	for u := 0; u < 20; u++ {
 		for v := 0; v < 20; v++ {
 			want := m.NonemptyDist(u, v)
-			if got := o.NonemptyDistWithin(u, v, -1, ""); got != want {
+			if got := o.NonemptyDistWithin(u, v, -1); got != want {
 				t.Fatalf("src-major (%d,%d): %d want %d", u, v, got, want)
 			}
 		}
@@ -89,7 +90,7 @@ func TestBFSOracleCachePatterns(t *testing.T) {
 	for v := 0; v < 20; v++ {
 		for u := 0; u < 20; u++ {
 			want := m.NonemptyDist(u, v)
-			if got := o.NonemptyDistWithin(u, v, -1, ""); got != want {
+			if got := o.NonemptyDistWithin(u, v, -1); got != want {
 				t.Fatalf("dst-major (%d,%d): %d want %d", u, v, got, want)
 			}
 		}
@@ -98,7 +99,7 @@ func TestBFSOracleCachePatterns(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		u, v := r.Intn(20), r.Intn(20)
 		want := clampToBound(m.NonemptyDist(u, v), 3)
-		if got := o.NonemptyDistWithin(u, v, 3, ""); got != want {
+		if got := o.NonemptyDistWithin(u, v, 3); got != want {
 			t.Fatalf("random (%d,%d): %d want %d", u, v, got, want)
 		}
 	}
@@ -107,12 +108,12 @@ func TestBFSOracleCachePatterns(t *testing.T) {
 func TestBFSOracleInvalidate(t *testing.T) {
 	g := lineGraph(3)
 	o := NewBFSOracle(g)
-	if o.NonemptyDistWithin(0, 2, -1, "") != 2 {
+	if o.NonemptyDistWithin(0, 2, -1) != 2 {
 		t.Fatal("initial dist wrong")
 	}
 	g.AddEdge(0, 2)
 	o.Invalidate()
-	if got := o.NonemptyDistWithin(0, 2, -1, ""); got != 1 {
+	if got := o.NonemptyDistWithin(0, 2, -1); got != 1 {
 		t.Errorf("after invalidate: %d, want 1", got)
 	}
 }
@@ -144,7 +145,7 @@ func TestOraclesAgree(t *testing.T) {
 			}
 			want = clampToBound(want, bound)
 			for oi, o := range oracles {
-				if got := o.NonemptyDistWithin(u, v, bound, ""); got != want {
+				if got := o.NonemptyDistWithin(u, v, bound); got != want {
 					t.Logf("seed %d oracle %d (%d,%d,b=%d): %d want %d", seed, oi, u, v, bound, got, want)
 					return false
 				}
@@ -157,8 +158,9 @@ func TestOraclesAgree(t *testing.T) {
 	}
 }
 
-// Property: colored queries agree across oracles and equal plain queries
-// on the color-induced subgraph.
+// Property: a coloured witness length — walkLengths, the referee of the
+// kernel's coloured sweeps, since no oracle answers colours — equals the
+// plain nonempty distance on the colour-induced subgraph.
 func TestColoredOraclesAgree(t *testing.T) {
 	colors := []string{"red", "blue"}
 	check := func(seed int64) bool {
@@ -180,46 +182,21 @@ func TestColoredOraclesAgree(t *testing.T) {
 			}
 		})
 		m := matrix.New(sub)
-		oracles := []DistOracle{BuildMatrixOracle(g), NewBFSOracle(g), BuildTwoHopOracle(g), mustBuildPLL(t, g)}
+		f := g.Freeze()
+		dist := make([]int32, n)
 		for i := 0; i < 100; i++ {
 			u, v := r.Intn(n), r.Intn(n)
 			bound := r.Intn(5) - 1
-			var want int
-			if u == v {
-				want = m.Cycle(u)
-			} else {
-				want = m.Dist(u, v)
-			}
-			want = clampToBound(want, bound)
-			for oi, o := range oracles {
-				if got := o.NonemptyDistWithin(u, v, bound, "red"); got != want {
-					t.Logf("seed %d oracle %d (%d,%d,b=%d,red): %d want %d", seed, oi, u, v, bound, got, want)
-					return false
-				}
+			walkLengths(f, u, pattern.Edge{Bound: bound, Color: "red"}, dist)
+			if want := clampToBound(m.NonemptyDist(u, v), bound); int(dist[v]) != want {
+				t.Logf("seed %d (%d,%d,b=%d,red): %d want %d", seed, u, v, bound, dist[v], want)
+				return false
 			}
 		}
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMatrixOracleColorCache(t *testing.T) {
-	g := graph.New(3)
-	g.AddColoredEdge(0, 1, "x")
-	g.AddEdge(1, 2)
-	o := BuildMatrixOracle(g)
-	// First query builds the color matrix; second hits the cache.
-	if d := o.NonemptyDistWithin(0, 1, -1, "x"); d != 1 {
-		t.Errorf("colored dist = %d", d)
-	}
-	if d := o.NonemptyDistWithin(0, 1, -1, "x"); d != 1 {
-		t.Errorf("cached colored dist = %d", d)
-	}
-	// Uncolored edges are invisible to the color subgraph.
-	if d := o.NonemptyDistWithin(1, 2, -1, "x"); d != -1 {
-		t.Errorf("uncolored edge leaked into color query: %d", d)
 	}
 }
 
@@ -243,10 +220,13 @@ func TestPLLOracleCachePatterns(t *testing.T) {
 	}
 	m := matrix.New(g)
 	o := mustBuildPLL(t, g)
+	if o.Index() == nil {
+		t.Fatal("Index() nil")
+	}
 	for u := 0; u < 20; u++ {
 		for v := 0; v < 20; v++ {
 			want := m.NonemptyDist(u, v)
-			if got := o.NonemptyDistWithin(u, v, -1, ""); got != want {
+			if got := o.NonemptyDistWithin(u, v, -1); got != want {
 				t.Fatalf("src-major (%d,%d): %d want %d", u, v, got, want)
 			}
 		}
@@ -254,7 +234,7 @@ func TestPLLOracleCachePatterns(t *testing.T) {
 	for v := 0; v < 20; v++ {
 		for u := 0; u < 20; u++ {
 			want := m.NonemptyDist(u, v)
-			if got := o.NonemptyDistWithin(u, v, -1, ""); got != want {
+			if got := o.NonemptyDistWithin(u, v, -1); got != want {
 				t.Fatalf("dst-major (%d,%d): %d want %d", u, v, got, want)
 			}
 		}
@@ -263,7 +243,7 @@ func TestPLLOracleCachePatterns(t *testing.T) {
 		u, v := r.Intn(20), r.Intn(20)
 		bound := r.Intn(5) - 1
 		want := clampToBound(m.NonemptyDist(u, v), bound)
-		if got := o.NonemptyDistWithin(u, v, bound, ""); got != want {
+		if got := o.NonemptyDistWithin(u, v, bound); got != want {
 			t.Fatalf("random (%d,%d,b=%d): %d want %d", u, v, bound, got, want)
 		}
 	}
@@ -289,7 +269,7 @@ func TestPLLOracleWorkerClones(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				u, v := rr.Intn(30), rr.Intn(30)
 				want := clampToBound(m.NonemptyDist(u, v), -1)
-				if got := o.NonemptyDistWithin(u, v, -1, ""); got != want {
+				if got := o.NonemptyDistWithin(u, v, -1); got != want {
 					done <- fmt.Errorf("clone (%d,%d): %d want %d", u, v, got, want)
 					return
 				}
@@ -304,37 +284,16 @@ func TestPLLOracleWorkerClones(t *testing.T) {
 	}
 }
 
-func TestPLLOracleColorCache(t *testing.T) {
-	g := graph.New(3)
-	g.AddColoredEdge(0, 1, "x")
-	g.AddEdge(1, 2)
-	o := mustBuildPLL(t, g)
-	// First query builds the color sub-labelling; second hits the cache.
-	if d := o.NonemptyDistWithin(0, 1, -1, "x"); d != 1 {
-		t.Errorf("colored dist = %d", d)
-	}
-	if d := o.NonemptyDistWithin(0, 1, -1, "x"); d != 1 {
-		t.Errorf("cached colored dist = %d", d)
-	}
-	// Uncolored edges are invisible to the color subgraph.
-	if d := o.NonemptyDistWithin(1, 2, -1, "x"); d != -1 {
-		t.Errorf("uncolored edge leaked into color query: %d", d)
-	}
-	if o.Index() == nil {
-		t.Error("Index() nil")
-	}
-}
-
 func TestTwoHopOracleAccessors(t *testing.T) {
 	g := lineGraph(4)
 	o := BuildTwoHopOracle(g)
 	if o.Index() == nil {
 		t.Error("Index() nil")
 	}
-	if got := o.NonemptyDistWithin(0, 3, -1, ""); got != 3 {
+	if got := o.NonemptyDistWithin(0, 3, -1); got != 3 {
 		t.Errorf("dist = %d", got)
 	}
-	if got := o.NonemptyDistWithin(3, 0, -1, ""); got != -1 {
+	if got := o.NonemptyDistWithin(3, 0, -1); got != -1 {
 		t.Errorf("filtered unreachable = %d", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"gpm/internal/cancel"
-	"gpm/internal/pattern"
 )
 
 // This file holds the worker pool that shards the two initialisation
@@ -19,9 +18,9 @@ import (
 //
 // Each worker owns a prober: a clone of the distance oracle (shared
 // immutable indexes, private frontier caches — see WorkerCloner), a
-// private walk prober for ranged edges, a private sweeper, a private
-// cancellation poller and a local probe counter, so the hot loops run
-// without any locking. A sequential run is the same code on one prober.
+// private sweeper, a private cancellation poller and a local probe
+// counter, so the hot loops run without any locking. A sequential run is
+// the same code on one prober.
 
 // minShardWork is the smallest number of per-task loop iterations worth a
 // task switch; below it, sharding overhead beats the parallel gain.
@@ -31,42 +30,28 @@ const minShardWork = 256
 type prober struct {
 	st      *state
 	o       DistOracle
-	walks   *walkProber // lazy; only for ranged edges (§6 extension)
-	sw      *sweeper    // lazy; only with a caller-supplied snapshot
+	sw      *sweeper // lazy; only for swept constraints
 	poll    cancel.Poller
 	queries int64 // oracle probes issued
 }
 
-// witness returns the witness length for pattern edge e from x to z: the
-// ranged walk check when e carries a lower bound, the oracle's nonempty
-// shortest path otherwise. preferBackward hints the walk prober's cache
-// (target-major sweeps fix z).
-func (p *prober) witness(x, z int, e pattern.Edge, preferBackward bool) int {
-	if e.Ranged() {
-		if p.walks == nil {
-			p.walks = newWalkProber(p.st.frozen())
-		}
-		return p.walks.WalkWithin(x, z, e.MinBound, e.Bound, e.Color, preferBackward)
-	}
+// holds reports, with one oracle probe, whether z witnesses plain
+// constraint c for x: z lies within the edge's bound downstream of x, or
+// upstream for a parent constraint.
+func (p *prober) holds(c *constraint, x, z int) bool {
 	p.queries++
-	return p.o.NonemptyDistWithin(x, z, e.Bound, e.Color)
-}
-
-// holds reports whether z witnesses constraint c for x: z lies within
-// the edge's bound downstream of x, or upstream for a parent constraint.
-// fixedWitness says the caller's loop keeps z and varies x.
-func (p *prober) holds(c *constraint, x, z int, fixedWitness bool) bool {
 	if c.parent {
-		return p.witness(z, x, c.e, !fixedWitness) >= 0
+		x, z = z, x
 	}
-	return p.witness(x, z, c.e, fixedWitness) >= 0
+	return p.o.NonemptyDistWithin(x, z, c.e.Bound) >= 0
 }
 
 // sweeper returns the prober's sweeper, taking scratch from the pool on
-// first use.
+// first use. The first use may freeze the graph; a parallel run has
+// frozen it before its workers start.
 func (p *prober) sweeper() *sweeper {
 	if p.sw == nil {
-		p.sw = newSweeper(p.st.f, &p.poll)
+		p.sw = newSweeper(p.st.frozen(), &p.poll)
 	}
 	return p.sw
 }

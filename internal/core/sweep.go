@@ -49,9 +49,16 @@ func (sw *sweeper) close() { sw.s.Put() }
 // them), level by level over a frontier list: a node is expanded at a
 // level only with the bits that first reached it at the previous one.
 // It follows out-arcs, in-arcs for a parent constraint, and only arcs of
-// the edge's colour when it has one. It gives up — ok false, masks
-// already reset — once it has scanned more than budget adjacency
-// entries. After ok, mask is valid until reset.
+// the edge's colour when it has one. A coloured "*" edge runs |V|
+// levels, the longest a shortest path can be, since the condensation
+// ignores colours. A ranged edge [lo, hi] accumulates masks over levels
+// lo..hi only. Walks may revisit nodes, so below lo nothing is pruned:
+// level ℓ's mask at y is the OR of level ℓ−1's masks over the arcs into
+// y, at most |E| scans a level. From lo on first-reach pruning is sound
+// again: a bit that reaches y a second time can only extend walks that
+// its first arrival, at least lo and earlier, already extends within hi.
+// It gives up — ok false, masks already reset — once it has scanned more
+// than budget adjacency entries. After ok, mask is valid until reset.
 func (sw *sweeper) bounded(srcs []int32, c constraint, budget int64) (ok bool, err error) {
 	s := sw.s
 	front := s.Frontier[:0]
@@ -63,7 +70,10 @@ func (sw *sweeper) bounded(srcs []int32, c constraint, budget int64) (ok bool, e
 	}
 	touched := s.Touched[:0]
 	var scanned int64
-	k, color := c.e.Bound, c.e.Color
+	k, lo, color := c.e.Bound, c.e.MinBound, c.e.Color
+	if k == pattern.Unbounded {
+		k = sw.f.N()
+	}
 	for level := 1; level <= k && len(front) > 0; level++ {
 		if err = sw.poll.Now(); err != nil {
 			break
@@ -73,20 +83,19 @@ func (sw *sweeper) bounded(srcs []int32, c constraint, budget int64) (ok bool, e
 		for _, w := range front {
 			m := s.Cur[w]
 			s.Cur[w] = 0
-			adj := sw.f.Out(int(w))
-			if c.parent {
-				adj = sw.f.In(int(w))
-			}
+			adj := sw.arcs(w, c.parent)
 			scanned += int64(len(adj))
 			for _, y := range adj {
-				fresh := m &^ s.Seen[y]
+				fresh := m &^ s.Seen[y] // Seen stays empty below lo
 				if fresh == 0 || color != "" && sw.arcColor(w, y, c.parent) != color {
 					continue
 				}
-				if s.Seen[y] == 0 {
-					touched = append(touched, y)
+				if level >= lo {
+					if s.Seen[y] == 0 {
+						touched = append(touched, y)
+					}
+					s.Seen[y] |= fresh
 				}
-				s.Seen[y] |= fresh
 				if last {
 					continue
 				}
@@ -191,6 +200,15 @@ func (sw *sweeper) unbounded(srcs []int32) error {
 	return nil
 }
 
+// arcs returns w's out-arcs, or its in-arcs when the sweep runs against
+// the edges.
+func (sw *sweeper) arcs(w int32, reverse bool) []int32 {
+	if reverse {
+		return sw.f.In(int(w))
+	}
+	return sw.f.Out(int(w))
+}
+
 // arcColor returns the colour of the arc a sweep crossed from w to y:
 // edge (w, y), or edge (y, w) when the sweep follows in-arcs.
 func (sw *sweeper) arcColor(w, y int32, reverse bool) string {
@@ -261,8 +279,8 @@ func probeCost(o DistOracle, f *graph.Frozen) int64 {
 	case *MatrixOracle:
 		return matrixProbeCost
 	case *PLLOracle:
-		if n := o.sh.idx.N(); n > 0 {
-			if c := int64(o.sh.idx.LabelEntries() / n); c > matrixProbeCost {
+		if n := o.idx.N(); n > 0 {
+			if c := int64(o.idx.LabelEntries() / n); c > matrixProbeCost {
 				return c
 			}
 		}
@@ -275,7 +293,8 @@ func probeCost(o DistOracle, f *graph.Frozen) int64 {
 
 // witnessCapDefault bounds the bytes of witness matrices one query may
 // hold. Past it an edge keeps its sweep-computed counters but remove
-// probes as in Fig. 4, so a wildcard predicate on a PLL-sized graph
+// probes as in Fig. 4 — or, for a coloured or ranged edge, sweeps once
+// from the removed node — so a wildcard predicate on a PLL-sized graph
 // cannot allocate |V|²/8 bytes.
 const witnessCapDefault = 32 << 20
 
@@ -289,10 +308,12 @@ var limitsOverride atomic.Pointer[sweepLimits]
 
 // SweepLimitsForTest forces every block's scan budget and the per-query
 // witness-matrix cap (bytes) until restore is called; a negative value
-// leaves that limit to its rule. Budget 0 sends every block to probes,
-// math.MaxInt64 sweeps them all; cap 0 makes every removal probe. It
-// exists for the differential tests (internal/difftest), which referee
-// sweep ≡ probe at those extremes.
+// leaves that limit to its rule. Budget 0 sends every block of a plain
+// edge to probes, math.MaxInt64 sweeps them all; cap 0 makes every
+// removal probe, or sweep from the removed node for a coloured or ranged
+// edge, which no budget sends to probes. It exists for the differential
+// tests (internal/difftest), which referee sweep ≡ probe at those
+// extremes.
 func SweepLimitsForTest(budget, witnessCap int64) (restore func()) {
 	old := limitsOverride.Swap(&sweepLimits{budget, witnessCap})
 	return func() { limitsOverride.Store(old) }
@@ -317,25 +338,24 @@ func witnessCap() int64 {
 	return witnessCapDefault
 }
 
-// sweepable reports whether constraint c is answered by sweeps. A ranged
-// edge needs walk lengths (walkProber). A coloured edge with a finite
-// bound sweeps over colour-filtered arcs when a probe costs a traversal
-// (BFS, 2-hop, no oracle): the probe's BFS does the same colour lookup
-// per arc, so the cost rule prices both sides alike. Against a matrix or
-// a labelling the colour lookup is unpriced, so the oracle keeps the
-// edge; and a "*" sweep through the condensation is colour-blind, so a
-// coloured "*" edge always probes.
+// sweepable reports whether constraint c is answered by sweeps: every
+// constraint when the caller handed a snapshot, and a labelled one
+// always.
 func (st *state) sweepable(c constraint) bool {
-	if !st.sweep || c.e.Ranged() {
-		return false
-	}
-	return c.e.Color == "" || c.e.Bound != pattern.Unbounded && st.cost > int64(st.f.M())
+	return st.sweep || labelled(c.e)
 }
+
+// labelled reports whether e carries a colour or a hop range. Its
+// witness is then a labelled walk, which no oracle answers: the kernel
+// sweeps its constraints with no budget, freezing the graph if the
+// caller gave no snapshot, and past the witness-matrix cap remove sweeps
+// once from the removed node.
+func labelled(e pattern.Edge) bool { return e.Color != "" || e.Ranged() }
 
 // block runs the sweep for one block of sources of constraint c,
 // reporting whether the masks are ready (false: probe the block instead).
 func (sw *sweeper) block(srcs []int32, c constraint, budget int64) (bool, error) {
-	if c.e.Bound == pattern.Unbounded {
+	if c.e.Bound == pattern.Unbounded && c.e.Color == "" {
 		// One pass costs up to |E| whatever the block holds.
 		if budget < int64(sw.f.M()) {
 			return false, nil

@@ -57,10 +57,10 @@ func sweepFixtures() map[string]*graph.Graph {
 	}
 	fx["two-components"] = parts
 
-	big := graph.New(150) // ≥ 130 sources: three blocks, the last partial
+	big := graph.New(150) // ≥ 130 sources: three blocks, the last partial; two colours
 	r = rand.New(rand.NewSource(9))
 	for i := 0; i < 420; i++ {
-		big.AddEdge(r.Intn(150), r.Intn(150))
+		big.AddColoredEdge(r.Intn(150), r.Intn(150), []string{"", "red", "blue"}[i%3])
 	}
 	fx["random-150"] = big
 	return fx
@@ -77,7 +77,8 @@ func assertScratchZero(t *testing.T, sw *sweeper) {
 
 // Bit i of the mask at w ⇔ the matrix oracle finds a nonempty path of at
 // most k edges from source i to w — or from w to source i for a parent
-// constraint — for every block, node and bound.
+// constraint — for every block, node and bound; for a coloured or ranged
+// constraint, which no oracle answers, ⇔ walkLengths finds a witness.
 func TestSweeperAgreesWithMatrixOracle(t *testing.T) {
 	for name, g := range sweepFixtures() {
 		f := g.Freeze()
@@ -92,8 +93,15 @@ func TestSweeperAgreesWithMatrixOracle(t *testing.T) {
 			{e: pattern.Edge{Bound: 1}}, {e: pattern.Edge{Bound: 2}}, {e: pattern.Edge{Bound: 3}},
 			{e: pattern.Edge{Bound: 5}}, {e: pattern.Edge{Bound: pattern.Unbounded}},
 			{e: pattern.Edge{Bound: 1}, parent: true}, {e: pattern.Edge{Bound: 3}, parent: true},
+			{e: pattern.Edge{Bound: 3, Color: "red"}}, {e: pattern.Edge{Bound: pattern.Unbounded, Color: "blue"}, parent: true},
+			{e: pattern.Edge{MinBound: 2, Bound: 4}}, {e: pattern.Edge{MinBound: 3, Bound: 9, Color: "red"}, parent: true},
 		} {
 			k := c.e.Bound
+			var walks [][]int32 // walkLengths from every node, for a labelled c
+			for x := 0; labelled(c.e) && x < g.N(); x++ {
+				walks = append(walks, make([]int32, g.N()))
+				walkLengths(f, x, c.e, walks[x])
+			}
 			for lo := 0; lo < len(srcs); lo += sweepBlock {
 				block := srcs[lo:min(lo+sweepBlock, len(srcs))]
 				ok, err := sw.block(block, c, math.MaxInt64)
@@ -107,9 +115,12 @@ func TestSweeperAgreesWithMatrixOracle(t *testing.T) {
 						if c.parent {
 							from, to = to, from
 						}
-						want := o.NonemptyDistWithin(from, to, k, "") >= 0
+						want := o.NonemptyDistWithin(from, to, k) >= 0
+						if walks != nil {
+							want = walks[from][to] >= 0
+						}
 						if got := m&(1<<uint(i)) != 0; got != want {
-							t.Fatalf("%s k=%d parent=%v: source %d, node %d: sweep says %v, oracle %v", name, k, c.parent, x, w, got, want)
+							t.Fatalf("%s %v parent=%v: source %d, node %d: sweep says %v, referee %v", name, c.e, c.parent, x, w, got, want)
 						}
 					}
 					if m>>uint(len(block)) != 0 {
@@ -221,7 +232,9 @@ func sweepCase(seed int64) (*pattern.Pattern, *graph.Graph) {
 // With a snapshot MatchOpts sweeps, without one it probes pair by pair;
 // relation, InitialPairs and Removals must not tell the two apart — under
 // the cost rule, with every block forced to probes, every block forced to
-// sweep, and with the witness matrices capped away.
+// sweep, and with the witness matrices capped away. Coloured and ranged
+// edges sweep on both sides, so MatchNaive referees patterns that have
+// them.
 func TestSweepEqualsProbe(t *testing.T) {
 	limits := []struct {
 		name        string
@@ -241,6 +254,16 @@ func TestSweepEqualsProbe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		labelled := p.Colored() || p.Ranged()
+		if labelled {
+			naive, err := MatchNaive(p, g, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !relEqual(naive.Relation(), ref.Relation()) || naive.OK() != ref.OK() {
+				t.Fatalf("seed %d: relation differs from MatchNaive\npattern:\n%s", seed, p)
+			}
+		}
 		f := g.Freeze()
 		for _, lim := range limits {
 			restore := SweepLimitsForTest(lim.budget, lim.cap)
@@ -257,7 +280,7 @@ func TestSweepEqualsProbe(t *testing.T) {
 					t.Fatalf("seed %d %s workers %d: pairs/removals %d/%d, probing run %d/%d",
 						seed, lim.name, workers, got.InitialPairs, got.Removals, want.InitialPairs, want.Removals)
 				}
-				if lim.budget == 0 && got.SweepScans > got.OracleQueries {
+				if lim.budget == 0 && !labelled && got.SweepScans > got.OracleQueries {
 					// Forced fallback still starts each sweep before giving
 					// up on its first node, so a few scans are expected.
 					t.Fatalf("seed %d %s: %d scans against %d probes", seed, lim.name, got.SweepScans, got.OracleQueries)

@@ -11,8 +11,8 @@ import (
 )
 
 // naiveWalkLengths computes, by direct frontier iteration, the set of
-// walk lengths 1..maxLen from u that reach v — the reference for the
-// masked prober.
+// walk lengths 1..maxLen from u that reach v — the reference for
+// walkLengths.
 func naiveWalkLengths(g *graph.Graph, u, v, maxLen int, color string) map[int]bool {
 	out := map[int]bool{}
 	cur := map[int]bool{u: true}
@@ -39,6 +39,14 @@ func naiveWalkLengths(g *graph.Graph, u, v, maxLen int, color string) map[int]bo
 	return out
 }
 
+// walkWithin returns walkLengths' answer at v for a walk from u with a
+// length in [lo, hi], crossing only arcs of color when it is non-empty.
+func walkWithin(f *graph.Frozen, u, v, lo, hi int, color string) int {
+	dist := make([]int32, f.N())
+	walkLengths(f, u, pattern.Edge{MinBound: lo, Bound: hi, Color: color}, dist)
+	return int(dist[v])
+}
+
 func TestWalkProberHandCases(t *testing.T) {
 	// 0 -> 1 -> 2 -> 3 with a shortcut 0 -> 3.
 	g := graph.New(4)
@@ -46,19 +54,18 @@ func TestWalkProberHandCases(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	g.AddEdge(0, 3)
-	w := newWalkProber(g.Freeze())
-	if got := w.WalkWithin(0, 3, 1, 1, "", false); got != 1 {
+	f := g.Freeze()
+	if got := walkWithin(f, 0, 3, 1, 1, ""); got != 1 {
 		t.Errorf("lo=1,hi=1: %d, want 1 (the shortcut)", got)
 	}
-	if got := w.WalkWithin(0, 3, 2, 3, "", false); got != 3 {
+	if got := walkWithin(f, 0, 3, 2, 3, ""); got != 3 {
 		t.Errorf("lo=2,hi=3: %d, want 3 (the chain)", got)
 	}
-	if got := w.WalkWithin(0, 3, 2, 2, "", false); got != -1 {
+	if got := walkWithin(f, 0, 3, 2, 2, ""); got != -1 {
 		t.Errorf("lo=2,hi=2: %d, want -1 (no length-2 walk)", got)
 	}
-	// Backward cache path.
-	if got := w.WalkWithin(1, 3, 2, 2, "", true); got != 2 {
-		t.Errorf("backward lo=2,hi=2: %d, want 2", got)
+	if got := walkWithin(f, 1, 3, 2, 2, ""); got != 2 {
+		t.Errorf("from 1, lo=2,hi=2: %d, want 2", got)
 	}
 }
 
@@ -69,17 +76,17 @@ func TestWalkProberRepeatsVertices(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 0)
 	g.AddEdge(0, 2)
-	w := newWalkProber(g.Freeze())
-	if got := w.WalkWithin(0, 2, 2, 4, "", false); got != 3 {
+	f := g.Freeze()
+	if got := walkWithin(f, 0, 2, 2, 4, ""); got != 3 {
 		t.Errorf("walk with revisit: %d, want 3", got)
 	}
-	if got := w.WalkWithin(0, 2, 4, 4, "", false); got != -1 {
+	if got := walkWithin(f, 0, 2, 4, 4, ""); got != -1 {
 		t.Errorf("even length impossible: %d, want -1", got)
 	}
 }
 
-// Property: the prober agrees with the naive frontier iteration on random
-// graphs, ranges, colors, and both cache directions.
+// Property: walkLengths agrees with the naive frontier iteration on
+// random graphs, ranges and colors.
 func TestWalkProberAgainstNaive(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -93,7 +100,7 @@ func TestWalkProberAgainstNaive(t *testing.T) {
 		for g.M() < edges {
 			g.AddColoredEdge(r.Intn(n), r.Intn(n), colors[r.Intn(2)])
 		}
-		w := newWalkProber(g.Freeze())
+		f := g.Freeze()
 		for i := 0; i < 80; i++ {
 			u, v := r.Intn(n), r.Intn(n)
 			lo := 1 + r.Intn(6)
@@ -107,7 +114,7 @@ func TestWalkProberAgainstNaive(t *testing.T) {
 					break
 				}
 			}
-			if got := w.WalkWithin(u, v, lo, hi, color, r.Intn(2) == 0); got != want {
+			if got := walkWithin(f, u, v, lo, hi, color); got != want {
 				t.Logf("seed %d (%d,%d,[%d,%d],%q): %d want %d", seed, u, v, lo, hi, color, got, want)
 				return false
 			}

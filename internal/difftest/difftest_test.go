@@ -111,18 +111,17 @@ func TestOraclesProduceIdenticalMatches(t *testing.T) {
 }
 
 // Property (c'): below Match, the oracles must agree on the raw
-// distance queries themselves — every (u, v, bound, color) triple on
-// random colored graphs, bounded and unbounded. This pins the PLL
-// labelling (including its lazily built per-color sub-labelings and its
-// saturated-distance overflow path) against the exact matrix, BFS and
-// 2-hop answers directly, with no fixpoint in between to mask an
+// distance queries themselves — every (u, v, bound) triple on random
+// graphs, bounded and unbounded. This pins the PLL labelling (including
+// its saturated-distance overflow path) against the exact matrix, BFS
+// and 2-hop answers directly, with no fixpoint in between to mask an
 // off-by-one.
 func TestOracleDistancesAgree(t *testing.T) {
 	for seed := int64(1); seed <= workloads; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n := 10 + r.Intn(30)
 		g := gpm.NewGraph(n)
-		colors := []string{"", "", "c", "d"}
+		colors := []string{"", "", "c", "d"} // oracles are colour-blind
 		for i := 0; i < 3*n; i++ {
 			u, v := r.Intn(n), r.Intn(n)
 			if u == v {
@@ -141,8 +140,7 @@ func TestOracleDistancesAgree(t *testing.T) {
 		}
 		// The parallel and bit-parallel build flavors must serve the
 		// exact same distances through the oracle layer — including the
-		// bit-parallel root candidates the probe scans fold in, and the
-		// lazily built per-color sub-labelings.
+		// bit-parallel root candidates the probe scans fold in.
 		fz := g.Freeze()
 		parIdx, err := pll.Build(context.Background(), fz, pll.Options{Workers: 4})
 		if err != nil {
@@ -162,13 +160,11 @@ func TestOracleDistancesAgree(t *testing.T) {
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
 				for _, bound := range []int{-1, 0, 1, 2, 3, 7} {
-					for _, color := range []string{"", "c", "d"} {
-						want := ref.NonemptyDistWithin(u, v, bound, color)
-						for name, o := range others {
-							if got := o.NonemptyDistWithin(u, v, bound, color); got != want {
-								t.Fatalf("seed %d: %s(%d,%d,bound=%d,color=%q) = %d, matrix says %d",
-									seed, name, u, v, bound, color, got, want)
-							}
+					want := ref.NonemptyDistWithin(u, v, bound)
+					for name, o := range others {
+						if got := o.NonemptyDistWithin(u, v, bound); got != want {
+							t.Fatalf("seed %d: %s(%d,%d,bound=%d) = %d, matrix says %d",
+								seed, name, u, v, bound, got, want)
 						}
 					}
 				}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"gpm"
 	"gpm/internal/core"
 	"gpm/internal/simulation"
 	"gpm/internal/topo"
@@ -20,10 +21,12 @@ import (
 // every worker count, and at both extremes of the cost rule: every block
 // probed (budget 0), every block swept (budget ∞), and no witness matrix
 // kept (cap 0), where removals probe again. Coloured workloads repeat
-// the check with bounded and "*" coloured edges: the BFS and 2-hop rows
-// sweep their bounded coloured edges over colour-filtered arcs, the
-// matrix and PLL rows probe them, and every row probes coloured "*"
-// edges.
+// the check with bounded and "*" coloured edges, and a ranged row turns
+// every other edge of their patterns into a hop range. No oracle answers
+// a coloured or ranged edge, so every run sweeps it whatever the budget,
+// and at cap 0 sweeps once from each removed node; those rows take their
+// relation from core.MatchNaive, a rescan that shares no code with the
+// sweeps, and their InitialPairs and Removals from the probing run.
 //
 // The same kernel run without an oracle is plain simulation, and with
 // its parent constraints dual simulation. Their rows are refereed by
@@ -49,12 +52,32 @@ func TestSweepEqualsProbeAcrossOraclesAndWorkers(t *testing.T) {
 			"2hop":   core.NewTwoHopOracleFrozen(f, twohop.Build(w.G)),
 			"pll":    pllO,
 		}
-		for pi, p := range w.Patterns {
+		patterns := w.Patterns
+		if cfg.Colors > 0 {
+			for _, p := range w.Patterns {
+				patterns = append(patterns, rewriteEdges(p, func(i int, e gpm.PatternEdge) gpm.PatternEdge {
+					if i%2 == 0 {
+						return ranged(e)
+					}
+					return e
+				}))
+			}
+		}
+		for pi, p := range patterns {
+			var naive *core.Result
+			if p.Colored() || p.Ranged() {
+				if naive, err = core.MatchNaive(p, w.G, oracles["matrix"]); err != nil {
+					t.Fatalf("seed %d pattern %d: MatchNaive: %v", seed, pi, err)
+				}
+			}
 			for kind, o := range oracles {
 				var want core.Stats
 				ref, err := core.MatchContext(ctx, p, w.G, o, &want)
 				if err != nil {
 					t.Fatalf("seed %d pattern %d %s: probing run: %v", seed, pi, kind, err)
+				}
+				if naive != nil {
+					ref = naive
 				}
 				checkAcrossLimits(t, seed, pi, kind, ref.Relation(), ref.OK(), want, func(workers int, st *core.Stats) (*core.Result, error) {
 					return core.MatchOpts(ctx, p, w.G, o, st, core.MatchOptions{Frozen: f, Workers: workers})
@@ -125,4 +148,78 @@ func checkAcrossLimits(t *testing.T, seed int64, pi int, row string, want [][]in
 		}
 		restore()
 	}
+}
+
+// TestLabelledEdgesProbeNoOracle: no oracle answers a coloured or ranged
+// edge, so Engine.Match on a pattern made only of coloured bounded,
+// coloured "*" or ranged edges issues no probe under any oracle kind,
+// and returns core.MatchNaive's relation.
+func TestLabelledEdgesProbeNoOracle(t *testing.T) {
+	ctx := context.Background()
+	kinds := []gpm.OracleKind{gpm.OracleMatrix, gpm.OracleBFS, gpm.OracleTwoHop, gpm.OraclePLL}
+	colour := func(e gpm.PatternEdge) gpm.PatternEdge {
+		if e.Color == "" {
+			e.Color = "c0"
+		}
+		return e
+	}
+	rewrites := map[string]func(i int, e gpm.PatternEdge) gpm.PatternEdge{
+		"coloured":      func(_ int, e gpm.PatternEdge) gpm.PatternEdge { return colour(e) },
+		"coloured-star": func(_ int, e gpm.PatternEdge) gpm.PatternEdge { e.Bound = gpm.Unbounded; return colour(e) },
+		"ranged":        func(_ int, e gpm.PatternEdge) gpm.PatternEdge { return ranged(e) },
+	}
+	for seed := int64(1); seed <= workloads/2; seed++ {
+		w := NewWorkload(seed, Config{Colors: 2, StarProb: 0.2})
+		for _, p := range w.Patterns {
+			for name, rewrite := range rewrites {
+				q := rewriteEdges(p, rewrite)
+				want, err := core.MatchNaive(q, w.G, core.BuildMatrixOracle(w.G))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, kind := range kinds {
+					got, err := gpm.NewEngine(w.G, gpm.WithOracle(kind)).Match(ctx, q)
+					if err != nil {
+						t.Fatalf("seed %d %s %v: %v", seed, name, kind, err)
+					}
+					if got.Stats.OracleQueries != 0 {
+						t.Errorf("seed %d %s %v: %d oracle probes, want 0", seed, name, kind, got.Stats.OracleQueries)
+					}
+					if got.OK() != want.OK() || !RelationsEqual(got.Relation(), want.Relation()) {
+						t.Errorf("seed %d %s %v: %s", seed, name, kind, DiffRelations(got.Relation(), want.Relation()))
+					}
+				}
+			}
+		}
+	}
+}
+
+// ranged turns e into a hop range [2, bound+1], "*" into [2, 4].
+func ranged(e gpm.PatternEdge) gpm.PatternEdge {
+	if e.Bound == gpm.Unbounded {
+		e.Bound = 3
+	}
+	e.MinBound, e.Bound = 2, e.Bound+1
+	return e
+}
+
+// rewriteEdges returns p with its i-th edge e replaced by rewrite(i, e).
+func rewriteEdges(p *gpm.Pattern, rewrite func(i int, e gpm.PatternEdge) gpm.PatternEdge) *gpm.Pattern {
+	q := gpm.NewPattern()
+	for u := 0; u < p.N(); u++ {
+		q.AddNode(p.Pred(u))
+	}
+	for i, e := range p.Edges() {
+		e = rewrite(i, e)
+		var err error
+		if e.Ranged() {
+			_, err = q.AddRangeEdge(e.From, e.To, e.MinBound, e.Bound, e.Color)
+		} else {
+			_, err = q.AddColoredEdge(e.From, e.To, e.Bound, e.Color)
+		}
+		if err != nil {
+			panic(err)
+		}
+	}
+	return q
 }

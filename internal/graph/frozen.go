@@ -7,7 +7,7 @@ import "sync"
 // offset indexes. A Frozen is safe for concurrent use by any number of
 // goroutines with no locking, which makes it the traversal substrate for
 // the parallel matching core — the distance-matrix build, the BFS oracle
-// frontiers and the fixpoint's walk prober all read a Frozen instead of
+// frontiers and the fixpoint's witness sweeps all read a Frozen instead of
 // the mutable [][]int32 adjacency of the live Graph.
 //
 // A snapshot does not track later mutations of its source graph; holders

@@ -247,10 +247,6 @@ func (m *Matcher) ApplyPrecomputed(aff []Pair, updates []Update) Delta {
 	for _, pr := range aff {
 		for eid := 0; eid < m.p.EdgeCount(); eid++ {
 			e := m.p.EdgeAt(eid)
-			if e.Color != "" {
-				// Colored bounds are not maintained incrementally.
-				continue
-			}
 			x, z := int(pr.Src), int(pr.Dst)
 			if !m.inCand[e.From][x] || !m.inMat[e.To][z] {
 				continue
@@ -517,9 +513,6 @@ func (m *Matcher) CheckInvariants() error {
 	}
 	for eid := 0; eid < m.p.EdgeCount(); eid++ {
 		e := m.p.EdgeAt(eid)
-		if e.Color != "" {
-			continue
-		}
 		for x := 0; x < g.N(); x++ {
 			if !m.inCand[e.From][x] {
 				continue

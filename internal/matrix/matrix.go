@@ -66,7 +66,7 @@ func NewFrozen(f *graph.Frozen, workers int) *Matrix {
 		go func(lo, hi int) {
 			defer wg.Done()
 			// Pooled queue scratch: sticky across sources and across
-			// successive builds (color submatrices, rebuilds).
+			// successive builds.
 			s := graph.GetScratch(0)
 			defer s.Put()
 			for src := lo; src < hi; src++ {

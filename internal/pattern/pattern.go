@@ -72,7 +72,8 @@ func (p Predicate) String() string {
 }
 
 // MaxRangeBound is the largest finite upper bound permitted on a ranged
-// edge (the walk-length prober packs lengths into a 64-bit mask).
+// edge: a ranged witness sweep runs one level per hop, so this caps it
+// at 63 levels.
 const MaxRangeBound = 63
 
 // Edge is a pattern edge with its bound fe and optional color. MinBound
