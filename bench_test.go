@@ -427,33 +427,48 @@ func BenchmarkRangedMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkMatchPastWitnessCap times bounded Match where the 32 MiB
-// per-query cap on witness matrices binds: a 20000-node graph with a
-// two-value label alphabet, so every pattern node has ~10000 candidates
-// and a witness matrix costs ~12 MB an edge. Edges past the cap refine
-// by probes, one backward BFS per removal under BFS, one label merge
-// per obligated candidate under PLL (the kind WithAutoOracle picked
-// here before it stopped building labellings). Oracle builds happen
-// before the timer; probes/op and removals/op show the fallback's size.
+// BenchmarkMatchPastWitnessCap times queries where the 32 MiB per-query
+// cap on witness matrices binds: a 20000-node graph with a two-value
+// label alphabet, so every pattern node has ~10000 candidates and a
+// witness matrix would cost ~12 MB a constraint. Bounded Match runs
+// under PLL and auto (BFS); plain and dual simulation run the same
+// workloads with every bound 1, where no constraint keeps a matrix.
+// Past the cap a removal sweeps back from the removed node, and at k = 1
+// walks its arcs, so probes/op is 0 whenever counter initialisation
+// swept; removals/op is the fixpoint's exact count. Oracle builds happen
+// before the timer.
 func BenchmarkMatchPastWitnessCap(b *testing.B) {
 	for _, seed := range []int64{0, 4} { // ER and power-law, label-only predicates
 		w := difftest.NewWorkload(seed, difftest.Config{Nodes: 20000, Attrs: 2, Patterns: 8})
-		for _, kind := range []gpm.OracleKind{gpm.OraclePLL, gpm.OracleAuto} {
-			b.Run(fmt.Sprintf("seed=%d/%v", seed, kind), func(b *testing.B) {
+		k1 := difftest.NewWorkload(seed, difftest.Config{Nodes: 20000, Attrs: 2, Patterns: 8, K: 1})
+		for _, row := range []struct {
+			name string
+			kind gpm.OracleKind
+			sem  gpm.RelSemantics
+			w    *difftest.Workload
+		}{
+			{"match/pll", gpm.OraclePLL, gpm.RelMatch, w},
+			{"match/auto", gpm.OracleAuto, gpm.RelMatch, w},
+			{"sim", gpm.OracleAuto, gpm.RelSim, k1},
+			{"dual", gpm.OracleAuto, gpm.RelDual, k1},
+		} {
+			b.Run(fmt.Sprintf("seed=%d/%s", seed, row.name), func(b *testing.B) {
 				ctx := context.Background()
-				eng := gpm.NewEngine(w.G, gpm.WithOracle(kind))
-				if _, err := eng.Match(ctx, w.Patterns[0]); err != nil {
-					b.Fatal(err)
-				}
-				var probes, removals int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					r, err := eng.Match(ctx, w.Patterns[i%len(w.Patterns)])
+				eng := gpm.NewEngine(row.w.G, gpm.WithOracle(row.kind))
+				query := func(p *gpm.Pattern) gpm.MatchStats {
+					r, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: row.sem, Pattern: p})
 					if err != nil {
 						b.Fatal(err)
 					}
-					probes += r.Stats.OracleQueries
-					removals += r.Stats.Removals
+					return r.Stats
+				}
+				query(row.w.Patterns[0])
+				var probes, removals int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					st := query(row.w.Patterns[i%len(row.w.Patterns)])
+					probes += st.OracleQueries
+					removals += st.Removals
 				}
 				b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
 				b.ReportMetric(float64(removals)/float64(b.N), "removals/op")

@@ -73,11 +73,10 @@ const autoMatrixMaxNodes = 4096
 
 // resolveOracleKind resolves OracleAuto. Past the matrix threshold it
 // picks BFS, which builds nothing: the fixpoint prices a BFS probe at a
-// whole traversal, so every witness sweeps over the frozen snapshot. No
-// labelling is built up front or rebuilt after an update. Where the
-// witness-matrix cap binds, a removal's fallback probes share one
-// backward BFS, which measured faster than PLL's per-candidate label
-// merges (BenchmarkMatchPastWitnessCap).
+// whole traversal, so every witness sweeps over the frozen snapshot, and
+// a removal never probes, whether or not the witness-matrix cap binds
+// (BenchmarkMatchPastWitnessCap). No labelling is built up front or
+// rebuilt after an update.
 func resolveOracleKind(k OracleKind, g *Graph) OracleKind {
 	if k != OracleAuto {
 		return k
@@ -142,7 +141,7 @@ type MatchStats struct {
 	OracleBuild   time.Duration // shared-index build time charged to this call
 	MatchTime     time.Duration // fixpoint / enumeration time, excluding OracleBuild
 	OracleQueries int64         // distance-oracle probes issued
-	SweepScans    int64         // adjacency entries scanned by witness sweeps
+	SweepScans    int64         // adjacency entries scanned by witness sweeps and removals
 	Removals      int64         // pairs removed during refinement
 	InitialPairs  int64         // candidate pairs before refinement
 }
@@ -864,11 +863,10 @@ func (e *Engine) ResultGraphOf(res *Result) *ResultGraph {
 	defer e.mu.RUnlock()
 	if res.Pattern().AllBoundsOne() {
 		// All witnesses are single edges (the only case for dual/strong
-		// results), so adjacency over the cached snapshot answers every
-		// probe — no need to build (or pay the memory for) the full
-		// distance oracle on an engine that never ran a bounded query.
-		f := e.frozen()
-		return core.BuildResultGraphFrozen(res, core.NewEdgeOracle(f), f)
+		// results): with no oracle they are read off the cached
+		// snapshot's adjacency, so an engine that never ran a bounded
+		// query builds (and pays the memory for) no distance oracle.
+		return core.BuildResultGraphFrozen(res, nil, e.frozen())
 	}
 	// A bounded res implies a query already built (and cached) the
 	// oracle, so this cannot block on construction or fail in practice;

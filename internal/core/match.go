@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"gpm/internal/cancel"
 	"gpm/internal/graph"
@@ -15,7 +16,7 @@ import (
 // zeroed Stats to MatchContext; the engine layer surfaces it per query.
 type Stats struct {
 	OracleQueries int64 // distance-oracle probes issued
-	SweepScans    int64 // adjacency entries scanned by witness sweeps and condensation passes
+	SweepScans    int64 // adjacency entries scanned by witness sweeps, condensation passes and removals
 	Removals      int64 // pairs removed during refinement
 	InitialPairs  int64 // candidate pairs before refinement
 }
@@ -78,17 +79,8 @@ func (r *Result) MatchedNodes() int {
 
 // Contains reports whether (u, x) is in the relation.
 func (r *Result) Contains(u int, x int32) bool {
-	l := r.mat[u]
-	lo, hi := 0, len(l)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if l[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(l) && l[lo] == x
+	_, ok := slices.BinarySearch(r.mat[u], x)
+	return ok
 }
 
 // String summarises the result.
@@ -159,14 +151,15 @@ type MatchOptions struct {
 	// Frozen, when non-nil, is a pre-frozen snapshot of the data graph
 	// that o describes; callers serving many queries (the engine layer)
 	// pass their cached snapshot so each query skips the O(|V|+|E|)
-	// freeze. Handing one also switches counter initialisation and
-	// removal from pairwise oracle probes to witness sweeps over the
-	// snapshot (sweep.go) and candidate selection to its attribute
-	// indexes; relation, worklist order and Stats.InitialPairs/Removals
-	// are identical either way. Without it MatchOpts is the paper's
-	// Fig. 4 verbatim, one probe per candidate pair, except that coloured
-	// and ranged edges, which no oracle answers, sweep over a snapshot
-	// frozen on first need.
+	// freeze. Handing one also switches the fixpoint to sweep mode:
+	// counter initialisation runs witness sweeps over the snapshot
+	// (sweep.go), probing only a block whose sweep the cost rule
+	// abandons, removal never probes, and candidate selection uses the
+	// snapshot's attribute indexes. Relation and
+	// Stats.InitialPairs/Removals are identical either way. Without it
+	// MatchOpts is the paper's Fig. 4 verbatim, one probe per candidate
+	// pair, except that coloured and ranged edges, which no oracle
+	// answers, sweep over a snapshot frozen on first need.
 	Frozen *graph.Frozen
 	// Seed, when non-nil, restricts each pattern node's initial candidate
 	// set to the given data nodes (ascending, deduped, in-range; one
@@ -189,10 +182,9 @@ type MatchOptions struct {
 //
 // o may be nil on an all-bounds-one pattern. Every witness is then one
 // arc, so the run is plain graph simulation (§2.2, remark 2) — or dual
-// simulation with opts.Dual — and needs no distance oracle: a probe is
-// priced as the BFS oracle's, so every block sweeps, and the rare
-// fallback probe is a one-hop adjacency check (EdgeOracle). g may be nil
-// only when opts.Frozen is set and opts.Seed is not.
+// simulation with opts.Dual — and needs no distance oracle: it runs in
+// sweep mode, and with nothing to fall back to every block sweeps. g may
+// be nil only when opts.Frozen is set and opts.Seed is not.
 func MatchOpts(ctx context.Context, p *pattern.Pattern, g *graph.Graph, o DistOracle, stats *Stats, opts MatchOptions) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -205,7 +197,8 @@ func MatchOpts(ctx context.Context, p *pattern.Pattern, g *graph.Graph, o DistOr
 		if !p.AllBoundsOne() {
 			return nil, fmt.Errorf("core: pattern has a bound != 1; without a distance oracle only the edge-to-edge semantics (simulation, dual simulation) run")
 		}
-		o, st.sweep = NewEdgeOracle(st.frozen()), true
+		st.sweep = true
+		st.frozen()
 	} else if opts.Dual {
 		return nil, fmt.Errorf("core: dual simulation runs without a distance oracle")
 	}
@@ -217,7 +210,7 @@ func MatchOpts(ctx context.Context, p *pattern.Pattern, g *graph.Graph, o DistOr
 		}
 		workers = 1
 	}
-	if _, ok := o.(WorkerCloner); !ok || workers < 1 {
+	if _, ok := o.(WorkerCloner); o != nil && !ok || workers < 1 {
 		workers = 1
 	}
 	if workers > 1 {
@@ -231,7 +224,7 @@ func MatchOpts(ctx context.Context, p *pattern.Pattern, g *graph.Graph, o DistOr
 	probers := make([]*prober, workers)
 	for w := range probers {
 		po := o
-		if w > 0 {
+		if w > 0 && o != nil {
 			po = cloneForWorker(o)
 		}
 		probers[w] = &prober{st: st, o: po, poll: cancel.Every(ctx, cancelPollInterval)}
@@ -256,7 +249,7 @@ type state struct {
 	p     *pattern.Pattern
 	g     *graph.Graph
 	f     *graph.Frozen // CSR snapshot; lazily frozen when the caller gave none
-	sweep bool          // caller handed a snapshot: witness sweeps instead of pairwise probes
+	sweep bool          // sweep mode: a snapshot or no oracle; no probe after counter init
 	cost  int64         // c(o) of the cost rule (sweep.go); plain edges only
 
 	cons []constraint // the witness obligations: one per pattern edge, two with Dual
@@ -268,7 +261,8 @@ type state struct {
 	inMat [][]bool         // per pattern node, by position in cand(u)
 	seed  [][]int32        // optional candidate restriction (MatchOptions.Seed)
 	cnt   [][]int32        // per constraint, by position in cand(from)
-	wit   []*witnessMatrix // per constraint; nil where remove probes or sweeps
+	wit   []*witnessMatrix // per constraint; nil where remove walks arcs, sweeps or probes
+	pos   []*positions     // per pattern node, where a constraint from it has no witness matrix
 	work  []removalItem
 	main  *prober // the sequential phases' prober
 
@@ -328,6 +322,11 @@ func (st *state) frozen() *graph.Frozen {
 // release returns pooled scratch and folds the probers' work counters
 // into the query's Stats.
 func (st *state) release(probers []*prober) {
+	for u, p := range st.pos {
+		if p != nil {
+			p.put(st.cand[u])
+		}
+	}
 	for _, p := range probers {
 		if p.sw != nil {
 			p.sw.close()
@@ -429,6 +428,7 @@ func (st *state) initCounters(probers []*prober) error {
 	nc := len(st.cons)
 	st.cnt = make([][]int32, nc)
 	st.wit = make([]*witnessMatrix, nc)
+	st.pos = make([]*positions, st.p.N())
 	witnessBytes := witnessCap() // what the query may still spend on matrices
 	var tasks []cntTask
 	for ci, c := range st.cons {
@@ -436,9 +436,12 @@ func (st *state) initCounters(probers []*prober) error {
 		st.cnt[ci] = make([]int32, from)
 		blocks := (from + sweepBlock - 1) / sweepBlock
 		if st.sweepable(c) {
-			if size := int64(to) * int64(blocks) * 8; size <= witnessBytes {
+			// At k = 1 the adjacency already is the witness matrix.
+			if size := int64(to) * int64(blocks) * 8; !oneHop(c.e) && size <= witnessBytes {
 				witnessBytes -= size
 				st.wit[ci] = &witnessMatrix{words: blocks, bits: make([]uint64, to*blocks)}
+			} else if st.pos[c.from] == nil {
+				st.pos[c.from] = getPositions(st.cand[c.from], st.frozen().N())
 			}
 		}
 		for _, s := range shardSpans(blocks, len(probers), sweepBlock*to) {
@@ -476,7 +479,7 @@ func (st *state) countBlocks(p *prober, t cntTask) ([]removalItem, error) {
 		swept := false
 		if sweep {
 			budget := int64(math.MaxInt64)
-			if !labelled(con.e) {
+			if p.o != nil && !labelled(con.e) {
 				budget = blockBudget(st.cost, len(srcs), len(to))
 			}
 			var err error
@@ -502,7 +505,7 @@ func (st *state) countBlocks(p *prober, t cntTask) ([]removalItem, error) {
 			p.sw.reset()
 		} else {
 			// Fig. 4: one probe per pair. A block whose sweep ran out of
-			// budget still records the outcomes, so remove never probes.
+			// budget still records the outcomes in W_c where there is one.
 			for i, x := range srcs {
 				for j, z := range to {
 					if err := p.poll.Err(); err != nil {
@@ -543,10 +546,12 @@ func (st *state) refine() error {
 // every constraint whose witnesses lie in cand(u) — the child constraints
 // of edges entering u, and with dual the parent constraints of edges
 // leaving it — the set bits of row j where the constraint kept a witness
-// matrix. Where it did not, a plain constraint probes once per obligated
-// candidate, and a labelled one sweeps once from x against the
-// constraint's direction (walks reverse into walks of the same length).
-// All three visit candidates in ascending order.
+// matrix. Where a swept constraint kept none, a k = 1 one walks x's arcs
+// against its direction (Henzinger, Henzinger & Kopke's counter scheme:
+// each arc once per constraint), and any other sweeps once from x against
+// it (walks reverse into walks of the same length); both find the
+// obligated candidates through the position scratch. Only Fig. 4's plain
+// constraints probe, once per obligated candidate.
 func (st *state) remove(u, j int) error {
 	if !st.inMat[u][j] {
 		return nil
@@ -556,6 +561,7 @@ func (st *state) remove(u, j int) error {
 		st.stats.Removals++
 	}
 	p := st.main
+	x := st.cand[u][j]
 	for _, ci := range st.into[u] {
 		con := &st.cons[ci]
 		c, alive := st.cnt[ci], st.inMat[con.from]
@@ -565,7 +571,8 @@ func (st *state) remove(u, j int) error {
 				st.work = append(st.work, removalItem{int32(con.from), int32(i)})
 			}
 		}
-		if wm := st.wit[ci]; wm != nil {
+		switch wm := st.wit[ci]; {
+		case wm != nil:
 			for b, m := range wm.row(j) {
 				for ; m != 0; m &= m - 1 {
 					if err := p.poll.Err(); err != nil {
@@ -576,31 +583,44 @@ func (st *state) remove(u, j int) error {
 					}
 				}
 			}
-			continue
-		}
-		x := int(st.cand[u][j])
-		if labelled(con.e) {
-			rev := *con
-			rev.parent = !rev.parent
-			sw := p.sweeper()
-			if _, err := sw.block([]int32{int32(x)}, rev, math.MaxInt64); err != nil {
-				return err
-			}
+		case !st.sweepable(*con):
 			for i, xp := range st.cand[con.from] {
-				if alive[i] && sw.mask(xp) != 0 {
+				if err := p.poll.Err(); err != nil {
+					return err
+				}
+				if alive[i] && p.holds(con, int(xp), int(x)) {
 					drop(i)
 				}
 			}
-			sw.reset()
-			continue
-		}
-		for i, xp := range st.cand[con.from] {
+		case oneHop(con.e):
 			if err := p.poll.Err(); err != nil {
 				return err
 			}
-			if alive[i] && p.holds(con, int(xp), x) {
-				drop(i)
+			pos, back := st.pos[con.from].at, !con.parent
+			adj := arcs(st.f, x, back)
+			if st.stats != nil {
+				st.stats.SweepScans += int64(len(adj))
 			}
+			for _, y := range adj {
+				i := pos[y] - 1
+				if i >= 0 && alive[i] && (con.e.Color == "" || arcColor(st.f, x, y, back) == con.e.Color) {
+					drop(int(i))
+				}
+			}
+		default:
+			rev := *con
+			rev.parent = !rev.parent
+			sw := p.sweeper()
+			if _, err := sw.bounded([]int32{x}, rev, math.MaxInt64); err != nil {
+				return err
+			}
+			pos := st.pos[con.from].at
+			for _, y := range sw.s.Touched {
+				if i := pos[y] - 1; i >= 0 && alive[i] {
+					drop(int(i))
+				}
+			}
+			sw.reset()
 		}
 	}
 	return nil
@@ -721,22 +741,28 @@ func IsMatch(p *pattern.Pattern, g *graph.Graph, rel [][]int32, o DistOracle) bo
 }
 
 // witnessFunc returns a probe closure answering plain edges through the
-// oracle, and coloured and ranged edges from walkLengths, recomputed
-// whenever the source or the edge changes (callers fix both and vary
-// the target). f, when non-nil, is a pre-frozen snapshot of g; nil
-// freezes lazily on the first labelled edge.
+// oracle; without one, one-hop edges from x's arcs of their colour; and
+// every other edge from walkLengths, recomputed whenever the source or
+// the edge changes (callers fix both and vary the target). f, when
+// non-nil, is a pre-frozen snapshot of g; nil freezes lazily.
 func witnessFunc(g *graph.Graph, f *graph.Frozen, o DistOracle) func(x, z int, e pattern.Edge) int {
 	var dist []int32
 	var from int
 	var last pattern.Edge
 	return func(x, z int, e pattern.Edge) int {
-		if !labelled(e) {
+		if o != nil && !labelled(e) {
 			return o.NonemptyDistWithin(x, z, e.Bound)
 		}
-		if dist == nil {
-			if f == nil {
-				f = g.Freeze()
+		if f == nil {
+			f = g.Freeze()
+		}
+		if o == nil && oneHop(e) {
+			if slices.Contains(f.Out(x), int32(z)) && (e.Color == "" || f.Color(x, z) == e.Color) {
+				return 1
 			}
+			return -1
+		}
+		if dist == nil {
 			dist = make([]int32, f.N())
 		} else if x == from && e == last {
 			return int(dist[z])

@@ -134,6 +134,47 @@ func TestInvalidPattern(t *testing.T) {
 	}
 }
 
+// A k = 1 coloured constraint keeps no witness matrix, so its removals
+// walk arcs, and only arcs of its colour count: when z, reached from x′
+// by a "b" arc, leaves the relation, x′ keeps its "a" witness z2. Plain
+// and dual simulation run in sweep mode; Fig. 4's MatchWithOracle walks
+// the coloured constraint's arcs too.
+func TestOneHopRemovalFiltersColour(t *testing.T) {
+	g := graph.New(5)
+	for i, l := range []string{"A", "B", "B", "C", "D"} {
+		g.SetAttr(i, value.Tuple{"label": value.Str(l)})
+	}
+	g.AddColoredEdge(0, 1, "b") // x′ → z
+	g.AddColoredEdge(0, 2, "a") // x′ → z2
+	g.AddEdge(2, 3)
+	g.AddEdge(1, 4) // z has a successor, but no C one
+	p := pattern.New()
+	u, v, w := p.AddNode(pattern.Label("A")), p.AddNode(pattern.Label("B")), p.AddNode(pattern.Label("C"))
+	if _, err := p.AddColoredEdge(u, v, 1, "a"); err != nil {
+		t.Fatal(err)
+	}
+	p.MustAddEdge(v, w, 1)
+	want := [][]int32{{0}, {2}, {3}}
+	f := g.Freeze()
+	for _, dual := range []bool{false, true} {
+		var st Stats
+		res, err := MatchOpts(context.Background(), p, g, nil, &st, MatchOptions{Frozen: f, Dual: dual})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !relEqual(res.Relation(), want) || st.Removals != 1 {
+			t.Errorf("dual=%v: relation %v after %d removals, want %v after 1", dual, res.Relation(), st.Removals, want)
+		}
+	}
+	res, err := MatchWithOracle(p, g, BuildMatrixOracle(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !relEqual(res.Relation(), want) {
+		t.Errorf("MatchWithOracle: relation %v, want %v", res.Relation(), want)
+	}
+}
+
 // Dual simulation is edge-to-edge: MatchOpts refuses Dual next to a
 // distance oracle.
 func TestDualRefusesAnOracle(t *testing.T) {
@@ -142,7 +183,7 @@ func TestDualRefusesAnOracle(t *testing.T) {
 	p := pattern.New()
 	p.MustAddEdge(p.AddNode(nil), p.AddNode(nil), 1)
 	f := g.Freeze()
-	if _, err := MatchOpts(context.Background(), p, g, NewEdgeOracle(f), nil, MatchOptions{Frozen: f, Dual: true}); err == nil {
+	if _, err := MatchOpts(context.Background(), p, g, NewBFSOracleFrozen(f), nil, MatchOptions{Frozen: f, Dual: true}); err == nil {
 		t.Error("Dual with an oracle accepted")
 	}
 }

@@ -232,13 +232,7 @@ func bfsDirected(f *graph.Frozen, src int, reverse bool, dist []int32, scratch *
 	for head := 0; head < len(queue); head++ {
 		x := queue[head]
 		dx := dist[x]
-		var nbrs []int32
-		if reverse {
-			nbrs = f.In(int(x))
-		} else {
-			nbrs = f.Out(int(x))
-		}
-		for _, y := range nbrs {
+		for _, y := range arcs(f, x, reverse) {
 			if dist[y] >= 0 {
 				continue
 			}
@@ -496,37 +490,4 @@ func (c *pllProbe) reset(n int) {
 		c.dist[h] = -1
 	}
 	c.touched = c.touched[:0]
-}
-
-// EdgeOracle answers distance queries by direct adjacency scan over a
-// frozen snapshot: it reports distance 1 when the edge (u, v) exists,
-// and no witness otherwise — correct only for
-// bound-1 probes, so it serves the all-bounds-one semantics (plain,
-// dual and strong simulation), which need no path oracle: MatchOpts
-// answers its fallback probes with it when called without an oracle,
-// and the engine layer materialises their result graphs with it.
-type EdgeOracle struct {
-	f *graph.Frozen
-}
-
-// NewEdgeOracle wraps f as a bound-1 DistOracle.
-func NewEdgeOracle(f *graph.Frozen) EdgeOracle { return EdgeOracle{f: f} }
-
-// CloneForWorker implements WorkerCloner: the oracle holds no state.
-func (o EdgeOracle) CloneForWorker() DistOracle { return o }
-
-// NonemptyDistWithin reports 1 when edge (u, v) exists and the bound
-// admits a length-1 path, -1 otherwise. Bounds beyond 1 are still
-// answered by adjacency only: callers must only use this oracle with
-// all-bounds-one patterns.
-func (o EdgeOracle) NonemptyDistWithin(u, v, bound int) int {
-	if bound >= 0 && bound < 1 {
-		return -1
-	}
-	for _, y := range o.f.Out(u) {
-		if int(y) == v {
-			return 1
-		}
-	}
-	return -1
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"gpm/internal/cancel"
@@ -18,8 +19,9 @@ import (
 // time and runs ONE traversal per block that carries a uint64 mask per
 // node (the trick of internal/pll's bit-parallel build): bit i of the
 // mask at w says source i reaches w by a nonempty path within the bound.
-// Reading the masks at cand(u′) yields both the counters and, kept as a
-// bit matrix per edge, every later answer remove needs.
+// Reading the masks at cand(u′) yields the counters and, for k > 1 and
+// kept as a bit matrix per constraint, every later answer remove needs;
+// at k = 1 the adjacency itself holds those answers.
 //
 // The convention is the oracle's: paths are nonempty, so a source carries
 // its own bit only when a cycle leads back to it — sources are never
@@ -83,11 +85,11 @@ func (sw *sweeper) bounded(srcs []int32, c constraint, budget int64) (ok bool, e
 		for _, w := range front {
 			m := s.Cur[w]
 			s.Cur[w] = 0
-			adj := sw.arcs(w, c.parent)
+			adj := arcs(sw.f, w, c.parent)
 			scanned += int64(len(adj))
 			for _, y := range adj {
 				fresh := m &^ s.Seen[y] // Seen stays empty below lo
-				if fresh == 0 || color != "" && sw.arcColor(w, y, c.parent) != color {
+				if fresh == 0 || color != "" && arcColor(sw.f, w, y, c.parent) != color {
 					continue
 				}
 				if level >= lo {
@@ -200,22 +202,22 @@ func (sw *sweeper) unbounded(srcs []int32) error {
 	return nil
 }
 
-// arcs returns w's out-arcs, or its in-arcs when the sweep runs against
+// arcs returns w's out-arcs, or its in-arcs when the walk runs against
 // the edges.
-func (sw *sweeper) arcs(w int32, reverse bool) []int32 {
+func arcs(f *graph.Frozen, w int32, reverse bool) []int32 {
 	if reverse {
-		return sw.f.In(int(w))
+		return f.In(int(w))
 	}
-	return sw.f.Out(int(w))
+	return f.Out(int(w))
 }
 
-// arcColor returns the colour of the arc a sweep crossed from w to y:
-// edge (w, y), or edge (y, w) when the sweep follows in-arcs.
-func (sw *sweeper) arcColor(w, y int32, reverse bool) string {
+// arcColor returns the colour of the arc a walk crossed from w to y:
+// edge (w, y), or edge (y, w) when the walk follows in-arcs.
+func arcColor(f *graph.Frozen, w, y int32, reverse bool) string {
 	if reverse {
-		return sw.f.Color(int(y), int(w))
+		return f.Color(int(y), int(w))
 	}
-	return sw.f.Color(int(w), int(y))
+	return f.Color(int(w), int(y))
 }
 
 // mask returns the sources of the last sweep that reach z.
@@ -242,14 +244,45 @@ func (sw *sweeper) reset() {
 // cand(c.to), one bit per member of cand(c.from), set when the former
 // witnesses c for the latter — for a child constraint of edge (u, u′),
 // when the member of cand(u) reaches the member of cand(u′) within the
-// edge's bound. remove(c.to, z) walks row z instead of probing every
-// obligated candidate.
+// edge's bound. remove(c.to, z) walks row z instead of sweeping back
+// from z. At k = 1 the arcs into z are that row already, so a one-hop
+// constraint keeps none.
 type witnessMatrix struct {
 	words int // per row: ⌈|cand(c.from)| / 64⌉
 	bits  []uint64
 }
 
 func (w *witnessMatrix) row(j int) []uint64 { return w.bits[j*w.words : (j+1)*w.words] }
+
+// positions maps a data node to 1 + its position in one cand list, 0
+// for a non-member: how remove turns an arc, or a node its reverse
+// sweep touched, into a counter to decrement. It is pooled like
+// graph.SweepScratch, and zero in, zero out: put clears it through the
+// cand list it was filled from.
+type positions struct{ at []int32 }
+
+var positionsPool = sync.Pool{New: func() interface{} { return new(positions) }}
+
+// getPositions returns a pooled scratch over n data nodes, filled from cand.
+func getPositions(cand []int32, n int) *positions {
+	p := positionsPool.Get().(*positions)
+	if cap(p.at) < n {
+		p.at = make([]int32, n)
+	}
+	p.at = p.at[:n] // within capacity every entry is zero by the put contract
+	for j, x := range cand {
+		p.at[x] = int32(j + 1)
+	}
+	return p
+}
+
+// put zeroes what getPositions wrote and returns p to the pool.
+func (p *positions) put(cand []int32) {
+	for _, x := range cand {
+		p.at[x] = 0
+	}
+	positionsPool.Put(p)
+}
 
 // The cost rule. A block's sweep may scan c(o) × |block| × |cand(u′)|
 // adjacency entries — what probing the block would cost, with one probe
@@ -266,8 +299,10 @@ func (w *witnessMatrix) row(j int) []uint64 { return w.bits[j*w.words : (j+1)*w.
 // entry of an average label pair — LabelEntries / |V| — prices it at 187
 // there and follows the labelling as it grows. The BFS-backed oracles pay
 // a whole traversal whenever the probed source changes, so a probe is
-// priced at |E| and their blocks always sweep. So do the blocks of a run
-// with no oracle at all (the EdgeOracle MatchOpts substitutes).
+// priced at |E| and their blocks always sweep. A run with no oracle has
+// nothing to fall back to: like a labelled edge's, its blocks sweep with
+// no budget. The rule governs counter initialisation only; in sweep
+// mode remove never probes.
 const (
 	matrixProbeCost  = 16
 	unknownProbeCost = 16 // user-supplied oracles: assume the cheapest
@@ -285,17 +320,17 @@ func probeCost(o DistOracle, f *graph.Frozen) int64 {
 			}
 		}
 		return matrixProbeCost
-	case *BFSOracle, *TwoHopOracle, EdgeOracle:
+	case *BFSOracle, *TwoHopOracle:
 		return int64(f.M()) + 1
 	}
 	return unknownProbeCost
 }
 
 // witnessCapDefault bounds the bytes of witness matrices one query may
-// hold. Past it an edge keeps its sweep-computed counters but remove
-// probes as in Fig. 4 — or, for a coloured or ranged edge, sweeps once
-// from the removed node — so a wildcard predicate on a PLL-sized graph
-// cannot allocate |V|²/8 bytes.
+// hold. Past it a constraint keeps its sweep-computed counters and
+// remove sweeps once from the removed node instead of reading a row, so
+// a wildcard predicate on a large graph cannot allocate |V|²/8 bytes.
+// One-hop constraints keep no matrix and spend none of it.
 const witnessCapDefault = 32 << 20
 
 // sweepLimits overrides the cost rule and the cap for tests; a negative
@@ -309,11 +344,11 @@ var limitsOverride atomic.Pointer[sweepLimits]
 // SweepLimitsForTest forces every block's scan budget and the per-query
 // witness-matrix cap (bytes) until restore is called; a negative value
 // leaves that limit to its rule. Budget 0 sends every block of a plain
-// edge to probes, math.MaxInt64 sweeps them all; cap 0 makes every
-// removal probe, or sweep from the removed node for a coloured or ranged
-// edge, which no budget sends to probes. It exists for the differential
-// tests (internal/difftest), which referee sweep ≡ probe at those
-// extremes.
+// edge to probes when there is an oracle to probe, math.MaxInt64 sweeps
+// them all; cap 0 keeps no witness matrix, so in sweep mode every
+// removal walks arcs or sweeps from the removed node, and in Fig. 4 mode
+// a labelled constraint's does. It exists for the differential tests
+// (internal/difftest), which referee sweep ≡ probe at those extremes.
 func SweepLimitsForTest(budget, witnessCap int64) (restore func()) {
 	old := limitsOverride.Swap(&sweepLimits{budget, witnessCap})
 	return func() { limitsOverride.Store(old) }
@@ -348,9 +383,12 @@ func (st *state) sweepable(c constraint) bool {
 // labelled reports whether e carries a colour or a hop range. Its
 // witness is then a labelled walk, which no oracle answers: the kernel
 // sweeps its constraints with no budget, freezing the graph if the
-// caller gave no snapshot, and past the witness-matrix cap remove sweeps
-// once from the removed node.
+// caller gave no snapshot, and remove never probes them.
 func labelled(e pattern.Edge) bool { return e.Color != "" || e.Ranged() }
+
+// oneHop reports whether e's witness is a single arc (of e's colour, if
+// any): bound 1, no hop range.
+func oneHop(e pattern.Edge) bool { return e.Bound == 1 && !e.Ranged() }
 
 // block runs the sweep for one block of sources of constraint c,
 // reporting whether the masks are ready (false: probe the block instead).

@@ -266,36 +266,38 @@ func TestSweepEqualsProbe(t *testing.T) {
 		}
 		f := g.Freeze()
 		for _, lim := range limits {
-			restore := SweepLimitsForTest(lim.budget, lim.cap)
-			for _, workers := range []int{1, 3} {
-				var got Stats
-				res, err := MatchOpts(context.Background(), p, g, o, &got, MatchOptions{Frozen: f, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
+			func() {
+				defer SweepLimitsForTest(lim.budget, lim.cap)()
+				for _, workers := range []int{1, 3} {
+					var got Stats
+					res, err := MatchOpts(context.Background(), p, g, o, &got, MatchOptions{Frozen: f, Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !relEqual(res.Relation(), ref.Relation()) || res.OK() != ref.OK() {
+						t.Fatalf("seed %d %s workers %d: relation differs from the probing run\npattern:\n%s", seed, lim.name, workers, p)
+					}
+					if got.InitialPairs != want.InitialPairs || got.Removals != want.Removals {
+						t.Fatalf("seed %d %s workers %d: pairs/removals %d/%d, probing run %d/%d",
+							seed, lim.name, workers, got.InitialPairs, got.Removals, want.InitialPairs, want.Removals)
+					}
+					if lim.budget == 0 && !labelled && got.SweepScans > got.OracleQueries {
+						// Forced fallback still starts each sweep before giving
+						// up on its first node, so a few scans are expected.
+						t.Fatalf("seed %d %s: %d scans against %d probes", seed, lim.name, got.SweepScans, got.OracleQueries)
+					}
 				}
-				if !relEqual(res.Relation(), ref.Relation()) || res.OK() != ref.OK() {
-					t.Fatalf("seed %d %s workers %d: relation differs from the probing run\npattern:\n%s", seed, lim.name, workers, p)
-				}
-				if got.InitialPairs != want.InitialPairs || got.Removals != want.Removals {
-					t.Fatalf("seed %d %s workers %d: pairs/removals %d/%d, probing run %d/%d",
-						seed, lim.name, workers, got.InitialPairs, got.Removals, want.InitialPairs, want.Removals)
-				}
-				if lim.budget == 0 && !labelled && got.SweepScans > got.OracleQueries {
-					// Forced fallback still starts each sweep before giving
-					// up on its first node, so a few scans are expected.
-					t.Fatalf("seed %d %s: %d scans against %d probes", seed, lim.name, got.SweepScans, got.OracleQueries)
-				}
-			}
-			restore()
+			}()
 		}
 	}
 }
 
-// The sweeper's arrays are pooled and every per-candidate structure is
-// sized by the candidate sets, so a steady-state query allocates
-// O(|Vp| + |Ep|) objects whatever |V| is: the same pattern over the same
-// 60 labelled nodes costs the same number of allocations in a graph ten
-// times the size.
+// The sweeper's arrays and the position scratch are pooled and every
+// per-candidate structure is sized by the candidate sets, so a
+// steady-state query allocates O(|Vp| + |Ep|) objects whatever |V| is:
+// the same pattern over the same 60 labelled nodes costs the same number
+// of allocations in a graph ten times the size — bounded, and at k = 1
+// plain and dual simulation, whose removals walk arcs.
 func TestMatchOptsAllocsIndependentOfGraphSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -314,27 +316,44 @@ func TestMatchOptsAllocsIndependentOfGraphSize(t *testing.T) {
 		f := g.Freeze()
 		return g, f, NewBFSOracleFrozen(f)
 	}
-	p := pattern.New()
-	a, b, c := p.AddNode(pattern.Label("A")), p.AddNode(pattern.Label("B")), p.AddNode(pattern.Label("C"))
-	p.MustAddEdge(a, b, 2)
-	p.MustAddEdge(b, c, 3)
-	p.MustAddEdge(c, a, pattern.Unbounded)
-
-	measure := func(n int) float64 {
-		g, f, o := build(n)
-		run := func() {
-			if _, err := MatchOpts(context.Background(), p, g, o, nil, MatchOptions{Frozen: f}); err != nil {
-				t.Fatal(err)
+	triangle := func(k, star int) *pattern.Pattern {
+		p := pattern.New()
+		a, b, c := p.AddNode(pattern.Label("A")), p.AddNode(pattern.Label("B")), p.AddNode(pattern.Label("C"))
+		p.MustAddEdge(a, b, k)
+		p.MustAddEdge(b, c, k)
+		p.MustAddEdge(c, a, star)
+		return p
+	}
+	for _, row := range []struct {
+		name   string
+		p      *pattern.Pattern
+		oracle bool
+		dual   bool
+	}{
+		{"match", triangle(3, pattern.Unbounded), true, false},
+		{"sim", triangle(1, 1), false, false},
+		{"dual", triangle(1, 1), false, true},
+	} {
+		p := row.p
+		measure := func(n int) float64 {
+			g, f, o := build(n)
+			if !row.oracle {
+				o = nil
 			}
+			run := func() {
+				if _, err := MatchOpts(context.Background(), p, g, o, nil, MatchOptions{Frozen: f, Dual: row.dual}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm the scratch pools, the condensation and the label index
+			return testing.AllocsPerRun(20, run)
 		}
-		run() // warm the scratch pool, the condensation and the label index
-		return testing.AllocsPerRun(20, run)
-	}
-	small, large := measure(400), measure(4000)
-	if large > small+2 {
-		t.Errorf("allocations grow with |V|: %.0f at 400 nodes, %.0f at 4000", small, large)
-	}
-	if limit := float64(12 * (p.N() + p.EdgeCount())); small > limit {
-		t.Errorf("%.0f allocations for a %d-node %d-edge pattern, want at most %.0f", small, p.N(), p.EdgeCount(), limit)
+		small, large := measure(400), measure(4000)
+		if large > small+2 {
+			t.Errorf("%s: allocations grow with |V|: %.0f at 400 nodes, %.0f at 4000", row.name, small, large)
+		}
+		if limit := float64(12 * (p.N() + p.EdgeCount())); small > limit {
+			t.Errorf("%s: %.0f allocations for a %d-node %d-edge pattern, want at most %.0f", row.name, small, p.N(), p.EdgeCount(), limit)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package difftest
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"gpm"
@@ -191,6 +192,74 @@ func TestLabelledEdgesProbeNoOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSweepModeProbesOnlyAtInit: in sweep mode no probe happens after
+// counter init. With every block swept and no witness matrix kept
+// (SweepLimitsForTest(math.MaxInt64, 0)), Engine.Match on plain
+// patterns (bounds 1..3 and "*"), Simulate and DualSimulate issue no
+// probe under any oracle kind — a removal walks arcs at k = 1 and sweeps
+// back from the removed node otherwise — and return the relations of
+// core.MatchNaive, simulation.RunNaive and topo.NaiveDualSim. Sim and
+// dual run on a coloured workload, and the dual result graph, whose
+// witnesses the engine reads off the adjacency, equals the one the
+// matrix oracle and walkLengths build.
+func TestSweepModeProbesOnlyAtInit(t *testing.T) {
+	defer core.SweepLimitsForTest(math.MaxInt64, 0)()
+	ctx := context.Background()
+	kinds := []gpm.OracleKind{gpm.OracleMatrix, gpm.OracleBFS, gpm.OracleTwoHop, gpm.OraclePLL}
+	check := func(seed int64, pi int, name string, kind gpm.OracleKind, probes int64, got, want [][]int32, gotOK, wantOK bool) {
+		t.Helper()
+		if probes != 0 {
+			t.Errorf("seed %d pattern %d %s %v: %d oracle probes, want 0", seed, pi, name, kind, probes)
+		}
+		if gotOK != wantOK || !RelationsEqual(got, want) {
+			t.Errorf("seed %d pattern %d %s %v: %s", seed, pi, name, kind, DiffRelations(got, want))
+		}
+	}
+	var removals int64
+	for seed := int64(1); seed <= workloads/2; seed++ {
+		w := NewWorkload(seed, Config{StarProb: 0.2})
+		k1 := NewWorkload(seed, Config{K: 1, Colors: 2, Attrs: 3, IsoBias: true})
+		f := k1.G.Freeze()
+		for pi := range w.Patterns {
+			p, q := w.Patterns[pi], k1.Patterns[pi]
+			want, err := core.MatchNaive(p, w.G, core.BuildMatrixOracle(w.G))
+			if err != nil {
+				t.Fatal(err)
+			}
+			simRel, simOK, err := simulation.RunNaive(q, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dualRel, dualOK := topo.NaiveDualSim(q, f, nil)
+			for _, kind := range kinds {
+				m, err := gpm.NewEngine(w.G, gpm.WithOracle(kind)).Match(ctx, p)
+				if err != nil {
+					t.Fatalf("seed %d pattern %d match %v: %v", seed, pi, kind, err)
+				}
+				check(seed, pi, "match", kind, m.Stats.OracleQueries, m.Relation(), want.Relation(), m.OK(), want.OK())
+				eng := gpm.NewEngine(k1.G, gpm.WithOracle(kind))
+				s, err := eng.Simulate(ctx, q)
+				if err != nil {
+					t.Fatalf("seed %d pattern %d sim %v: %v", seed, pi, kind, err)
+				}
+				check(seed, pi, "sim", kind, s.Stats.OracleQueries, s.Relation, simRel, s.OK, simOK)
+				d, err := eng.DualSimulate(ctx, q)
+				if err != nil {
+					t.Fatalf("seed %d pattern %d dual %v: %v", seed, pi, kind, err)
+				}
+				check(seed, pi, "dual", kind, d.Stats.OracleQueries, d.Relation(), dualRel, d.OK(), dualOK)
+				if got, want := eng.ResultGraphOf(d.Result), core.BuildResultGraph(d.Result, core.BuildMatrixOracle(k1.G)); !reflect.DeepEqual(got, want) {
+					t.Errorf("seed %d pattern %d dual %v: result graph differs from the matrix-probed one", seed, pi, kind)
+				}
+				removals += m.Stats.Removals + s.Stats.Removals + d.Stats.Removals
+			}
+		}
+	}
+	if removals == 0 {
+		t.Fatal("no run removed a pair: nothing went through remove")
 	}
 }
 

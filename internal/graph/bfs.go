@@ -79,33 +79,6 @@ func (g *Graph) BFSReverseDistInto(dst, bound int, dist []int32, queue *[]int32)
 	return reached
 }
 
-// BFSDistColor is BFSDist restricted to edges whose color equals color
-// (uncolored edges have color ""). Used by the edge-color extension.
-func (g *Graph) BFSDistColor(src int, color string) []int32 {
-	dist := make([]int32, g.N())
-	for i := range dist {
-		dist[i] = -1
-	}
-	queue := make([]int32, 0, 64)
-	dist[src] = 0
-	queue = append(queue, int32(src))
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		for _, v := range g.out[u] {
-			if dist[v] >= 0 {
-				continue
-			}
-			if g.colors[edgeKey(int(u), int(v))] != color {
-				continue
-			}
-			dist[v] = du + 1
-			queue = append(queue, v)
-		}
-	}
-	return dist
-}
-
 // Dist returns the shortest-path distance from u to v (0 when u == v,
 // -1 when unreachable) using a BFS bounded by bound when bound >= 0.
 func (g *Graph) Dist(u, v, bound int) int {

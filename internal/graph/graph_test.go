@@ -202,17 +202,6 @@ func TestBFSReverse(t *testing.T) {
 	}
 }
 
-func TestBFSColor(t *testing.T) {
-	g := New(4)
-	g.AddColoredEdge(0, 1, "a")
-	g.AddColoredEdge(1, 2, "a")
-	g.AddColoredEdge(2, 3, "b")
-	d := g.BFSDistColor(0, "a")
-	if d[1] != 1 || d[2] != 2 || d[3] != -1 {
-		t.Errorf("color dist: %v", d)
-	}
-}
-
 func TestDistAndReachable(t *testing.T) {
 	g := buildChain(4)
 	if d := g.Dist(0, 3, -1); d != 3 {
