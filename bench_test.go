@@ -359,10 +359,10 @@ func BenchmarkStrongSim(b *testing.B) {
 
 // BenchmarkColoredMatchAuto times bounded Match with coloured pattern
 // edges on a two-colour stand-in under WithAutoOracle, the engine gpmd
-// binds by default: 3000 nodes land on auto's matrix side, 5000 on its
-// BFS side. first is a fresh engine's first query, so whatever the auto
-// oracle builds up front lands in it; steady cycles the patterns on a
-// warm engine. probes/op counts the oracle probes.
+// binds by default, which owns no distance oracle at either size. first
+// is a fresh engine's first query, so whatever the engine builds up
+// front (the frozen snapshot) lands in it; steady cycles the patterns on
+// a warm engine. probes/op counts the oracle probes.
 func BenchmarkColoredMatchAuto(b *testing.B) {
 	for _, nodes := range []int{3000, 5000} {
 		w := difftest.NewWorkload(3, difftest.Config{Nodes: nodes, Attrs: 20, Colors: 2, Patterns: 8})
@@ -392,6 +392,40 @@ func BenchmarkColoredMatchAuto(b *testing.B) {
 				probes += match(b, eng, i)
 			}
 			b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+		})
+	}
+}
+
+// BenchmarkResultGraphAuto times Engine.ResultGraph on the bounded
+// matches of a stand-in's patterns under WithAutoOracle: the witnesses
+// of each matched source come from one walk over the frozen snapshot,
+// whose scratch is reset through the nodes the walk reached. The matches
+// are computed before the timer; edges/op is the result graphs' mean
+// edge count.
+func BenchmarkResultGraphAuto(b *testing.B) {
+	for _, nodes := range []int{3000, 20000} {
+		w := difftest.NewWorkload(3, difftest.Config{Nodes: nodes, Attrs: 20, Patterns: 8, IsoBias: true})
+		eng := gpm.NewEngine(w.G, gpm.WithAutoOracle())
+		var results []*gpm.MatchResult
+		for _, p := range w.Patterns {
+			r, err := eng.Match(context.Background(), p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if r.OK() {
+				results = append(results, r)
+			}
+		}
+		if len(results) == 0 {
+			b.Fatalf("%d nodes: no pattern matched", nodes)
+		}
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			b.ReportAllocs()
+			var edges int
+			for i := 0; i < b.N; i++ {
+				edges += len(eng.ResultGraph(results[i%len(results)]).Edges)
+			}
+			b.ReportMetric(float64(edges)/float64(b.N), "edges/op")
 		})
 	}
 }
@@ -431,7 +465,7 @@ func BenchmarkRangedMatch(b *testing.B) {
 // cap on witness matrices binds: a 20000-node graph with a two-value
 // label alphabet, so every pattern node has ~10000 candidates and a
 // witness matrix would cost ~12 MB a constraint. Bounded Match runs
-// under PLL and auto (BFS); plain and dual simulation run the same
+// under PLL and auto (no oracle); plain and dual simulation run the same
 // workloads with every bound 1, where no constraint keeps a matrix.
 // Past the cap a removal sweeps back from the removed node, and at k = 1
 // walks its arcs, so probes/op is 0 whenever counter initialisation

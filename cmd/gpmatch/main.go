@@ -8,7 +8,7 @@
 //
 // The default semantics is the paper's cubic-time Match (bounded
 // simulation over a distance matrix); bfs/2hop/pll/auto select the oracle
-// (auto is the matrix up to 4096 nodes, else BFS). sim is
+// (auto is none: witness sweeps at every graph size). sim is
 // plain graph simulation; dual and strong are the topology-preserving
 // semantics of Ma et al. (VLDB 2012), requiring all edge bounds to be 1;
 // iso/vf2/ullmann print embeddings under the traditional subgraph-

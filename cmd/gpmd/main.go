@@ -20,12 +20,14 @@
 // -dataset binds a synthetic dataset stand-in ("matter", "pblog" or
 // "youtube", optionally :scale and :seed). Both repeat. Every request
 // names the graph it queries, so one daemon serves many graphs, each
-// behind its own engine with its own cached oracle. -timeout is the
-// default per-request deadline; requests may lower it via timeout_ms.
-// -oracle auto, the default, gives each graph of up to 4096 nodes a
-// distance matrix and serves larger ones by BFS-priced witness sweeps,
-// building no index; pll builds a pruned-landmark labelling on the first
-// bounded query, and again on the first one after each effective update.
+// behind its own engine. -timeout is the default per-request deadline;
+// requests may lower it via timeout_ms. -oracle auto, the default, gives
+// no graph a distance oracle: bounded queries of every size are answered
+// by witness sweeps over the graph's adjacency, so no index is built and
+// memory stays O(|V|+|E|) per graph. The explicit kinds are the paper's
+// baselines: matrix builds the |V|² distance matrix, 2hop and pll their
+// labellings, on the first bounded query and again on the first one
+// after each effective update (the matrix is maintained in place).
 //
 // -cache-bytes budgets the relation-result cache: responses to /match,
 // /simulate, /dual and /strong are cached under the pattern's canonical
@@ -114,7 +116,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&opts.listen, "listen", ":8474", "listen address")
 	fs.Var(&opts.graphs, "graph", "bind a graph file: name=path (repeatable)")
 	fs.Var(&opts.datasets, "dataset", "bind a dataset stand-in: name=matter|pblog|youtube[:scale[:seed]] (repeatable)")
-	fs.StringVar(&opts.oracle, "oracle", "auto", "distance oracle: auto (matrix up to 4096 nodes, else bfs) | matrix | bfs | 2hop | pll")
+	fs.StringVar(&opts.oracle, "oracle", "auto", "distance oracle: auto (none: witness sweeps, no index) | matrix | bfs | 2hop | pll")
 	fs.IntVar(&opts.workers, "workers", 0, "matching and oracle-build parallelism per engine (0 = GOMAXPROCS)")
 	fs.DurationVar(&opts.timeout, "timeout", 30*time.Second, "default per-request deadline (0 = none)")
 	fs.Int64Var(&opts.cacheB, "cache-bytes", 64<<20, "relation-result cache budget in bytes (0 = no caching)")

@@ -224,27 +224,9 @@ func TestWALLifecycle(t *testing.T) {
 		"-wal", dir,
 		"-wal-sync", "none",
 	}
-	boot := func(probeFn func(addr string) error) error {
-		var stdout, stderr bytes.Buffer
-		errCh := make(chan error, 1)
-		probed := make(chan error, 1)
-		go func() {
-			errCh <- run(args, &stdout, &stderr, func(addr string) { probed <- probeFn(addr) })
-		}()
-		if err := <-probed; err != nil {
-			return err
-		}
-		select {
-		case err := <-errCh:
-			return err
-		case <-time.After(15 * time.Second):
-			return errors.New("daemon did not drain")
-		}
-	}
-
 	var watchID int64
 	var pairsAfterUpdate int
-	if err := boot(func(addr string) error {
+	if err := serveAndProbe(args, func(addr string) error {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		c := client.New("http://" + addr)
@@ -270,7 +252,7 @@ func TestWALLifecycle(t *testing.T) {
 		t.Fatalf("first run: %v", err)
 	}
 
-	if err := boot(func(addr string) error {
+	if err := serveAndProbe(args, func(addr string) error {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		c := client.New("http://" + addr)
@@ -291,6 +273,75 @@ func TestWALLifecycle(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatalf("second run: %v", err)
+	}
+}
+
+// serveAndProbe runs the daemon with args, calls probeFn with its
+// address once it serves, and returns probeFn's error, or else the
+// daemon's once it has drained.
+func serveAndProbe(args []string, probeFn func(addr string) error) error {
+	var stdout, stderr bytes.Buffer
+	errCh := make(chan error, 1)
+	probed := make(chan error, 1)
+	go func() {
+		errCh <- run(args, &stdout, &stderr, func(addr string) { probed <- probeFn(addr) })
+	}()
+	if err := <-probed; err != nil {
+		return err
+	}
+	select {
+	case err := <-errCh:
+		return err
+	case <-time.After(15 * time.Second):
+		return errors.New("daemon did not drain")
+	}
+}
+
+// TestAutoBindsNoOracle: under the default -oracle auto a 3000-node
+// dataset is served with no distance oracle — /graphs reports "none",
+// and after a bounded /match /stats reports no oracle build time.
+func TestAutoBindsNoOracle(t *testing.T) {
+	const spec = "youtube:0.3:7"
+	g, err := loadDataset(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.N() < 3000 {
+		t.Fatalf("%s has %d nodes, want at least 3000", spec, g.N())
+	}
+	p := gpm.GeneratePattern(gpm.PatternGenConfig{Nodes: 4, Edges: 4, K: 3, IsoBias: true, Seed: 5}, g)
+	if p.AllBoundsOne() {
+		t.Fatal("the generated pattern has no bound > 1")
+	}
+	args := []string{"-listen", "127.0.0.1:0", "-dataset", "tube=" + spec, "-oracle", "auto", "-timeout", "10s"}
+	if err := serveAndProbe(args, func(addr string) error {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		c := client.New("http://" + addr)
+		infos, err := c.Graphs(ctx)
+		if err != nil {
+			return err
+		}
+		if len(infos) != 1 || infos[0].Nodes != g.N() || infos[0].Oracle != "none" {
+			return fmt.Errorf("/graphs = %+v, want one %d-node graph with oracle none", infos, g.N())
+		}
+		rel, err := c.Match(ctx, "tube", p)
+		if err != nil {
+			return err
+		}
+		if rel.Stats.Oracle != "none" || rel.Stats.OracleBuildNS != 0 || rel.Stats.OracleQueries != 0 {
+			return fmt.Errorf("/match stats = %+v, want no oracle, no build and no probe", rel.Stats)
+		}
+		st, err := c.Stats(ctx)
+		if err != nil {
+			return err
+		}
+		if st.Queries["match"] != 1 || st.OracleBuildNS != 0 {
+			return fmt.Errorf("/stats = %+v, want one match and oracle_build_ns 0", st)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -26,9 +26,9 @@ import (
 type OracleKind int
 
 const (
-	// OracleAuto picks a concrete kind from |V| when the engine binds its
-	// graph: the matrix up to 4096 nodes, BFS above (see
-	// resolveOracleKind). It never builds a labelling.
+	// OracleAuto resolves to OracleNone at every graph size: bounded
+	// queries are answered by witness sweeps over the frozen snapshot, so
+	// the engine builds no matrix, labelling or other index.
 	OracleAuto OracleKind = iota
 	// OracleMatrix precomputes the all-pairs distance matrix: O(1)
 	// queries, O(|V|²) memory — the paper's main Match configuration.
@@ -44,7 +44,8 @@ const (
 	// |V|². Opt-in only: the Exp-2 and million-node baseline.
 	OraclePLL
 	// OracleNone marks queries that use no distance oracle (plain
-	// simulation, subgraph-isomorphism enumeration).
+	// simulation, subgraph-isomorphism enumeration, and every query of
+	// an engine bound with OracleAuto).
 	OracleNone
 )
 
@@ -67,26 +68,6 @@ func (k OracleKind) String() string {
 	return fmt.Sprintf("OracleKind(%d)", int(k))
 }
 
-// Threshold for OracleAuto. A distance matrix costs 4·|V|² bytes, so it
-// is reserved for graphs where that is at most ~64 MB.
-const autoMatrixMaxNodes = 4096
-
-// resolveOracleKind resolves OracleAuto. Past the matrix threshold it
-// picks BFS, which builds nothing: the fixpoint prices a BFS probe at a
-// whole traversal, so every witness sweeps over the frozen snapshot, and
-// a removal never probes, whether or not the witness-matrix cap binds
-// (BenchmarkMatchPastWitnessCap). No labelling is built up front or
-// rebuilt after an update.
-func resolveOracleKind(k OracleKind, g *Graph) OracleKind {
-	if k != OracleAuto {
-		return k
-	}
-	if g.N() <= autoMatrixMaxNodes {
-		return OracleMatrix
-	}
-	return OracleBFS
-}
-
 // ErrGraphTooLarge reports that the bound graph's node count exceeds
 // the configured oracle strategy's addressing limit (PLL labels hold
 // hub ids in 24 bits). Queries against such an engine fail with an
@@ -106,19 +87,20 @@ type engineConfig struct {
 // OracleMatrix, the paper's main configuration. Valid kinds are
 // OracleAuto, OracleMatrix, OracleBFS, OracleTwoHop and OraclePLL;
 // NewEngine panics on anything else (OracleNone marks oracle-less
-// queries in MatchStats, it is not a strategy). Forcing OraclePLL on a
-// graph with more nodes than PLL labels can address does not panic:
-// the engine binds, and oracle-backed queries fail with an error
-// wrapping [ErrGraphTooLarge].
+// queries in MatchStats, it is not a strategy). The explicit kinds are
+// the paper's Exp-2 baselines: the engine builds the index on the first
+// bounded query and probes it wherever probing is cheaper than a sweep.
+// Forcing OraclePLL on a graph with more nodes than PLL labels can
+// address does not panic: the engine binds, and oracle-backed queries
+// fail with an error wrapping [ErrGraphTooLarge].
 func WithOracle(k OracleKind) EngineOption {
 	return func(c *engineConfig) { c.kind = k }
 }
 
-// WithAutoOracle lets the engine pick the oracle from the bound graph's
-// size — equivalent to WithOracle(OracleAuto): the distance matrix up
-// to 4096 nodes, BFS above. Past the threshold bounded queries are
-// answered by witness sweeps over the graph's adjacency, coloured edges
-// included, so the engine builds no index at all.
+// WithAutoOracle is WithOracle(OracleAuto): the engine owns no distance
+// oracle at any graph size. Bounded, "*", coloured and ranged queries
+// are all answered by witness sweeps over the graph's adjacency, so the
+// engine builds no index and its memory stays O(|V|+|E|).
 func WithAutoOracle() EngineOption {
 	return func(c *engineConfig) { c.kind = OracleAuto }
 }
@@ -201,17 +183,19 @@ type WatchDelta struct {
 // ([Engine.DualSimulate], [Engine.StrongSimulate]), subgraph-isomorphism
 // enumeration ([Engine.Enumerate]), and incremental matching under edge
 // updates ([Engine.Watch], [Engine.WatchSim], [Engine.WatchDual],
-// [Engine.WatchStrong] / [Engine.Update]). The distance oracle is built
-// lazily on the first query that needs it and cached, so concurrent and
+// [Engine.WatchStrong] / [Engine.Update]). Under [WithAutoOracle] it
+// builds no distance oracle; an explicit [WithOracle] kind is built
+// lazily on the first bounded query and cached, so concurrent and
 // repeated queries share one preprocessing pass instead of re-paying it
-// per call.
+// per call. The frozen snapshot every query sweeps is cached the same
+// way.
 //
 // An Engine is safe for concurrent use: queries may run in parallel with
 // each other, and Update excludes them while it mutates the graph. The
 // bound graph must not be mutated except through [Engine.Update].
 type Engine struct {
 	g       *Graph
-	kind    OracleKind // resolved; never OracleAuto
+	kind    OracleKind // resolved; OracleAuto becomes OracleNone
 	workers int        // resolved; >= 1
 	confErr error      // deferred bind-time config error; fails oracle queries
 
@@ -260,7 +244,11 @@ func NewEngine(g *Graph, opts ...EngineOption) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{g: g, kind: resolveOracleKind(cfg.kind, g), workers: workers, confErr: confErr}
+	kind := cfg.kind
+	if kind == OracleAuto {
+		kind = OracleNone
+	}
+	return &Engine{g: g, kind: kind, workers: workers, confErr: confErr}
 }
 
 // Graph returns the bound data graph. Treat it as read-only; mutate only
@@ -276,8 +264,8 @@ func (e *Engine) Size() (nodes, edges int) {
 	return e.g.N(), e.g.M()
 }
 
-// OracleKind reports the resolved oracle strategy (never OracleAuto:
-// WithAutoOracle resolves against the graph at bind time).
+// OracleKind reports the resolved oracle strategy: never OracleAuto,
+// which resolves to OracleNone.
 func (e *Engine) OracleKind() OracleKind { return e.kind }
 
 // Workers reports the resolved matching parallelism (see WithWorkers).
@@ -321,27 +309,36 @@ func (e *Engine) ensureDM() *incremental.DynMatrix {
 	if dm := e.dm.Load(); dm != nil {
 		return dm
 	}
+	if testHookOracleBuild != nil {
+		testHookOracleBuild(OracleMatrix)
+	}
 	dm := incremental.NewDynMatrix(e.g)
 	e.dm.Store(dm)
 	return dm
 }
 
-// testHookPLLBuild, when non-nil, runs at the start of every PLL index
-// construction the engine performs. Tests use it to count builds and
-// prove the lazy path is single-flight under concurrent first queries.
-var testHookPLLBuild func()
+// testHookOracleBuild, when non-nil, runs at the start of every index
+// construction the engine performs — the distance matrix, the 2-hop
+// labelling and the PLL labelling — with the kind it builds. Tests use
+// it to count builds, to prove the lazy path is single-flight under
+// concurrent first queries, and to prove an auto engine builds nothing.
+var testHookOracleBuild func(OracleKind)
 
 // queryOracle returns a DistOracle ready for one query, building the
-// shared index if this is the first query to need it. Must be called
-// with mu read-held. The returned duration is the index build time this
-// call paid (zero on a cache hit). Cancelling ctx aborts an in-flight
-// index build with ctx.Err(); a deferred bind-time configuration error
-// (see WithOracle) also surfaces here.
+// shared index if this is the first query to need it; nil under
+// OracleNone, the resolved auto kind, which builds nothing. Must be
+// called with mu read-held. The returned duration is the index build
+// time this call paid (zero on a cache hit). Cancelling ctx aborts an
+// in-flight index build with ctx.Err(); a deferred bind-time
+// configuration error (see WithOracle) also surfaces here.
 func (e *Engine) queryOracle(ctx context.Context) (DistOracle, time.Duration, error) {
 	if e.confErr != nil {
 		return nil, 0, e.confErr
 	}
 	switch e.kind {
+	case OracleNone:
+		// Every block sweeps with no budget, as for sim and dual.
+		return nil, 0, nil
 	case OracleBFS:
 		// No shared index: a BFS oracle is its own per-query cache. It
 		// does share the engine's frozen snapshot, so repeated queries
@@ -356,6 +353,9 @@ func (e *Engine) queryOracle(ctx context.Context) (DistOracle, time.Duration, er
 		idx := e.idx.Load()
 		var built time.Duration
 		if idx == nil {
+			if testHookOracleBuild != nil {
+				testHookOracleBuild(OracleTwoHop)
+			}
 			start := time.Now()
 			idx = twohop.Build(e.g)
 			built = time.Since(start)
@@ -374,8 +374,8 @@ func (e *Engine) queryOracle(ctx context.Context) (DistOracle, time.Duration, er
 		po := e.po.Load()
 		var built time.Duration
 		if po == nil {
-			if testHookPLLBuild != nil {
-				testHookPLLBuild()
+			if testHookOracleBuild != nil {
+				testHookOracleBuild(OraclePLL)
 			}
 			start := time.Now()
 			f := e.frozenLocked()
@@ -523,9 +523,10 @@ func normalizeSeed(seed [][]int32, n int) [][]int32 {
 // relationQuery is the single dispatch behind the four relation-valued
 // semantics. Match, sim and dual run one fixpoint kernel (core.MatchOpts):
 // sim and dual without a distance oracle, dual with its parent
-// constraints on. It holds the read lock across oracle acquisition, the
-// fixpoint and the generation read, so the returned generation is
-// exactly the graph version the relation describes.
+// constraints on, and match with the engine's oracle, none under auto.
+// It holds the read lock across oracle acquisition, the fixpoint and the
+// generation read, so the returned generation is exactly the graph
+// version the relation describes.
 func (e *Engine) relationQuery(ctx context.Context, q RelationQuery) (*core.Result, MatchStats, uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, MatchStats{}, 0, err
@@ -553,6 +554,9 @@ func (e *Engine) relationQuery(ctx context.Context, q RelationQuery) (*core.Resu
 		stats.Oracle = e.kind
 	case RelSim, RelDual:
 		// No oracle: every witness is a single arc.
+		if !p.AllBoundsOne() {
+			return nil, MatchStats{}, 0, fmt.Errorf("gpm: %v simulation is edge-to-edge: pattern has a bound != 1", q.Semantics)
+		}
 	case RelStrong:
 		start := time.Now()
 		rel, ok, err := topo.StrongSim(ctx, p, e.frozen(), topo.Options{Workers: e.workers})
@@ -858,22 +862,19 @@ func (e *Engine) ResultGraph(res *MatchResult) *ResultGraph {
 // result this engine computed — bounded simulation ([Engine.Match]) as
 // well as dual and strong simulation ([Engine.DualSimulate],
 // [Engine.StrongSimulate], whose TopoResult embeds a Result).
+//
+// With no oracle, the auto engine's case and always on an all-bounds-one
+// pattern, one-hop witnesses are read off the cached snapshot's
+// adjacency and longer ones off one walk per matched source. An explicit
+// oracle kind probes plain bounded witnesses instead.
 func (e *Engine) ResultGraphOf(res *Result) *ResultGraph {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if res.Pattern().AllBoundsOne() {
-		// All witnesses are single edges (the only case for dual/strong
-		// results): with no oracle they are read off the cached
-		// snapshot's adjacency, so an engine that never ran a bounded
-		// query builds (and pays the memory for) no distance oracle.
-		return core.BuildResultGraphFrozen(res, nil, e.frozen())
-	}
-	// A bounded res implies a query already built (and cached) the
-	// oracle, so this cannot block on construction or fail in practice;
-	// the panic guards the API against results from a different engine.
-	o, _, err := e.queryOracle(context.Background())
-	if err != nil {
-		panic(fmt.Sprintf("gpm: ResultGraphOf on an engine whose oracle cannot be built: %v", err))
+	var o DistOracle
+	if !res.Pattern().AllBoundsOne() {
+		// An oracle that cannot be built (an oversized PLL binding)
+		// leaves o nil: the walks give the same lengths.
+		o, _, _ = e.queryOracle(context.Background())
 	}
 	return core.BuildResultGraphFrozen(res, o, e.frozen())
 }
@@ -944,11 +945,16 @@ func (e *Engine) register(m incremental.Maintainer, needsMatrix bool) *Watcher {
 	return w
 }
 
-// Update applies a batch of edge updates to the bound graph, keeps the
-// shared distance matrix consistent (the paper's UpdateBM), cascades
+// Update applies a batch of edge updates to the bound graph, cascades
 // every watcher — bounded (IncMatch) and sim/dual/strong alike — and
 // invalidates derived caches. It returns one delta per open watcher, in
 // Watch order. On a validation error the graph is unchanged.
+//
+// The shared distance matrix is kept consistent in place (the paper's
+// UpdateBM) only while one exists: while a bounded watcher is open, or
+// once an OracleMatrix engine has served a bounded query. An auto
+// engine with no bounded watcher builds none, so its updates pay no
+// distance maintenance.
 //
 // A batch with no net structural effect (empty, or every touched edge
 // inserted-then-deleted within the batch) keeps the cached frozen
@@ -1034,10 +1040,11 @@ func (w *Watcher) Relation() [][]int32 {
 
 // Close unregisters the watcher from its engine; subsequent Updates no
 // longer maintain it. When the last matrix-backed watcher closes and
-// nothing else uses the shared matrix (the engine's cached oracle is not
-// backed by it), the DynamicMatrix is released too, so Updates stop
-// paying distance-matrix maintenance and the O(|V|²) memory is freed —
-// sim/dual/strong watchers never pin it. Closing twice is a no-op.
+// nothing else uses the shared matrix (no OracleMatrix oracle is cached
+// on it; an auto engine never caches one), the DynamicMatrix is released
+// too, so Updates stop paying distance-matrix maintenance and the
+// O(|V|²) memory is freed — sim/dual/strong watchers never pin it.
+// Closing twice is a no-op.
 func (w *Watcher) Close() {
 	w.e.mu.Lock()
 	defer w.e.mu.Unlock()

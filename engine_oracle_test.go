@@ -3,12 +3,15 @@ package gpm_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"gpm"
+	"gpm/internal/core"
 	"gpm/internal/difftest"
 	"gpm/internal/pll"
 )
@@ -23,8 +26,8 @@ func TestEnginePLLSingleFlight(t *testing.T) {
 	p := gpm.GeneratePattern(gpm.PatternGenConfig{Nodes: 4, Edges: 4, K: 3, Seed: 7}, g)
 
 	var builds atomic.Int64
-	gpm.SetTestHookPLLBuild(func() { builds.Add(1) })
-	defer gpm.SetTestHookPLLBuild(nil)
+	gpm.SetTestHookOracleBuild(pllBuilds(&builds))
+	defer gpm.SetTestHookOracleBuild(nil)
 
 	eng := gpm.NewEngine(g, gpm.WithOracle(gpm.OraclePLL))
 	want, err := gpm.Match(p, g)
@@ -75,11 +78,13 @@ func TestEnginePLLBuildCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var builds atomic.Int64
-	gpm.SetTestHookPLLBuild(func() {
-		builds.Add(1)
-		cancel()
+	gpm.SetTestHookOracleBuild(func(k gpm.OracleKind) {
+		if k == gpm.OraclePLL {
+			builds.Add(1)
+			cancel()
+		}
 	})
-	defer gpm.SetTestHookPLLBuild(nil)
+	defer gpm.SetTestHookOracleBuild(nil)
 
 	if _, err := eng.Match(ctx, p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled mid-build: err = %v, want context.Canceled", err)
@@ -89,7 +94,7 @@ func TestEnginePLLBuildCancellation(t *testing.T) {
 	}
 
 	// The aborted build must not be cached: a fresh context retries it.
-	gpm.SetTestHookPLLBuild(func() { builds.Add(1) })
+	gpm.SetTestHookOracleBuild(pllBuilds(&builds))
 	res, err := eng.Match(context.Background(), p)
 	if err != nil {
 		t.Fatalf("retry after cancelled build: %v", err)
@@ -106,12 +111,23 @@ func TestEnginePLLBuildCancellation(t *testing.T) {
 	}
 }
 
+// pllBuilds returns a build hook counting PLL builds into n.
+func pllBuilds(n *atomic.Int64) func(gpm.OracleKind) {
+	return func(k gpm.OracleKind) {
+		if k == gpm.OraclePLL {
+			n.Add(1)
+		}
+	}
+}
+
 // TestEngineOraclePLLTooLarge: forcing OraclePLL onto a graph past the
 // labelling's 24-bit addressing limit must not panic at bind time (the
 // old behavior) — the engine binds, and oracle-backed queries fail with
-// ErrGraphTooLarge. OracleAuto on the same graph falls back to BFS and
-// keeps working. MaxNodes is a variable precisely so this test does not
-// need a 16M-node graph.
+// ErrGraphTooLarge. ResultGraphOf on the same engine, handed a bounded
+// result another engine computed, falls back to walks instead of
+// panicking, and OracleAuto on the same graph owns no oracle and keeps
+// working. MaxNodes is a variable precisely so this test does not need
+// a 16M-node graph.
 func TestEngineOraclePLLTooLarge(t *testing.T) {
 	saved := pll.MaxNodes
 	pll.MaxNodes = 64
@@ -132,88 +148,258 @@ func TestEngineOraclePLLTooLarge(t *testing.T) {
 		t.Fatalf("Simulate on oversized PLL engine: %v", err)
 	}
 
-	// Auto past the matrix threshold is BFS, which addresses any graph:
-	// the labelling's limit never reaches it.
-	big := gpm.NewGraph(4200)
-	for i := 0; i < 4199; i++ {
-		big.AddEdge(i, i+1)
+	// Auto owns no oracle, so the labelling's limit never reaches it.
+	auto := gpm.NewEngine(g, gpm.WithAutoOracle())
+	if k := auto.OracleKind(); k != gpm.OracleNone {
+		t.Fatalf("auto resolved %v, want none", k)
 	}
-	auto := gpm.NewEngine(big, gpm.WithAutoOracle())
-	if k := auto.OracleKind(); k != gpm.OracleBFS {
-		t.Fatalf("auto on a 4200-node graph resolved %v, want bfs", k)
+	var res *gpm.MatchResult
+	for seed := int64(3); res == nil || !res.OK() || res.Pattern().AllBoundsOne(); seed++ {
+		if seed == 40 {
+			t.Fatal("no generated pattern matched; the result graph check needs a bounded match")
+		}
+		q := gpm.GeneratePattern(gpm.PatternGenConfig{Nodes: 3, Edges: 3, K: 2, IsoBias: true, Seed: seed}, g)
+		var err error
+		if res, err = auto.Match(context.Background(), q); err != nil {
+			t.Fatalf("auto Match: %v", err)
+		}
 	}
-	if _, err := auto.Match(context.Background(), p); err != nil {
-		t.Fatalf("auto Match: %v", err)
+	want := gpm.ResultGraphOf(res.Result, gpm.NewMatrixOracle(g))
+	if got := eng.ResultGraph(res); !reflect.DeepEqual(got, want) {
+		t.Error("oversized PLL engine: result graph differs from the matrix-probed one")
+	}
+	if got := auto.ResultGraph(res); !reflect.DeepEqual(got, want) {
+		t.Error("auto engine: result graph differs from the matrix-probed one")
 	}
 }
 
-// TestEngineAutoBuildsNoLabelling: past the matrix threshold an auto
-// engine is BFS-backed and builds nothing. Bounded matches, coloured
-// matches among them, a batch and a result graph are all answered by
-// witness sweeps — no PLL build, no build time charged, no probe — and
-// equal the paper's probe-per-pair Match over a BFS oracle.
+// TestEngineAutoBuildsNoLabelling: an auto engine owns no distance
+// oracle at any graph size. At 1000, 3000 and 4200 nodes no index build
+// fires on any engine path — Match on k > 1, "*", coloured and ranged
+// patterns, MatchBatch, sim, dual, strong, ResultGraphOf and Update — no
+// build time is charged and no probe is issued, and every relation
+// equals both an OracleMatrix engine's and core.MatchNaive's.
 // Not parallel: it installs the global build hook.
 func TestEngineAutoBuildsNoLabelling(t *testing.T) {
-	w := difftest.NewWorkload(5, difftest.Config{Nodes: 4200, Colors: 2, Patterns: 6})
-	var builds atomic.Int64
-	gpm.SetTestHookPLLBuild(func() { builds.Add(1) })
-	defer gpm.SetTestHookPLLBuild(nil)
-
-	eng := gpm.NewEngine(w.G, gpm.WithAutoOracle(), gpm.WithWorkers(2))
-	if k := eng.OracleKind(); k != gpm.OracleBFS {
-		t.Fatalf("auto on %d nodes resolved %v, want bfs", w.G.N(), k)
-	}
 	ctx := context.Background()
-	colored := 0
-	var nonEmpty *gpm.MatchResult
-	for i, p := range w.Patterns {
-		if p.Colored() {
-			colored++
+	for _, n := range []int{1000, 3000, 4200} {
+		w := difftest.NewWorkload(5, difftest.Config{Nodes: n, Attrs: 4, Colors: 2, StarProb: 0.3, Patterns: 4, IsoBias: true})
+		patterns := w.Patterns
+		for _, p := range w.Patterns {
+			patterns = append(patterns, rangedCopy(p))
 		}
-		res, err := eng.Match(ctx, p)
-		if err != nil {
-			t.Fatalf("pattern %d: %v", i, err)
+		var bounded, star, colored, ranged int
+		for _, p := range patterns {
+			for _, e := range p.Edges() {
+				switch {
+				case e.Ranged():
+					ranged++
+				case e.Bound == gpm.Unbounded:
+					star++
+				case e.Bound > 1:
+					bounded++
+				}
+			}
+			if p.Colored() {
+				colored++
+			}
 		}
-		if st := res.Stats; st.Oracle != gpm.OracleBFS || st.OracleBuild != 0 || st.OracleQueries != 0 || st.SweepScans == 0 {
-			t.Errorf("pattern %d: stats %+v, want a BFS-served sweep with no build and no probe", i, st)
+		if bounded == 0 || star == 0 || colored == 0 || ranged == 0 {
+			t.Fatalf("%d nodes: workload lacks an edge kind: %d bounded, %d *, %d ranged, %d coloured patterns", n, bounded, star, ranged, colored)
 		}
-		want, err := gpm.MatchBFS(p, w.G)
+		edgeToEdge := []*gpm.Pattern{boundOnePattern()}
+		for i := int64(0); i < 2; i++ {
+			edgeToEdge = append(edgeToEdge, gpm.GeneratePattern(gpm.PatternGenConfig{Nodes: 3, Edges: 3, K: 1, IsoBias: true, Seed: 40 + i}, w.G))
+		}
+
+		// The references, computed before the hook goes in: the matrix
+		// engine builds its matrix on its first query.
+		ref := gpm.NewEngine(w.G, gpm.WithOracle(gpm.OracleMatrix))
+		want := make([]*gpm.MatchResult, len(patterns))
+		for i, p := range patterns {
+			var err error
+			if want[i], err = ref.Match(ctx, p); err != nil {
+				t.Fatal(err)
+			}
+			naive, err := core.MatchNaive(p, w.G, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want[i].Relation(), naive.Relation()) || want[i].OK() != naive.OK() {
+				t.Fatalf("%d nodes pattern %d: matrix engine diverges from MatchNaive", n, i)
+			}
+		}
+		var wantTopo [][3][][]int32
+		for _, p := range edgeToEdge {
+			sim, err := ref.Simulate(ctx, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dual, err := ref.DualSimulate(ctx, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			strong, err := ref.StrongSimulate(ctx, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantTopo = append(wantTopo, [3][][]int32{sim.Relation, dual.Relation(), strong.Relation()})
+		}
+
+		var builds atomic.Int64
+		gpm.SetTestHookOracleBuild(func(gpm.OracleKind) { builds.Add(1) })
+		eng := gpm.NewEngine(w.G, gpm.WithAutoOracle(), gpm.WithWorkers(2))
+		if k := eng.OracleKind(); k != gpm.OracleNone {
+			t.Fatalf("auto on %d nodes resolved %v, want none", n, k)
+		}
+		check := func(what string, st gpm.MatchStats, got, want [][]int32) {
+			t.Helper()
+			if st.Oracle != gpm.OracleNone || st.OracleBuild != 0 || st.OracleQueries != 0 {
+				t.Errorf("%d nodes %s: stats %+v, want no oracle, no build and no probe", n, what, st)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%d nodes %s: %s", n, what, difftest.DiffRelations(got, want))
+			}
+		}
+		var nonEmpty *gpm.MatchResult
+		for i, p := range patterns {
+			res, err := eng.Match(ctx, p)
+			if err != nil {
+				t.Fatalf("%d nodes pattern %d: %v", n, i, err)
+			}
+			check(fmt.Sprintf("pattern %d", i), res.Stats, res.Relation(), want[i].Relation())
+			if res.OK() && !p.AllBoundsOne() && (nonEmpty == nil || res.Pairs() < nonEmpty.Pairs()) {
+				nonEmpty = res
+			}
+		}
+		batch, err := eng.MatchBatch(ctx, patterns)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(res.Relation(), want.Relation()) || res.OK() != want.OK() {
-			t.Errorf("pattern %d: auto relation diverges from probe-per-pair Match", i)
+		for i, res := range batch {
+			check(fmt.Sprintf("batch %d", i), res.Stats, res.Relation(), want[i].Relation())
 		}
-		if res.Pairs() > 0 && nonEmpty == nil {
-			nonEmpty = res
+		for i, p := range edgeToEdge {
+			sim, err := eng.Simulate(ctx, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("sim %d", i), sim.Stats, sim.Relation, wantTopo[i][0])
+			dual, err := eng.DualSimulate(ctx, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("dual %d", i), dual.Stats, dual.Relation(), wantTopo[i][1])
+			strong, err := eng.StrongSimulate(ctx, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("strong %d", i), strong.Stats, strong.Relation(), wantTopo[i][2])
+		}
+		if nonEmpty == nil {
+			t.Fatalf("%d nodes: no bounded pattern matched; the result graph check needs a match", n)
+		}
+		if got, want := eng.ResultGraph(nonEmpty), ref.ResultGraph(nonEmpty); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d nodes: result graph differs from the matrix-probed one", n)
+		}
+		e := w.G.EdgeList()[0]
+		if _, err := eng.Update(gpm.DeleteEdge(int(e[0]), int(e[1])), gpm.InsertEdge(int(e[1]), int(e[0]))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Match(ctx, patterns[0]); err != nil {
+			t.Fatal(err)
+		}
+		gpm.SetTestHookOracleBuild(nil)
+		if b := builds.Load(); b != 0 {
+			t.Fatalf("%d nodes: auto engine ran %d index builds, want 0", n, b)
 		}
 	}
-	if colored == 0 {
-		t.Fatal("workload has no coloured pattern")
-	}
+}
 
-	batch, err := eng.MatchBatch(ctx, w.Patterns)
-	if err != nil {
-		t.Fatal(err)
+// rangedCopy returns p with every edge turned into a hop range: bound k
+// becomes [2, k+1], "*" becomes [2, 4].
+func rangedCopy(p *gpm.Pattern) *gpm.Pattern {
+	q := gpm.NewPattern()
+	for u := 0; u < p.N(); u++ {
+		q.AddNode(p.Pred(u))
 	}
-	for i, res := range batch {
-		if res.Stats.OracleBuild != 0 || res.Stats.Oracle != gpm.OracleBFS {
-			t.Errorf("batch %d: stats %+v", i, res.Stats)
+	for _, e := range p.Edges() {
+		hi := e.Bound + 1
+		if e.Bound == gpm.Unbounded {
+			hi = 4
 		}
-		want, _ := gpm.MatchBFS(w.Patterns[i], w.G)
-		if !reflect.DeepEqual(res.Relation(), want.Relation()) {
-			t.Errorf("batch %d: relation diverges from probe-per-pair Match", i)
+		if _, err := q.AddRangeEdge(e.From, e.To, 2, hi, e.Color); err != nil {
+			panic(err)
 		}
 	}
+	return q
+}
 
-	if nonEmpty == nil {
-		t.Fatal("every pattern matched nothing; the result graph check needs a match")
+// TestResultGraphOfAllocsIndependentOfGraphSize: an auto engine reads a
+// bounded result graph's witnesses off one walk per matched source, with
+// scratch allocated once per call and reset through the nodes each walk
+// reached. The same result on a 400- and a 4000-node graph then costs
+// the same allocations, and its bytes grow by that one |V|-sized
+// scratch, not by one per source.
+func TestResultGraphOfAllocsIndependentOfGraphSize(t *testing.T) {
+	p := gpm.NewPattern()
+	a, b, c := p.AddNode(gpm.Label("A")), p.AddNode(gpm.Label("B")), p.AddNode(gpm.Label("C"))
+	p.MustAddEdge(a, b, 3)
+	p.MustAddEdge(b, c, 3)
+	p.MustAddEdge(c, a, 3)
+	type cost struct {
+		allocs, bytes float64
+		rg            *gpm.ResultGraph
 	}
-	got := eng.ResultGraph(nonEmpty)
-	if want := gpm.ResultGraphOf(nonEmpty.Result, gpm.NewBFSOracle(w.G)); !reflect.DeepEqual(got, want) {
-		t.Error("result graph diverges from the BFS-probed one")
+	measure := func(n int) cost {
+		// Only the first 60 nodes carry a pattern label, an arc 59 -> 0
+		// closes them into a cycle, and no walk of three arcs from them
+		// wraps around the graph, so the result is the same at every
+		// size.
+		g := gpm.NewGraph(n)
+		for i := 0; i < n; i++ {
+			label := "rest"
+			if i < 60 {
+				label = []string{"A", "B", "C"}[i%3]
+			}
+			g.SetAttr(i, gpm.Attrs{"label": gpm.Str(label)})
+			g.AddEdge(i, (i+1)%n)
+			g.AddEdge(i, (i+7)%n)
+		}
+		g.AddEdge(59, 0)
+		eng := gpm.NewEngine(g, gpm.WithAutoOracle())
+		res, err := eng.Match(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.OK() {
+			t.Fatalf("%d nodes: the triangle does not match", n)
+		}
+		var rg *gpm.ResultGraph
+		run := func() { rg = eng.ResultGraph(res) }
+		run() // warm the frozen snapshot
+		const runs = 20
+		allocs := testing.AllocsPerRun(runs, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return cost{allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs, rg}
 	}
-	if n := builds.Load(); n != 0 {
-		t.Fatalf("auto engine ran %d PLL builds, want 0", n)
+	small, large := measure(400), measure(4000)
+	if !reflect.DeepEqual(small.rg, large.rg) {
+		t.Fatal("the result graph differs between the two sizes")
+	}
+	if len(small.rg.Edges) == 0 {
+		t.Fatal("empty result graph")
+	}
+	if large.allocs > small.allocs+2 {
+		t.Errorf("allocations grow with |V|: %.0f at 400 nodes, %.0f at 4000", small.allocs, large.allocs)
+	}
+	// A walk's scratch is an int32 length and a bool mark per node.
+	if grow, limit := large.bytes-small.bytes, 8.0*(4000-400); grow > limit {
+		t.Errorf("bytes grow by %.0f from 400 to 4000 nodes, want at most %.0f (one |V|-sized scratch)", grow, limit)
 	}
 }

@@ -140,13 +140,13 @@ func boundOnePattern() *gpm.Pattern {
 	return p
 }
 
-// TestEngineAutoOracle checks WithAutoOracle's one threshold: the
-// distance matrix up to 4096 nodes, BFS above it whatever the density.
-// Auto never resolves to a labelling.
+// TestEngineAutoOracle: WithAutoOracle resolves to no oracle at every
+// graph size, small or large, sparse or dense; the engine's library
+// default stays the paper's matrix configuration.
 func TestEngineAutoOracle(t *testing.T) {
 	for _, n := range []int{100, 4096} {
-		if k := gpm.NewEngine(gpm.NewGraph(n), gpm.WithAutoOracle()).OracleKind(); k != gpm.OracleMatrix {
-			t.Errorf("%d nodes: auto picked %v, want matrix", n, k)
+		if k := gpm.NewEngine(gpm.NewGraph(n), gpm.WithAutoOracle()).OracleKind(); k != gpm.OracleNone {
+			t.Errorf("%d nodes: auto picked %v, want none", n, k)
 		}
 	}
 
@@ -154,8 +154,8 @@ func TestEngineAutoOracle(t *testing.T) {
 	for i := 0; i < 4999; i++ {
 		largeSparse.AddEdge(i, i+1)
 	}
-	if k := gpm.NewEngine(largeSparse, gpm.WithAutoOracle()).OracleKind(); k != gpm.OracleBFS {
-		t.Errorf("large sparse: auto picked %v, want bfs", k)
+	if k := gpm.NewEngine(largeSparse, gpm.WithAutoOracle()).OracleKind(); k != gpm.OracleNone {
+		t.Errorf("large sparse: auto picked %v, want none", k)
 	}
 
 	largeDense := gpm.NewGraph(5000)
@@ -164,8 +164,8 @@ func TestEngineAutoOracle(t *testing.T) {
 			largeDense.AddEdge(i, (i+off)%5000)
 		}
 	}
-	if k := gpm.NewEngine(largeDense, gpm.WithAutoOracle()).OracleKind(); k != gpm.OracleBFS {
-		t.Errorf("large dense: auto picked %v, want bfs", k)
+	if k := gpm.NewEngine(largeDense, gpm.WithAutoOracle()).OracleKind(); k != gpm.OracleNone {
+		t.Errorf("large dense: auto picked %v, want none", k)
 	}
 
 	// The default (no options) is the paper's matrix configuration.

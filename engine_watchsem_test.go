@@ -149,7 +149,9 @@ func TestWatchSemanticsConcurrent(t *testing.T) {
 }
 
 // Bounds-carrying and colored patterns must be rejected by the
-// edge-to-edge watchers with a clear error.
+// edge-to-edge watchers with a clear error, and bounds-carrying ones by
+// the edge-to-edge queries too, even on an auto engine whose bounded
+// Match runs the same oracle-less kernel.
 func TestWatchSemanticsRejectsBounds(t *testing.T) {
 	g := watchSemGraph()
 	p := gpm.NewPattern()
@@ -165,6 +167,17 @@ func TestWatchSemanticsRejectsBounds(t *testing.T) {
 	}
 	if _, err := eng.WatchStrong(p); err == nil {
 		t.Error("WatchStrong accepted a bound-2 pattern")
+	}
+	auto := gpm.NewEngine(g, gpm.WithAutoOracle())
+	ctx := context.Background()
+	if _, err := auto.Simulate(ctx, p); err == nil {
+		t.Error("Simulate accepted a bound-2 pattern")
+	}
+	if _, err := auto.DualSimulate(ctx, p); err == nil {
+		t.Error("DualSimulate accepted a bound-2 pattern")
+	}
+	if _, err := auto.StrongSimulate(ctx, p); err == nil {
+		t.Error("StrongSimulate accepted a bound-2 pattern")
 	}
 }
 

@@ -52,8 +52,8 @@ func ParallelSpeedup(cfg Config) *Table {
 	var wantSum uint64
 	for _, w := range []int{1, 2, 4, 8} {
 		eng := gpm.NewEngine(g, gpm.WithWorkers(w), gpm.WithAutoOracle())
-		// Warm the engine before timing: auto builds the matrix up to
-		// 4096 nodes, else nothing (BFS).
+		// Warm the engine before timing: auto builds no oracle, only
+		// the frozen snapshot.
 		if _, err := eng.Match(context.Background(), ps[0]); err != nil {
 			panic(err)
 		}

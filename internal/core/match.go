@@ -174,17 +174,18 @@ type MatchOptions struct {
 	// edge (u, u′), a pair (u′, z) also needs a member of mat(u) with an
 	// arc from it to z. The fixpoint then keeps two witness obligations
 	// per edge, the parent one swept along in-arcs. Dual is edge-to-edge:
-	// it requires a nil oracle.
+	// it requires a nil oracle and an all-bounds-one pattern.
 	Dual bool
 }
 
 // MatchOpts is MatchContext with explicit MatchOptions.
 //
-// o may be nil on an all-bounds-one pattern. Every witness is then one
-// arc, so the run is plain graph simulation (§2.2, remark 2) — or dual
-// simulation with opts.Dual — and needs no distance oracle: it runs in
-// sweep mode, and with nothing to fall back to every block sweeps. g may
-// be nil only when opts.Frozen is set and opts.Seed is not.
+// o may be nil on any pattern. The run is then in sweep mode with
+// nothing to fall back to: every block sweeps with no budget, bounded,
+// "*", coloured and ranged edges alike, and no distance is ever probed.
+// On an all-bounds-one pattern that is plain graph simulation (§2.2,
+// remark 2), or dual simulation with opts.Dual. g may be nil only when
+// opts.Frozen is set and opts.Seed is not.
 func MatchOpts(ctx context.Context, p *pattern.Pattern, g *graph.Graph, o DistOracle, stats *Stats, opts MatchOptions) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -192,15 +193,13 @@ func MatchOpts(ctx context.Context, p *pattern.Pattern, g *graph.Graph, o DistOr
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if opts.Dual && (o != nil || !p.AllBoundsOne()) {
+		return nil, fmt.Errorf("core: dual simulation is edge-to-edge: it takes no distance oracle and every bound must be 1")
+	}
 	st := &state{p: p, g: g, f: opts.Frozen, sweep: opts.Frozen != nil, seed: opts.Seed, stats: stats}
 	if o == nil {
-		if !p.AllBoundsOne() {
-			return nil, fmt.Errorf("core: pattern has a bound != 1; without a distance oracle only the edge-to-edge semantics (simulation, dual simulation) run")
-		}
 		st.sweep = true
 		st.frozen()
-	} else if opts.Dual {
-		return nil, fmt.Errorf("core: dual simulation runs without a distance oracle")
 	}
 	st.constrain(opts.Dual)
 	workers := opts.Workers
@@ -746,7 +745,7 @@ func IsMatch(p *pattern.Pattern, g *graph.Graph, rel [][]int32, o DistOracle) bo
 // the edge changes (callers fix both and vary the target). f, when
 // non-nil, is a pre-frozen snapshot of g; nil freezes lazily.
 func witnessFunc(g *graph.Graph, f *graph.Frozen, o DistOracle) func(x, z int, e pattern.Edge) int {
-	var dist []int32
+	var w *walker
 	var from int
 	var last pattern.Edge
 	return func(x, z int, e pattern.Edge) int {
@@ -762,15 +761,36 @@ func witnessFunc(g *graph.Graph, f *graph.Frozen, o DistOracle) func(x, z int, e
 			}
 			return -1
 		}
-		if dist == nil {
-			dist = make([]int32, f.N())
+		if w == nil {
+			w = newWalker(f)
 		} else if x == from && e == last {
-			return int(dist[z])
+			return int(w.dist[z])
 		}
 		from, last = x, e
-		walkLengths(f, x, e, dist)
-		return int(dist[z])
+		w.walkLengths(x, e)
+		return int(w.dist[z])
 	}
+}
+
+// walker holds walkLengths' scratch over one snapshot, reused from one
+// source to the next. Between walks dist is -1 everywhere except at the
+// nodes listed in reached, and on is false everywhere except at some of
+// them, so a walk is reset through that list and costs what it touches,
+// not O(|V|).
+type walker struct {
+	f         *graph.Frozen
+	dist      []int32 // walk length per node, -1 where there is none
+	on        []bool  // reached so far; within one level when ranged
+	reached   []int32 // the nodes whose dist the last walk set
+	cur, next []int32 // frontier buffers
+}
+
+func newWalker(f *graph.Frozen) *walker {
+	w := &walker{f: f, dist: make([]int32, f.N()), on: make([]bool, f.N())}
+	for i := range w.dist {
+		w.dist[i] = -1
+	}
+	return w
 }
 
 // walkLengths sets dist[y] to the length of the shortest walk from src
@@ -778,37 +798,41 @@ func witnessFunc(g *graph.Graph, f *graph.Frozen, o DistOracle) func(x, z int, e
 // and whose length lies in e's window — [MinBound, Bound] for a ranged
 // edge, [1, Bound] otherwise — or to -1 where there is none. Without a
 // lower bound the shortest such walk is a path, so a first-reach BFS
-// does; with one, walks may revisit nodes, so each level keeps its whole
-// frontier. It is the per-source referee of the kernel's labelled
+// does, and every node it marks on gets a length; with one, walks may
+// revisit nodes, so each level keeps its whole frontier and clears on
+// behind it. It is the per-source referee of the kernel's labelled
 // sweeps and shares no code with them.
-func walkLengths(f *graph.Frozen, src int, e pattern.Edge, dist []int32) {
-	for i := range dist {
-		dist[i] = -1
+func (w *walker) walkLengths(src int, e pattern.Edge) {
+	for _, y := range w.reached {
+		w.dist[y] = -1
+		w.on[y] = false
 	}
+	w.reached = w.reached[:0]
 	hi := e.Bound
 	if hi == pattern.Unbounded {
-		hi = f.N() // no shortest path is longer
+		hi = w.f.N() // no shortest path is longer
 	}
-	on := make([]bool, f.N()) // reached so far; within one level when ranged
-	cur := []int32{int32(src)}
+	cur, next := append(w.cur[:0], int32(src)), w.next
 	for l := 1; l <= hi && len(cur) > 0; l++ {
-		var next []int32
+		next = next[:0]
 		for _, x := range cur {
-			for _, y := range f.Out(int(x)) {
-				if !on[y] && (e.Color == "" || f.Color(int(x), int(y)) == e.Color) {
-					on[y] = true
+			for _, y := range w.f.Out(int(x)) {
+				if !w.on[y] && (e.Color == "" || w.f.Color(int(x), int(y)) == e.Color) {
+					w.on[y] = true
 					next = append(next, y)
 				}
 			}
 		}
 		for _, y := range next {
-			if l >= e.MinBound && dist[y] < 0 {
-				dist[y] = int32(l)
+			if l >= e.MinBound && w.dist[y] < 0 {
+				w.dist[y] = int32(l)
+				w.reached = append(w.reached, y)
 			}
 			if e.Ranged() {
-				on[y] = false
+				w.on[y] = false
 			}
 		}
-		cur = next
+		cur, next = next, cur
 	}
+	w.cur, w.next = cur, next
 }

@@ -183,13 +183,13 @@ func TestColoredOraclesAgree(t *testing.T) {
 		})
 		m := matrix.New(sub)
 		f := g.Freeze()
-		dist := make([]int32, n)
+		w := newWalker(f)
 		for i := 0; i < 100; i++ {
 			u, v := r.Intn(n), r.Intn(n)
 			bound := r.Intn(5) - 1
-			walkLengths(f, u, pattern.Edge{Bound: bound, Color: "red"}, dist)
-			if want := clampToBound(m.NonemptyDist(u, v), bound); int(dist[v]) != want {
-				t.Logf("seed %d (%d,%d,b=%d,red): %d want %d", seed, u, v, bound, dist[v], want)
+			w.walkLengths(u, pattern.Edge{Bound: bound, Color: "red"})
+			if want := clampToBound(m.NonemptyDist(u, v), bound); int(w.dist[v]) != want {
+				t.Logf("seed %d (%d,%d,b=%d,red): %d want %d", seed, u, v, bound, w.dist[v], want)
 				return false
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gpm/internal/cancel"
@@ -98,9 +99,9 @@ func TestSweeperAgreesWithMatrixOracle(t *testing.T) {
 		} {
 			k := c.e.Bound
 			var walks [][]int32 // walkLengths from every node, for a labelled c
-			for x := 0; labelled(c.e) && x < g.N(); x++ {
-				walks = append(walks, make([]int32, g.N()))
-				walkLengths(f, x, c.e, walks[x])
+			for x, w := 0, newWalker(f); labelled(c.e) && x < g.N(); x++ {
+				w.walkLengths(x, c.e)
+				walks = append(walks, slices.Clone(w.dist))
 			}
 			for lo := 0; lo < len(srcs); lo += sweepBlock {
 				block := srcs[lo:min(lo+sweepBlock, len(srcs))]
@@ -331,6 +332,7 @@ func TestMatchOptsAllocsIndependentOfGraphSize(t *testing.T) {
 		dual   bool
 	}{
 		{"match", triangle(3, pattern.Unbounded), true, false},
+		{"match without an oracle", triangle(3, pattern.Unbounded), false, false},
 		{"sim", triangle(1, 1), false, false},
 		{"dual", triangle(1, 1), false, true},
 	} {

@@ -42,9 +42,9 @@ func naiveWalkLengths(g *graph.Graph, u, v, maxLen int, color string) map[int]bo
 // walkWithin returns walkLengths' answer at v for a walk from u with a
 // length in [lo, hi], crossing only arcs of color when it is non-empty.
 func walkWithin(f *graph.Frozen, u, v, lo, hi int, color string) int {
-	dist := make([]int32, f.N())
-	walkLengths(f, u, pattern.Edge{MinBound: lo, Bound: hi, Color: color}, dist)
-	return int(dist[v])
+	w := newWalker(f)
+	w.walkLengths(u, pattern.Edge{MinBound: lo, Bound: hi, Color: color})
+	return int(w.dist[v])
 }
 
 func TestWalkProberHandCases(t *testing.T) {
@@ -86,7 +86,8 @@ func TestWalkProberRepeatsVertices(t *testing.T) {
 }
 
 // Property: walkLengths agrees with the naive frontier iteration on
-// random graphs, ranges and colors.
+// random graphs, ranges and colors. One walker serves every walk on a
+// graph, so each walk starts from the marks the previous one left.
 func TestWalkProberAgainstNaive(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -100,21 +101,22 @@ func TestWalkProberAgainstNaive(t *testing.T) {
 		for g.M() < edges {
 			g.AddColoredEdge(r.Intn(n), r.Intn(n), colors[r.Intn(2)])
 		}
-		f := g.Freeze()
+		w := newWalker(g.Freeze())
 		for i := 0; i < 80; i++ {
 			u, v := r.Intn(n), r.Intn(n)
-			lo := 1 + r.Intn(6)
-			hi := lo + r.Intn(6)
+			lo := r.Intn(7) // 0: no lower bound, the window is [1, hi]
+			hi := max(lo, 1) + r.Intn(6)
 			color := colors[r.Intn(2)]
 			want := -1
 			lens := naiveWalkLengths(g, u, v, hi, color)
-			for l := lo; l <= hi; l++ {
+			for l := max(lo, 1); l <= hi; l++ {
 				if lens[l] {
 					want = l
 					break
 				}
 			}
-			if got := walkWithin(f, u, v, lo, hi, color); got != want {
+			w.walkLengths(u, pattern.Edge{MinBound: lo, Bound: hi, Color: color})
+			if got := int(w.dist[v]); got != want {
 				t.Logf("seed %d (%d,%d,[%d,%d],%q): %d want %d", seed, u, v, lo, hi, color, got, want)
 				return false
 			}

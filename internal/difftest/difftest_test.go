@@ -82,9 +82,9 @@ func TestIsoEmbeddingsContainedInMatch(t *testing.T) {
 
 // Property (c): the matrix, BFS and 2-hop oracles answer the same
 // distance queries, so Match through any of them must produce identical
-// results.
+// results — and so must the auto engine, which owns no oracle.
 func TestOraclesProduceIdenticalMatches(t *testing.T) {
-	kinds := []gpm.OracleKind{gpm.OracleMatrix, gpm.OracleBFS, gpm.OracleTwoHop, gpm.OraclePLL}
+	kinds := []gpm.OracleKind{gpm.OracleMatrix, gpm.OracleBFS, gpm.OracleTwoHop, gpm.OraclePLL, gpm.OracleAuto}
 	for seed := int64(1); seed <= workloads; seed++ {
 		w := NewWorkload(seed, Config{StarProb: 0.2})
 		engines := make([]*gpm.Engine, len(kinds))

@@ -29,8 +29,14 @@ import (
 // relation from core.MatchNaive, a rescan that shares no code with the
 // sweeps, and their InitialPairs and Removals from the probing run.
 //
-// The same kernel run without an oracle is plain simulation, and with
-// its parent constraints dual simulation. Their rows are refereed by
+// Every pattern also runs with no oracle at all, the auto engine's
+// configuration: every block sweeps with no budget, so the budget rows
+// change nothing there, and its relation, InitialPairs and Removals must
+// equal the matrix-probing run's (MatchNaive's relation for labelled
+// patterns) at every worker count and with no witness matrix kept.
+//
+// The same kernel run without an oracle on all-bounds-one patterns is
+// plain simulation, and with its parent constraints dual simulation. Their rows are refereed by
 // simulation.RunNaive and topo.NaiveDualSim, rescans that share no code
 // with the kernel, and must repeat one run's InitialPairs and Removals
 // under every limit and worker count.
@@ -84,6 +90,17 @@ func TestSweepEqualsProbeAcrossOraclesAndWorkers(t *testing.T) {
 					return core.MatchOpts(ctx, p, w.G, o, st, core.MatchOptions{Frozen: f, Workers: workers})
 				})
 			}
+			var want core.Stats
+			ref, err := core.MatchContext(ctx, p, w.G, oracles["matrix"], &want)
+			if err != nil {
+				t.Fatalf("seed %d pattern %d: probing run: %v", seed, pi, err)
+			}
+			if naive != nil {
+				ref = naive
+			}
+			checkAcrossLimits(t, seed, pi, "none", ref.Relation(), ref.OK(), want, func(workers int, st *core.Stats) (*core.Result, error) {
+				return core.MatchOpts(ctx, p, w.G, nil, st, core.MatchOptions{Frozen: f, Workers: workers})
+			})
 		}
 
 		cfg.K, cfg.StarProb = 1, 0
@@ -157,7 +174,7 @@ func checkAcrossLimits(t *testing.T, seed int64, pi int, row string, want [][]in
 // and returns core.MatchNaive's relation.
 func TestLabelledEdgesProbeNoOracle(t *testing.T) {
 	ctx := context.Background()
-	kinds := []gpm.OracleKind{gpm.OracleMatrix, gpm.OracleBFS, gpm.OracleTwoHop, gpm.OraclePLL}
+	kinds := []gpm.OracleKind{gpm.OracleMatrix, gpm.OracleBFS, gpm.OracleTwoHop, gpm.OraclePLL, gpm.OracleAuto}
 	colour := func(e gpm.PatternEdge) gpm.PatternEdge {
 		if e.Color == "" {
 			e.Color = "c0"
@@ -208,7 +225,7 @@ func TestLabelledEdgesProbeNoOracle(t *testing.T) {
 func TestSweepModeProbesOnlyAtInit(t *testing.T) {
 	defer core.SweepLimitsForTest(math.MaxInt64, 0)()
 	ctx := context.Background()
-	kinds := []gpm.OracleKind{gpm.OracleMatrix, gpm.OracleBFS, gpm.OracleTwoHop, gpm.OraclePLL}
+	kinds := []gpm.OracleKind{gpm.OracleMatrix, gpm.OracleBFS, gpm.OracleTwoHop, gpm.OraclePLL, gpm.OracleAuto}
 	check := func(seed int64, pi int, name string, kind gpm.OracleKind, probes int64, got, want [][]int32, gotOK, wantOK bool) {
 		t.Helper()
 		if probes != 0 {

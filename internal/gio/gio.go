@@ -342,33 +342,34 @@ func (s *scanner) errf(format string, args ...interface{}) error {
 // strconv.Quote escaping the writers emit, so string values containing
 // quotes round-trip.
 func splitQuoted(s string) []string {
+	// Every byte but an unquoted space or tab belongs to a field, so each
+	// field is a substring of s.
 	var out []string
-	var cur strings.Builder
-	inQuote := false
-	escaped := false
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
+	start := -1 // where the current field began; -1 between fields
+	inQuote, escaped := false, false
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !inQuote && (c == ' ' || c == '\t') {
+			if start >= 0 {
+				out = append(out, s[start:i])
+				start = -1
+			}
+			continue
 		}
-	}
-	for _, r := range s {
+		if start < 0 {
+			start = i
+		}
 		switch {
 		case escaped:
-			cur.WriteRune(r)
 			escaped = false
-		case inQuote && r == '\\':
-			cur.WriteRune(r)
+		case inQuote && c == '\\':
 			escaped = true
-		case r == '"':
+		case c == '"':
 			inQuote = !inQuote
-			cur.WriteRune(r)
-		case !inQuote && (r == ' ' || r == '\t'):
-			flush()
-		default:
-			cur.WriteRune(r)
 		}
 	}
-	flush()
+	if start >= 0 {
+		out = append(out, s[start:])
+	}
 	return out
 }

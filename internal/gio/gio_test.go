@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"gpm/internal/fixtures"
 	"gpm/internal/graph"
@@ -318,5 +320,36 @@ func TestReadPatternAllocatesLittle(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp >= 8<<10 {
 		t.Fatalf("ReadPattern of a 5-line pattern allocates %d B/op, want < 8 KiB", perOp)
+	}
+}
+
+// splitQuoted keeps quoted spans, quotes and escapes in their fields,
+// and every field is a substring of the line, quoted or not, so
+// splitting allocates only the field slice.
+func TestSplitQuoted(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want []string
+	}{
+		{"", nil},
+		{"edge 0 1 *", []string{"edge", "0", "1", "*"}},
+		{"a \t b\t\tc ", []string{"a", "b", "c"}},
+		{`node 0 name = "Travel & Places"`, []string{"node", "0", "name", "=", `"Travel & Places"`}},
+		{`x="a b"y z`, []string{`x="a b"y`, "z"}},
+		{`v "say \"hi there\"" w`, []string{"v", `"say \"hi there\""`, "w"}},
+		{`v "back\\" slash`, []string{"v", `"back\\"`, "slash"}},
+		{`"unterminated a b`, []string{`"unterminated a b`}},
+		{`é "ü ß" \ x`, []string{"é", `"ü ß"`, `\`, "x"}},
+	} {
+		got := splitQuoted(c.in)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("splitQuoted(%q) = %q, want %q", c.in, got, c.want)
+		}
+		base := uintptr(unsafe.Pointer(unsafe.StringData(c.in)))
+		for _, f := range got {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(f))); p < base || p+uintptr(len(f)) > base+uintptr(len(c.in)) {
+				t.Errorf("splitQuoted(%q): field %q is a copy, not a substring", c.in, f)
+			}
+		}
 	}
 }

@@ -43,9 +43,21 @@ const (
 // p's nodes. witness[u] lists, ascending, the p-nodes a with
 // M(q,G)(u) ⊆ M(p,G)(a) on every graph G; ok reports whether every
 // q-node is covered — the precondition for answering q from p's cached
-// relation.
+// relation. A q-node whose predicate implies no p-node's can never be
+// covered, so then Containment returns (nil, false) before it allocates
+// anything: a cache tries most of its entries against patterns they do
+// not contain.
 func Containment(p, q *Pattern, mode ContainMode) (witness [][]int32, ok bool) {
 	np, nq := p.N(), q.N()
+	for u := 0; u < nq; u++ {
+		a := 0
+		for a < np && !predImplies(q.Pred(u), p.Pred(a)) {
+			a++
+		}
+		if a == np {
+			return nil, false
+		}
+	}
 	rel := make([][]bool, nq)
 	alive := 0
 	for u := 0; u < nq; u++ {

@@ -3,6 +3,7 @@ package pattern
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gpm/internal/value"
@@ -137,6 +138,9 @@ func naiveContainment(p, q *Pattern, mode ContainMode) ([][]int32, bool) {
 		for a := 0; a < np; a++ {
 			rel[u][a] = predImplies(q.Pred(u), p.Pred(a))
 		}
+		if !slices.Contains(rel[u], true) {
+			return nil, false // u can never be covered
+		}
 	}
 	holds := func(u, a int) bool {
 		for _, peid := range p.Out(a) {
@@ -235,6 +239,39 @@ func TestContainmentMatchesNaive(t *testing.T) {
 					seed, mode, got, gotOK, want, wantOK, p, q)
 			}
 		}
+	}
+}
+
+// TestContainmentUncoveredAllocatesNothing: a q-node whose predicate
+// implies no p-node's fails Containment before anything is allocated.
+func TestContainmentUncoveredAllocatesNothing(t *testing.T) {
+	uncovered := 0
+	for seed := int64(0); seed < 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		p := randPattern(r, 4)
+		q := randPattern(r, 4)
+		covered := true
+		for u := 0; u < q.N(); u++ {
+			found := false
+			for a := 0; a < p.N(); a++ {
+				found = found || predImplies(q.Pred(u), p.Pred(a))
+			}
+			covered = covered && found
+		}
+		if covered {
+			continue
+		}
+		uncovered++
+		for _, mode := range []ContainMode{ContainChild, ContainDual} {
+			var w [][]int32
+			var ok bool
+			if allocs := testing.AllocsPerRun(5, func() { w, ok = Containment(p, q, mode) }); allocs != 0 || ok || w != nil {
+				t.Fatalf("seed %d mode %v: uncovered pair gave ok=%v witness %v with %v allocs, want (nil, false) and none", seed, mode, ok, w, allocs)
+			}
+		}
+	}
+	if uncovered == 0 {
+		t.Error("no random pair was uncovered")
 	}
 }
 

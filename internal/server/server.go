@@ -383,15 +383,24 @@ func parsePattern(text string) (*gpm.Pattern, error) {
 	return p, nil
 }
 
+// checkTimeout rejects a negative timeout_ms: it is a caller bug, not a
+// request for the default, and rejecting it keeps "0 or absent means
+// default" the only spelling of that intent.
+func checkTimeout(timeoutMS int64) error {
+	if timeoutMS < 0 {
+		return badRequest("timeout_ms must be >= 0 (got %d); omit it or send 0 for the server default", timeoutMS)
+	}
+	return nil
+}
+
 // requestCtx derives the context one query runs under: the client
 // connection (gone when the caller hangs up), the per-request deadline,
 // and the server's base context (cancelled by Close). The returned stop
-// must be called when the request finishes. A negative timeout_ms is a
-// caller bug, not a request for the default: rejecting it keeps "0 or
-// absent means default" the only spelling of that intent.
+// must be called when the request finishes. A negative timeout_ms fails
+// checkTimeout.
 func (s *Server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc, error) {
-	if timeoutMS < 0 {
-		return nil, nil, badRequest("timeout_ms must be >= 0 (got %d); omit it or send 0 for the server default", timeoutMS)
+	if err := checkTimeout(timeoutMS); err != nil {
+		return nil, nil, err
 	}
 	ctx, cancel := context.WithCancel(r.Context())
 	unhook := context.AfterFunc(s.base, cancel)
@@ -466,17 +475,15 @@ func (s *Server) relationQuery(r *http.Request, semantics string, req client.Que
 	if err != nil {
 		return nil, nil, badRequest("unknown semantics %q", semantics)
 	}
-	ctx, stop, err := s.requestCtx(r, req.TimeoutMS)
-	if err != nil {
+	if err := checkTimeout(req.TimeoutMS); err != nil {
 		return nil, nil, err
 	}
-	defer stop()
 
 	// Fast path: a text whose canonical form is memoised skips the parse
 	// and the canonical search; if the key then hits, the whole request is
-	// a couple of map lookups. Texts only enter the memo after parsing
-	// successfully, so malformed patterns still fall through to the parse
-	// error below.
+	// a couple of map lookups, and allocates no request context. Texts
+	// only enter the memo after parsing successfully, so malformed
+	// patterns still fall through to the parse error below.
 	var (
 		key       qcache.Key
 		spelling  pattern.Canon
@@ -495,6 +502,11 @@ func (s *Server) relationQuery(r *http.Request, semantics string, req client.Que
 		}
 	}
 
+	ctx, stop, err := s.requestCtx(r, req.TimeoutMS)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer stop()
 	p, err := parsePattern(req.Pattern)
 	if err != nil {
 		return nil, nil, err

@@ -22,6 +22,9 @@ import (
 // Patterns must have all edge bounds equal to 1. ctx is polled inside the
 // fixpoint, and a cancelled context aborts with ctx.Err().
 func RunFrozen(ctx context.Context, p *pattern.Pattern, f *graph.Frozen) (rel [][]int32, ok bool, err error) {
+	if !p.AllBoundsOne() {
+		return nil, false, fmt.Errorf("simulation: pattern has a bound != 1")
+	}
 	res, err := core.MatchOpts(ctx, p, nil, nil, nil, core.MatchOptions{Frozen: f})
 	if err != nil {
 		return nil, false, err
