@@ -16,7 +16,7 @@
 //	BenchmarkFig9*          – appendix Fig 9 bound sweep
 //	BenchmarkGr*            – appendix |Gr| result-graph statistics
 //	BenchmarkAblation*      – DESIGN.md ablations (naive fixpoint, matrix build)
-//	BenchmarkColoredMatch*  – coloured /match past the auto matrix threshold
+//	BenchmarkColoredMatch*  – coloured /match through the engine
 package gpm_test
 
 import (
@@ -26,18 +26,22 @@ import (
 	"testing"
 
 	"gpm"
+	"gpm/internal/core"
 	"gpm/internal/difftest"
+	"gpm/internal/incremental"
+	"gpm/internal/simulation"
+	"gpm/internal/subiso"
 )
 
 // Shared fixtures, built once.
 var (
 	fixOnce    sync.Once
-	ytGraph    *gpm.Graph     // scaled YouTube stand-in
-	ytOracle   gpm.DistOracle // matrix oracle over ytGraph
-	ytPattern  *gpm.Pattern   // P(4,4,3) walk pattern
+	ytGraph    *gpm.Graph      // scaled YouTube stand-in
+	ytOracle   core.DistOracle // matrix oracle over ytGraph
+	ytPattern  *gpm.Pattern    // P(4,4,3) walk pattern
 	ytPatterns map[int]*gpm.Pattern
 	synGraph   *gpm.Graph
-	synOracle  gpm.DistOracle
+	synOracle  core.DistOracle
 )
 
 func setup() {
@@ -47,7 +51,7 @@ func setup() {
 		if err != nil {
 			panic(err)
 		}
-		ytOracle = gpm.NewMatrixOracle(ytGraph)
+		ytOracle = core.BuildMatrixOracle(ytGraph)
 		ytPatterns = map[int]*gpm.Pattern{}
 		for size := 3; size <= 8; size++ {
 			ytPatterns[size] = gpm.GeneratePattern(gpm.PatternGenConfig{
@@ -58,7 +62,7 @@ func setup() {
 		synGraph = gpm.GenerateGraph(gpm.GraphGenConfig{
 			Nodes: 1000, Edges: 2000, Attrs: 100, Model: gpm.ModelER, Seed: 7,
 		})
-		synOracle = gpm.NewMatrixOracle(synGraph)
+		synOracle = core.BuildMatrixOracle(synGraph)
 	})
 }
 
@@ -79,7 +83,7 @@ func BenchmarkFig6aMatch(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := gpm.MatchWithOracle(ytPattern, ytGraph, ytOracle); err != nil {
+		if _, err := core.MatchWithOracle(ytPattern, ytGraph, ytOracle); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -90,7 +94,7 @@ func BenchmarkFig6aSubIso(b *testing.B) {
 	b.ResetTimer()
 	opts := gpm.IsoOptions{MaxEmbeddings: 1000, MaxSteps: 2_000_000}
 	for i := 0; i < b.N; i++ {
-		gpm.Ullmann(ytPattern, ytGraph, opts)
+		subiso.Ullmann(ytPattern, ytGraph, opts)
 	}
 }
 
@@ -103,7 +107,7 @@ func BenchmarkFig6bMatchProcess(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := gpm.MatchWithOracle(p, ytGraph, ytOracle); err != nil {
+				if _, err := core.MatchWithOracle(p, ytGraph, ytOracle); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -116,7 +120,7 @@ func BenchmarkFig6bMatchTotal(b *testing.B) {
 	b.ResetTimer()
 	// Includes the distance-matrix construction, the paper's Match(Total).
 	for i := 0; i < b.N; i++ {
-		if _, err := gpm.Match(ytPattern, ytGraph); err != nil {
+		if _, err := core.Match(ytPattern, ytGraph); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,7 +135,7 @@ func BenchmarkFig6bVF2(b *testing.B) {
 			p := ytPatterns[size]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				gpm.VF2(p, ytGraph, opts)
+				subiso.VF2(p, ytGraph, opts)
 			}
 		})
 	}
@@ -142,7 +146,7 @@ func BenchmarkFig6cCountMatches(b *testing.B) {
 	b.ResetTimer()
 	var pairs int
 	for i := 0; i < b.N; i++ {
-		res, err := gpm.MatchWithOracle(ytPattern, ytGraph, ytOracle)
+		res, err := core.MatchWithOracle(ytPattern, ytGraph, ytOracle)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +165,7 @@ func BenchmarkFig6dExtraEdges(b *testing.B) {
 			}, synGraph)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := gpm.MatchWithOracle(p, synGraph, synOracle); err != nil {
+				if _, err := core.MatchWithOracle(p, synGraph, synOracle); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -172,23 +176,23 @@ func BenchmarkFig6dExtraEdges(b *testing.B) {
 func BenchmarkFig6eVariants(b *testing.B) {
 	setup()
 	b.ResetTimer()
-	hop := gpm.NewTwoHopOracle(ytGraph)
+	hop := core.BuildTwoHopOracle(ytGraph)
 	b.Run("Match", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			gpm.MatchWithOracle(ytPattern, ytGraph, ytOracle)
+			core.MatchWithOracle(ytPattern, ytGraph, ytOracle)
 		}
 	})
 	b.Run("2hop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			gpm.MatchWithOracle(ytPattern, ytGraph, hop)
+			core.MatchWithOracle(ytPattern, ytGraph, hop)
 		}
 	})
 	b.Run("BFS", func(b *testing.B) {
 		// One oracle for the loop: constructing per iteration would
 		// re-pay the O(|V|+|E|) freeze inside the timed region.
-		bo := gpm.NewBFSOracle(ytGraph)
+		bo := core.NewBFSOracle(ytGraph)
 		for i := 0; i < b.N; i++ {
-			gpm.MatchWithOracle(ytPattern, ytGraph, bo)
+			core.MatchWithOracle(ytPattern, ytGraph, bo)
 		}
 	})
 }
@@ -198,11 +202,11 @@ func BenchmarkFig6fghEdgeScaling(b *testing.B) {
 		g := gpm.GenerateGraph(gpm.GraphGenConfig{
 			Nodes: 1000, Edges: factor * 1000, Attrs: 100, Model: gpm.ModelER, Seed: 7,
 		})
-		o := gpm.NewMatrixOracle(g)
+		o := core.BuildMatrixOracle(g)
 		p := gpm.GeneratePattern(gpm.PatternGenConfig{Nodes: 6, Edges: 6, K: 3, Seed: 5}, g)
 		b.Run(fmt.Sprintf("E=%dx", factor), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := gpm.MatchWithOracle(p, g, o); err != nil {
+				if _, err := core.MatchWithOracle(p, g, o); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -216,8 +220,8 @@ func incrementalRoundTrip(b *testing.B, ins, del int) {
 	setup()
 	b.ResetTimer()
 	g := ytGraph.Clone()
-	dm := gpm.NewDynamicMatrix(g)
-	m, err := gpm.NewIncrementalMatcher(ytPattern, dm)
+	dm := incremental.NewDynMatrix(g)
+	m, err := incremental.NewMatcher(ytPattern, dm)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -253,7 +257,7 @@ func BenchmarkFig6iBatchMatchCompetitor(b *testing.B) {
 	b.ResetTimer()
 	// The batch side of Fig 6(i): recompute matrix + match from scratch.
 	for i := 0; i < b.N; i++ {
-		if _, err := gpm.Match(ytPattern, ytGraph); err != nil {
+		if _, err := core.Match(ytPattern, ytGraph); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -267,7 +271,7 @@ func BenchmarkFig9BoundSweep(b *testing.B) {
 			p := gpm.GeneratePattern(gpm.PatternGenConfig{Nodes: 6, Edges: 5, K: k, C: 2, Seed: 23}, synGraph)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := gpm.MatchWithOracle(p, synGraph, synOracle); err != nil {
+				if _, err := core.MatchWithOracle(p, synGraph, synOracle); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -278,13 +282,13 @@ func BenchmarkFig9BoundSweep(b *testing.B) {
 func BenchmarkGrResultGraph(b *testing.B) {
 	setup()
 	b.ResetTimer()
-	res, err := gpm.MatchWithOracle(ytPattern, ytGraph, ytOracle)
+	res, err := core.MatchWithOracle(ytPattern, ytGraph, ytOracle)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		gpm.ResultGraphOf(res, ytOracle)
+		core.BuildResultGraph(res, ytOracle)
 	}
 }
 
@@ -292,7 +296,7 @@ func BenchmarkAblationMatrixBuild(b *testing.B) {
 	setup()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gpm.NewMatrixOracle(ytGraph)
+		core.BuildMatrixOracle(ytGraph)
 	}
 }
 
@@ -300,7 +304,7 @@ func BenchmarkAblationTwoHopBuild(b *testing.B) {
 	setup()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gpm.NewTwoHopOracle(ytGraph)
+		core.BuildTwoHopOracle(ytGraph)
 	}
 }
 
@@ -313,7 +317,7 @@ func BenchmarkAblationPlainSimulation(b *testing.B) {
 	c := p.AddNode(gpm.Predicate{{Attr: "category", Op: gpm.OpEQ, Val: gpm.Str("Comedy")}})
 	p.MustAddEdge(a, c, 1)
 	for i := 0; i < b.N; i++ {
-		if _, _, err := gpm.Simulate(p, ytGraph); err != nil {
+		if _, _, err := simulation.RunFrozen(context.Background(), p, ytGraph.Freeze()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -358,46 +362,38 @@ func BenchmarkStrongSim(b *testing.B) {
 }
 
 // BenchmarkColoredMatchAuto times bounded Match with coloured pattern
-// edges on a two-colour stand-in under WithAutoOracle, the engine gpmd
-// binds by default, which owns no distance oracle at either size. first
-// is a fresh engine's first query, so whatever the engine builds up
-// front (the frozen snapshot) lands in it; steady cycles the patterns on
-// a warm engine. probes/op counts the oracle probes.
+// edges on a two-colour stand-in. first is a fresh engine's first
+// query, so whatever the engine builds up front (the frozen snapshot)
+// lands in it; steady cycles the patterns on a warm engine.
 func BenchmarkColoredMatchAuto(b *testing.B) {
 	for _, nodes := range []int{3000, 5000} {
 		w := difftest.NewWorkload(3, difftest.Config{Nodes: nodes, Attrs: 20, Colors: 2, Patterns: 8})
 		ctx := context.Background()
-		match := func(b *testing.B, eng *gpm.Engine, i int) int64 {
-			r, err := eng.Match(ctx, w.Patterns[i%len(w.Patterns)])
-			if err != nil {
+		match := func(b *testing.B, eng *gpm.Engine, i int) {
+			if _, err := eng.Match(ctx, w.Patterns[i%len(w.Patterns)]); err != nil {
 				b.Fatal(err)
 			}
-			return r.Stats.OracleQueries
 		}
 		b.Run(fmt.Sprintf("nodes=%d/first", nodes), func(b *testing.B) {
-			var probes int64
 			for i := 0; i < b.N; i++ {
-				probes += match(b, gpm.NewEngine(w.G, gpm.WithAutoOracle()), i)
+				match(b, gpm.NewEngine(w.G), i)
 			}
-			b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
 		})
 		b.Run(fmt.Sprintf("nodes=%d/steady", nodes), func(b *testing.B) {
-			eng := gpm.NewEngine(w.G, gpm.WithAutoOracle())
+			eng := gpm.NewEngine(w.G)
 			for i := range w.Patterns {
 				match(b, eng, i)
 			}
-			var probes int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				probes += match(b, eng, i)
+				match(b, eng, i)
 			}
-			b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
 		})
 	}
 }
 
 // BenchmarkResultGraphAuto times Engine.ResultGraph on the bounded
-// matches of a stand-in's patterns under WithAutoOracle: the witnesses
+// matches of a stand-in's patterns: the witnesses
 // of each matched source come from one walk over the frozen snapshot,
 // whose scratch is reset through the nodes the walk reached. The matches
 // are computed before the timer; edges/op is the result graphs' mean
@@ -405,7 +401,7 @@ func BenchmarkColoredMatchAuto(b *testing.B) {
 func BenchmarkResultGraphAuto(b *testing.B) {
 	for _, nodes := range []int{3000, 20000} {
 		w := difftest.NewWorkload(3, difftest.Config{Nodes: nodes, Attrs: 20, Patterns: 8, IsoBias: true})
-		eng := gpm.NewEngine(w.G, gpm.WithAutoOracle())
+		eng := gpm.NewEngine(w.G)
 		var results []*gpm.MatchResult
 		for _, p := range w.Patterns {
 			r, err := eng.Match(context.Background(), p)
@@ -432,8 +428,7 @@ func BenchmarkResultGraphAuto(b *testing.B) {
 
 // BenchmarkRangedMatch times bounded Match with the hopranges example's
 // pattern edge, a walk of 2..4 hops, on every edge of a 3000-node
-// stand-in's patterns, under the matrix oracle (built before the timer),
-// which no ranged edge asks.
+// stand-in's patterns; the snapshot is frozen before the timer.
 func BenchmarkRangedMatch(b *testing.B) {
 	w := difftest.NewWorkload(3, difftest.Config{Nodes: 3000, Attrs: 20, Patterns: 8})
 	ps := make([]*gpm.Pattern, len(w.Patterns))
@@ -449,7 +444,7 @@ func BenchmarkRangedMatch(b *testing.B) {
 		}
 	}
 	ctx := context.Background()
-	eng := gpm.NewEngine(w.G, gpm.WithOracle(gpm.OracleMatrix))
+	eng := gpm.NewEngine(w.G)
 	if _, err := eng.Match(ctx, ps[0]); err != nil {
 		b.Fatal(err)
 	}
@@ -464,31 +459,27 @@ func BenchmarkRangedMatch(b *testing.B) {
 // BenchmarkMatchPastWitnessCap times queries where the 32 MiB per-query
 // cap on witness matrices binds: a 20000-node graph with a two-value
 // label alphabet, so every pattern node has ~10000 candidates and a
-// witness matrix would cost ~12 MB a constraint. Bounded Match runs
-// under PLL and auto (no oracle); plain and dual simulation run the same
-// workloads with every bound 1, where no constraint keeps a matrix.
-// Past the cap a removal sweeps back from the removed node, and at k = 1
-// walks its arcs, so probes/op is 0 whenever counter initialisation
-// swept; removals/op is the fixpoint's exact count. Oracle builds happen
-// before the timer.
+// witness matrix would cost ~12 MB a constraint. Plain and dual
+// simulation run the same workloads with every bound 1, where no
+// constraint keeps a matrix. Past the cap a removal sweeps back from the
+// removed node, and at k = 1 walks its arcs; removals/op is the
+// fixpoint's exact count. The snapshot is frozen before the timer.
 func BenchmarkMatchPastWitnessCap(b *testing.B) {
 	for _, seed := range []int64{0, 4} { // ER and power-law, label-only predicates
 		w := difftest.NewWorkload(seed, difftest.Config{Nodes: 20000, Attrs: 2, Patterns: 8})
 		k1 := difftest.NewWorkload(seed, difftest.Config{Nodes: 20000, Attrs: 2, Patterns: 8, K: 1})
 		for _, row := range []struct {
 			name string
-			kind gpm.OracleKind
 			sem  gpm.RelSemantics
 			w    *difftest.Workload
 		}{
-			{"match/pll", gpm.OraclePLL, gpm.RelMatch, w},
-			{"match/auto", gpm.OracleAuto, gpm.RelMatch, w},
-			{"sim", gpm.OracleAuto, gpm.RelSim, k1},
-			{"dual", gpm.OracleAuto, gpm.RelDual, k1},
+			{"match", gpm.RelMatch, w},
+			{"sim", gpm.RelSim, k1},
+			{"dual", gpm.RelDual, k1},
 		} {
 			b.Run(fmt.Sprintf("seed=%d/%s", seed, row.name), func(b *testing.B) {
 				ctx := context.Background()
-				eng := gpm.NewEngine(row.w.G, gpm.WithOracle(row.kind))
+				eng := gpm.NewEngine(row.w.G)
 				query := func(p *gpm.Pattern) gpm.MatchStats {
 					r, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: row.sem, Pattern: p})
 					if err != nil {
@@ -497,14 +488,11 @@ func BenchmarkMatchPastWitnessCap(b *testing.B) {
 					return r.Stats
 				}
 				query(row.w.Patterns[0])
-				var probes, removals int64
+				var removals int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					st := query(row.w.Patterns[i%len(row.w.Patterns)])
-					probes += st.OracleQueries
-					removals += st.Removals
+					removals += query(row.w.Patterns[i%len(row.w.Patterns)]).Removals
 				}
-				b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
 				b.ReportMetric(float64(removals)/float64(b.N), "removals/op")
 			})
 		}

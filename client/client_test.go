@@ -15,7 +15,6 @@ import (
 
 	"gpm"
 	"gpm/client"
-	"gpm/internal/pll"
 	"gpm/internal/server"
 )
 
@@ -246,9 +245,8 @@ func TestDeadlineForwarded(t *testing.T) {
 	}
 }
 
-// TestErrorStatuses: the daemon's 400, 404, 422 and 504 surface as
+// TestErrorStatuses: the daemon's 400, 404 and 504 surface as
 // *client.Error with that status and the server's message.
-// Not parallel: it lowers pll.MaxNodes.
 func TestErrorStatuses(t *testing.T) {
 	g := testGraph()
 	p := testPattern(g, 3)
@@ -266,14 +264,6 @@ func TestErrorStatuses(t *testing.T) {
 	var ce *client.Error
 	if !errors.As(err, &ce) || ce.StatusCode != http.StatusNotFound || ce.Message == "" {
 		t.Errorf("unknown graph: %v, want a 404 with a message", err)
-	}
-
-	saved := pll.MaxNodes
-	pll.MaxNodes = 64
-	defer func() { pll.MaxNodes = saved }()
-	big := boot(t, server.Config{}, g, gpm.WithOracle(gpm.OraclePLL))
-	if _, err := big.c.Match(ctx, "g", p); statusOf(err) != http.StatusUnprocessableEntity || !errors.As(err, &ce) {
-		t.Errorf("oversized PLL binding: %v, want 422", err)
 	}
 
 	slow := boot(t, server.Config{DefaultTimeout: time.Nanosecond}, g)

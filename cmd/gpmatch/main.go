@@ -3,12 +3,12 @@
 // Usage:
 //
 //	gpmatch -graph g.graph -pattern p.pattern
-//	        [-semantics match|bfs|2hop|pll|auto|sim|dual|strong|iso|vf2|ullmann]
+//	        [-semantics match|sim|dual|strong|iso|vf2|ullmann]
 //	        [-workers N] [-result] [-limit 100] [-time] [-plan] [-count] [-noplan]
 //
 // The default semantics is the paper's cubic-time Match (bounded
-// simulation over a distance matrix); bfs/2hop/pll/auto select the oracle
-// (auto is none: witness sweeps at every graph size). sim is
+// simulation, its witnesses found by sweeps over the graph's adjacency:
+// no distance oracle is built). sim is
 // plain graph simulation; dual and strong are the topology-preserving
 // semantics of Ma et al. (VLDB 2012), requiring all edge bounds to be 1;
 // iso/vf2/ullmann print embeddings under the traditional subgraph-
@@ -18,11 +18,9 @@
 // embedding count (computed without materialising embeddings) instead of
 // listing them, and -noplan opts out of the planner. -result additionally
 // prints the result graph (bounded, dual and strong simulation). -time
-// reports the oracle preprocessing and the matching time separately.
-// -workers sets the matching parallelism and the PLL oracle's
-// batched-parallel build width (0 = GOMAXPROCS); every worker count
-// returns identical output. -algo is the deprecated spelling of
-// -semantics.
+// reports the matching time. -workers sets the matching parallelism
+// (0 = GOMAXPROCS); every worker count returns identical output. -algo
+// is the deprecated spelling of -semantics.
 package main
 
 import (
@@ -40,11 +38,11 @@ func main() {
 		graphPath   = flag.String("graph", "", "data graph file (required)")
 		patternPath = flag.String("pattern", "", "pattern file (required)")
 		algo        = flag.String("algo", "", "deprecated alias for -semantics")
-		semantics   = flag.String("semantics", "", "match | bfs | 2hop | pll | auto | sim | dual | strong | iso | vf2 | ullmann")
+		semantics   = flag.String("semantics", "", "match | sim | dual | strong | iso | vf2 | ullmann")
 		showResult  = flag.Bool("result", false, "print the result graph (bounded/dual/strong simulation)")
 		limit       = flag.Int("limit", 100, "embedding cap for iso/vf2/ullmann")
-		showTime    = flag.Bool("time", false, "print oracle-build and match time separately")
-		workers     = flag.Int("workers", 0, "matching and oracle-build parallelism (0 = GOMAXPROCS)")
+		showTime    = flag.Bool("time", false, "print the match time")
+		workers     = flag.Int("workers", 0, "matching parallelism (0 = GOMAXPROCS)")
 		showPlan    = flag.Bool("plan", false, "print the enumeration plan (iso/vf2/ullmann)")
 		count       = flag.Bool("count", false, "print the embedding count instead of embeddings (iso/vf2/ullmann)")
 		noPlan      = flag.Bool("noplan", false, "skip the query planner (iso/vf2/ullmann)")
@@ -89,15 +87,8 @@ func run(w io.Writer, graphPath, patternPath, semantics string, showResult bool,
 	}
 
 	switch semantics {
-	case "match", "bfs", "2hop", "pll", "auto":
-		kind := map[string]gpm.OracleKind{
-			"match": gpm.OracleMatrix,
-			"bfs":   gpm.OracleBFS,
-			"2hop":  gpm.OracleTwoHop,
-			"pll":   gpm.OraclePLL,
-			"auto":  gpm.OracleAuto,
-		}[semantics]
-		eng := gpm.NewEngine(g, append(engOpts, gpm.WithOracle(kind))...)
+	case "match":
+		eng := gpm.NewEngine(g, engOpts...)
 		res, err := eng.Match(ctx, p)
 		if err != nil {
 			return err
@@ -189,9 +180,6 @@ func run(w io.Writer, graphPath, patternPath, semantics string, showResult bool,
 }
 
 func printTime(w io.Writer, s gpm.MatchStats) {
-	if s.Oracle != gpm.OracleNone {
-		fmt.Fprintf(w, "oracle: %s, build %v (%d queries, %d scans)\n", s.Oracle, s.OracleBuild, s.OracleQueries, s.SweepScans)
-	}
 	fmt.Fprintf(w, "match: %v\n", s.MatchTime)
 }
 

@@ -25,10 +25,6 @@ func TestGoldenSemantics(t *testing.T) {
 		noPlan     bool
 	}{
 		{name: "match", semantics: "match", showResult: true},
-		{name: "bfs", semantics: "bfs"},
-		{name: "2hop", semantics: "2hop"},
-		{name: "pll", semantics: "pll"},
-		{name: "auto", semantics: "auto"},
 		{name: "sim", semantics: "sim"},
 		{name: "dual", semantics: "dual", showResult: true},
 		{name: "strong", semantics: "strong", showResult: true},

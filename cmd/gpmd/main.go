@@ -12,7 +12,7 @@
 //	gpmd -listen :8474
 //	     -graph social=social.graph -graph cites=cites.graph
 //	     -dataset tube=youtube:0.1:7
-//	     [-oracle auto|matrix|bfs|2hop|pll] [-workers N] [-timeout 30s]
+//	     [-oracle auto] [-workers N] [-timeout 30s]
 //	     [-cache-bytes N] [-debug-addr ADDR]
 //	     [-wal DIR [-wal-sync always|none] [-snapshot-every N]] [-v]
 //
@@ -21,13 +21,11 @@
 // "youtube", optionally :scale and :seed). Both repeat. Every request
 // names the graph it queries, so one daemon serves many graphs, each
 // behind its own engine. -timeout is the default per-request deadline;
-// requests may lower it via timeout_ms. -oracle auto, the default, gives
-// no graph a distance oracle: bounded queries of every size are answered
-// by witness sweeps over the graph's adjacency, so no index is built and
-// memory stays O(|V|+|E|) per graph. The explicit kinds are the paper's
-// baselines: matrix builds the |V|² distance matrix, 2hop and pll their
-// labellings, on the first bounded query and again on the first one
-// after each effective update (the matrix is maintained in place).
+// requests may lower it via timeout_ms. No graph gets a distance oracle:
+// bounded queries of every size are answered by witness sweeps over the
+// graph's adjacency, so no index is built and memory stays O(|V|+|E|)
+// per graph. -oracle accepts only auto, that behaviour, and stays for
+// existing command lines.
 //
 // -cache-bytes budgets the relation-result cache: responses to /match,
 // /simulate, /dual and /strong are cached under the pattern's canonical
@@ -116,8 +114,8 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&opts.listen, "listen", ":8474", "listen address")
 	fs.Var(&opts.graphs, "graph", "bind a graph file: name=path (repeatable)")
 	fs.Var(&opts.datasets, "dataset", "bind a dataset stand-in: name=matter|pblog|youtube[:scale[:seed]] (repeatable)")
-	fs.StringVar(&opts.oracle, "oracle", "auto", "distance oracle: auto (none: witness sweeps, no index) | matrix | bfs | 2hop | pll")
-	fs.IntVar(&opts.workers, "workers", 0, "matching and oracle-build parallelism per engine (0 = GOMAXPROCS)")
+	fs.StringVar(&opts.oracle, "oracle", "auto", "distance oracle: auto (none: witness sweeps, no index)")
+	fs.IntVar(&opts.workers, "workers", 0, "matching parallelism per engine (0 = GOMAXPROCS)")
 	fs.DurationVar(&opts.timeout, "timeout", 30*time.Second, "default per-request deadline (0 = none)")
 	fs.Int64Var(&opts.cacheB, "cache-bytes", 64<<20, "relation-result cache budget in bytes (0 = no caching)")
 	fs.StringVar(&opts.walDir, "wal", "", "write-ahead log directory; enables crash recovery (empty = in-memory only)")
@@ -132,24 +130,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 		return nil, fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
 	return opts, nil
-}
-
-// oracleKind maps the -oracle flag to an engine option.
-func oracleKind(name string) (gpm.OracleKind, error) {
-	switch name {
-	case "auto":
-		return gpm.OracleAuto, nil
-	case "matrix":
-		return gpm.OracleMatrix, nil
-	case "bfs":
-		return gpm.OracleBFS, nil
-	case "2hop":
-		return gpm.OracleTwoHop, nil
-	case "pll":
-		return gpm.OraclePLL, nil
-	default:
-		return 0, fmt.Errorf("unknown oracle %q (want auto, matrix, bfs, 2hop or pll)", name)
-	}
 }
 
 // splitBinding splits one "name=spec" flag value.
@@ -196,9 +176,8 @@ func buildServer(opts *options, logw io.Writer) (*server.Server, *wal.WAL, error
 	if len(opts.graphs)+len(opts.datasets) == 0 {
 		return nil, nil, fmt.Errorf("no graphs bound: pass at least one -graph or -dataset")
 	}
-	kind, err := oracleKind(opts.oracle)
-	if err != nil {
-		return nil, nil, err
+	if opts.oracle != "auto" {
+		return nil, nil, fmt.Errorf("unknown oracle %q (want auto)", opts.oracle)
 	}
 	if opts.snapEvery < 0 {
 		return nil, nil, fmt.Errorf("-snapshot-every must be >= 0 (got %d)", opts.snapEvery)
@@ -207,7 +186,7 @@ func buildServer(opts *options, logw io.Writer) (*server.Server, *wal.WAL, error
 	if err != nil {
 		return nil, nil, fmt.Errorf("-wal-sync: %v", err)
 	}
-	engOpts := []gpm.EngineOption{gpm.WithOracle(kind)}
+	var engOpts []gpm.EngineOption
 	if opts.workers > 0 {
 		engOpts = append(engOpts, gpm.WithWorkers(opts.workers))
 	}

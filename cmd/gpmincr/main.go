@@ -69,7 +69,7 @@ func watchFor(eng *gpm.Engine, p *gpm.Pattern, semantics string) (*gpm.Watcher, 
 func recompute(eng *gpm.Engine, p *gpm.Pattern, semantics string) ([][]int32, bool, error) {
 	ctx := context.Background()
 	// A throwaway engine over the live graph: the scratch query is
-	// read-only, and its oracle/snapshot rebuild is charged to the
+	// read-only, and its snapshot freeze is charged to the
 	// scratch time the way the paper charges recomputation.
 	scratch := gpm.NewEngine(eng.Graph())
 	switch semantics {

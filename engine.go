@@ -2,7 +2,6 @@ package gpm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -14,42 +13,37 @@ import (
 	"gpm/internal/graph"
 	"gpm/internal/incremental"
 	"gpm/internal/plan"
-	"gpm/internal/pll"
 	"gpm/internal/subiso"
 	"gpm/internal/topo"
-	"gpm/internal/twohop"
 )
 
-// OracleKind identifies a distance-oracle strategy — the three variants
-// the paper compares in Exp-2, plus the auto heuristic and the "no
-// oracle" marker for queries that never probe distances.
+// OracleKind names a distance-oracle strategy: the three variants the
+// paper compares in Exp-2 (cmd/gpmbench runs them through
+// internal/core), PLL, auto, and the "no oracle" marker. The engine
+// builds and probes none of them: every query it serves answers its
+// witnesses by sweeps over the graph's adjacency, so its stats and
+// [Engine.OracleKind] always report OracleNone.
 type OracleKind int
 
 const (
-	// OracleAuto resolves to OracleNone at every graph size: bounded
-	// queries are answered by witness sweeps over the frozen snapshot, so
-	// the engine builds no matrix, labelling or other index.
+	// OracleAuto is the daemon's -oracle setting: no oracle.
 	OracleAuto OracleKind = iota
-	// OracleMatrix precomputes the all-pairs distance matrix: O(1)
-	// queries, O(|V|²) memory — the paper's main Match configuration.
+	// OracleMatrix is the all-pairs distance matrix: O(1) probes,
+	// O(|V|²) memory — the paper's main Match configuration.
 	OracleMatrix
-	// OracleBFS answers by cached breadth-first search: no
-	// preprocessing, O(|V|) memory, slower queries.
+	// OracleBFS answers by cached breadth-first search.
 	OracleBFS
 	// OracleTwoHop filters BFS through a 2-hop reachability labelling.
 	OracleTwoHop
 	// OraclePLL answers from a pruned-landmark distance labelling
-	// (Akiba–Iwata–Yoshida): exact distances in label-merge time with
-	// memory that scales with the graph's hub structure instead of
-	// |V|². Opt-in only: the Exp-2 and million-node baseline.
+	// (Akiba–Iwata–Yoshida).
 	OraclePLL
-	// OracleNone marks queries that use no distance oracle (plain
-	// simulation, subgraph-isomorphism enumeration, and every query of
-	// an engine bound with OracleAuto).
+	// OracleNone marks queries that use no distance oracle: every query
+	// the engine serves.
 	OracleNone
 )
 
-// String names the kind the way cmd/gpmatch's -algo flag spells it.
+// String names the kind; gpmd reports it in its "oracle" fields.
 func (k OracleKind) String() string {
 	switch k {
 	case OracleAuto:
@@ -68,42 +62,33 @@ func (k OracleKind) String() string {
 	return fmt.Sprintf("OracleKind(%d)", int(k))
 }
 
-// ErrGraphTooLarge reports that the bound graph's node count exceeds
-// the configured oracle strategy's addressing limit (PLL labels hold
-// hub ids in 24 bits). Queries against such an engine fail with an
-// error wrapping this sentinel instead of panicking, so a daemon
-// serving many graphs survives one oversized binding.
-var ErrGraphTooLarge = errors.New("graph too large for the configured distance oracle")
-
 // EngineOption configures NewEngine.
 type EngineOption func(*engineConfig)
 
 type engineConfig struct {
-	kind    OracleKind
 	workers int
 }
 
-// WithOracle fixes the engine's distance-oracle strategy. The default is
-// OracleMatrix, the paper's main configuration. Valid kinds are
-// OracleAuto, OracleMatrix, OracleBFS, OracleTwoHop and OraclePLL;
-// NewEngine panics on anything else (OracleNone marks oracle-less
-// queries in MatchStats, it is not a strategy). The explicit kinds are
-// the paper's Exp-2 baselines: the engine builds the index on the first
-// bounded query and probes it wherever probing is cheaper than a sweep.
-// Forcing OraclePLL on a graph with more nodes than PLL labels can
-// address does not panic: the engine binds, and oracle-backed queries
-// fail with an error wrapping [ErrGraphTooLarge].
+// WithOracle names a distance-oracle kind. It panics on a kind that
+// names no strategy (OracleNone, or out of range) and otherwise has no
+// effect.
+//
+// Deprecated: no effect. The engine builds and probes no distance
+// oracle under any kind: bounded, "*", coloured and ranged queries are
+// all answered by witness sweeps over the graph's adjacency, and its
+// memory stays O(|V|+|E|). The paper's Exp-2 oracle comparison runs
+// through internal/core (cmd/gpmbench -exp 6e).
 func WithOracle(k OracleKind) EngineOption {
-	return func(c *engineConfig) { c.kind = k }
+	if k < OracleAuto || k >= OracleNone {
+		panic(fmt.Sprintf("gpm: WithOracle(%v) is not a valid engine oracle strategy", k))
+	}
+	return func(*engineConfig) {}
 }
 
-// WithAutoOracle is WithOracle(OracleAuto): the engine owns no distance
-// oracle at any graph size. Bounded, "*", coloured and ranged queries
-// are all answered by witness sweeps over the graph's adjacency, so the
-// engine builds no index and its memory stays O(|V|+|E|).
-func WithAutoOracle() EngineOption {
-	return func(c *engineConfig) { c.kind = OracleAuto }
-}
+// WithAutoOracle is WithOracle(OracleAuto).
+//
+// Deprecated: no effect; see [WithOracle].
+func WithAutoOracle() EngineOption { return WithOracle(OracleAuto) }
 
 // WithWorkers sets the engine's matching parallelism: the number of
 // goroutines one Match query shards its fixpoint initialisation across,
@@ -115,14 +100,15 @@ func WithWorkers(n int) EngineOption {
 	return func(c *engineConfig) { c.workers = n }
 }
 
-// MatchStats instruments one engine query: which oracle served it, how
-// much shared-index construction the call paid for (zero on a cache
-// hit), the matching time proper, and the work counters of the fixpoint.
+// MatchStats instruments one engine query: the matching time proper and
+// the work counters of the fixpoint. The oracle fields stay for the
+// wire's sake; the engine builds and probes no oracle, so they always
+// read OracleNone and zero.
 type MatchStats struct {
-	Oracle        OracleKind    // oracle kind that served the query
-	OracleBuild   time.Duration // shared-index build time charged to this call
-	MatchTime     time.Duration // fixpoint / enumeration time, excluding OracleBuild
-	OracleQueries int64         // distance-oracle probes issued
+	Oracle        OracleKind    // always OracleNone
+	OracleBuild   time.Duration // always zero
+	MatchTime     time.Duration // fixpoint / enumeration time
+	OracleQueries int64         // always zero
 	SweepScans    int64         // adjacency entries scanned by witness sweeps and removals
 	Removals      int64         // pairs removed during refinement
 	InitialPairs  int64         // candidate pairs before refinement
@@ -183,34 +169,27 @@ type WatchDelta struct {
 // ([Engine.DualSimulate], [Engine.StrongSimulate]), subgraph-isomorphism
 // enumeration ([Engine.Enumerate]), and incremental matching under edge
 // updates ([Engine.Watch], [Engine.WatchSim], [Engine.WatchDual],
-// [Engine.WatchStrong] / [Engine.Update]). Under [WithAutoOracle] it
-// builds no distance oracle; an explicit [WithOracle] kind is built
-// lazily on the first bounded query and cached, so concurrent and
-// repeated queries share one preprocessing pass instead of re-paying it
-// per call. The frozen snapshot every query sweeps is cached the same
-// way.
+// [Engine.WatchStrong] / [Engine.Update]). It builds no distance oracle:
+// every witness is found by a sweep over a frozen CSR snapshot of the
+// graph, taken on the first query and cached until an effective update,
+// so concurrent and repeated queries share it.
 //
 // An Engine is safe for concurrent use: queries may run in parallel with
 // each other, and Update excludes them while it mutates the graph. The
 // bound graph must not be mutated except through [Engine.Update].
 type Engine struct {
 	g       *Graph
-	kind    OracleKind // resolved; OracleAuto becomes OracleNone
-	workers int        // resolved; >= 1
-	confErr error      // deferred bind-time config error; fails oracle queries
+	workers int // resolved; >= 1
 
 	// mu orders queries (read side) against Update/Watch (write side).
-	// buildMu serialises lazy index construction, which runs under the
-	// read side so concurrent queries don't build twice.
-	mu      sync.RWMutex
-	buildMu sync.Mutex
+	// freezeMu serialises the lazy freeze, which runs under the read side
+	// so concurrent queries don't freeze twice.
+	mu       sync.RWMutex
+	freezeMu sync.Mutex
 
-	mo       atomic.Pointer[core.MatrixOracle]     // kind == OracleMatrix
-	idx      atomic.Pointer[twohop.Index]          // kind == OracleTwoHop
-	po       atomic.Pointer[core.PLLOracle]        // kind == OraclePLL; root oracle, cloned per query
-	dm       atomic.Pointer[incremental.DynMatrix] // shared matrix maintenance
-	fz       atomic.Pointer[graph.Frozen]          // CSR snapshot; dropped on Update
-	watchers []*Watcher                            // guarded by mu (write side)
+	dm       *incremental.DynMatrix       // bounded watchers' matrix; guarded by mu (write side)
+	fz       atomic.Pointer[graph.Frozen] // CSR snapshot; dropped on Update
+	watchers []*Watcher                   // guarded by mu (write side)
 
 	// gen is the monotone structural version of the bound graph: bumped
 	// by Update exactly when a batch has a net effect, mirroring the
@@ -222,33 +201,15 @@ type Engine struct {
 // NewEngine binds g. The graph must outlive the engine and, from then
 // on, be mutated only through [Engine.Update].
 func NewEngine(g *Graph, opts ...EngineOption) *Engine {
-	cfg := engineConfig{kind: OracleMatrix}
+	var cfg engineConfig
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	var confErr error
-	switch cfg.kind {
-	case OracleAuto, OracleMatrix, OracleBFS, OracleTwoHop:
-	case OraclePLL:
-		if g.N() > pll.MaxNodes {
-			// Deferred, not panicked: a daemon binding graphs on behalf
-			// of clients must survive an oversized one. The first query
-			// that needs the oracle surfaces this error.
-			confErr = fmt.Errorf("gpm: WithOracle(OraclePLL) on a %d-node graph; PLL labels address at most %d nodes: %w",
-				g.N(), pll.MaxNodes, ErrGraphTooLarge)
-		}
-	default:
-		panic(fmt.Sprintf("gpm: WithOracle(%v) is not a valid engine oracle strategy", cfg.kind))
 	}
 	workers := cfg.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	kind := cfg.kind
-	if kind == OracleAuto {
-		kind = OracleNone
-	}
-	return &Engine{g: g, kind: kind, workers: workers, confErr: confErr}
+	return &Engine{g: g, workers: workers}
 }
 
 // Graph returns the bound data graph. Treat it as read-only; mutate only
@@ -264,9 +225,8 @@ func (e *Engine) Size() (nodes, edges int) {
 	return e.g.N(), e.g.M()
 }
 
-// OracleKind reports the resolved oracle strategy: never OracleAuto,
-// which resolves to OracleNone.
-func (e *Engine) OracleKind() OracleKind { return e.kind }
+// OracleKind reports OracleNone: the engine owns no distance oracle.
+func (e *Engine) OracleKind() OracleKind { return OracleNone }
 
 // Workers reports the resolved matching parallelism (see WithWorkers).
 func (e *Engine) Workers() int { return e.workers }
@@ -281,19 +241,14 @@ func (e *Engine) Workers() int { return e.workers }
 func (e *Engine) Generation() uint64 { return e.gen.Load() }
 
 // frozen returns the engine's cached immutable CSR snapshot of the bound
-// graph, freezing it on first use. Must be called with mu read-held and
-// buildMu NOT held; the snapshot is dropped by Update and lazily rebuilt.
+// graph, freezing it on first use. Must be called with mu read-held; the
+// snapshot is dropped by Update and lazily rebuilt.
 func (e *Engine) frozen() *graph.Frozen {
 	if f := e.fz.Load(); f != nil {
 		return f
 	}
-	e.buildMu.Lock()
-	defer e.buildMu.Unlock()
-	return e.frozenLocked()
-}
-
-// frozenLocked is frozen for callers already holding buildMu.
-func (e *Engine) frozenLocked() *graph.Frozen {
+	e.freezeMu.Lock()
+	defer e.freezeMu.Unlock()
 	f := e.fz.Load()
 	if f == nil {
 		f = e.g.Freeze()
@@ -302,114 +257,23 @@ func (e *Engine) frozenLocked() *graph.Frozen {
 	return f
 }
 
-// ensureDM returns the shared maintained graph+matrix pair, building it
-// on first use. Callers must hold either buildMu (with mu read-held) or
-// the mu write lock; the two cannot overlap.
+// ensureDM returns the bounded watchers' shared maintained graph+matrix
+// pair, building it on first use. Callers hold the mu write lock.
 func (e *Engine) ensureDM() *incremental.DynMatrix {
-	if dm := e.dm.Load(); dm != nil {
-		return dm
+	if e.dm == nil {
+		if testHookOracleBuild != nil {
+			testHookOracleBuild(OracleMatrix)
+		}
+		e.dm = incremental.NewDynMatrix(e.g)
 	}
-	if testHookOracleBuild != nil {
-		testHookOracleBuild(OracleMatrix)
-	}
-	dm := incremental.NewDynMatrix(e.g)
-	e.dm.Store(dm)
-	return dm
+	return e.dm
 }
 
 // testHookOracleBuild, when non-nil, runs at the start of every index
-// construction the engine performs — the distance matrix, the 2-hop
-// labelling and the PLL labelling — with the kind it builds. Tests use
-// it to count builds, to prove the lazy path is single-flight under
-// concurrent first queries, and to prove an auto engine builds nothing.
+// construction the engine performs — only the bounded watchers'
+// distance matrix is left — with the kind it builds. Tests use it to
+// prove that queries build nothing.
 var testHookOracleBuild func(OracleKind)
-
-// queryOracle returns a DistOracle ready for one query, building the
-// shared index if this is the first query to need it; nil under
-// OracleNone, the resolved auto kind, which builds nothing. Must be
-// called with mu read-held. The returned duration is the index build
-// time this call paid (zero on a cache hit). Cancelling ctx aborts an
-// in-flight index build with ctx.Err(); a deferred bind-time
-// configuration error (see WithOracle) also surfaces here.
-func (e *Engine) queryOracle(ctx context.Context) (DistOracle, time.Duration, error) {
-	if e.confErr != nil {
-		return nil, 0, e.confErr
-	}
-	switch e.kind {
-	case OracleNone:
-		// Every block sweeps with no budget, as for sim and dual.
-		return nil, 0, nil
-	case OracleBFS:
-		// No shared index: a BFS oracle is its own per-query cache. It
-		// does share the engine's frozen snapshot, so repeated queries
-		// skip the O(|V|+|E|) freeze.
-		return core.NewBFSOracleFrozen(e.frozen()), 0, nil
-	case OracleTwoHop:
-		if idx := e.idx.Load(); idx != nil {
-			return core.NewTwoHopOracleFrozen(e.frozen(), idx), 0, nil
-		}
-		e.buildMu.Lock()
-		defer e.buildMu.Unlock()
-		idx := e.idx.Load()
-		var built time.Duration
-		if idx == nil {
-			if testHookOracleBuild != nil {
-				testHookOracleBuild(OracleTwoHop)
-			}
-			start := time.Now()
-			idx = twohop.Build(e.g)
-			built = time.Since(start)
-			e.idx.Store(idx)
-		}
-		return core.NewTwoHopOracleFrozen(e.frozenLocked(), idx), built, nil
-	case OraclePLL:
-		// The root oracle (the shared labelling) is cached; every query
-		// takes a clone with fresh probe caches, since those are
-		// single-goroutine state.
-		if po := e.po.Load(); po != nil {
-			return po.CloneForWorker(), 0, nil
-		}
-		e.buildMu.Lock()
-		defer e.buildMu.Unlock()
-		po := e.po.Load()
-		var built time.Duration
-		if po == nil {
-			if testHookOracleBuild != nil {
-				testHookOracleBuild(OraclePLL)
-			}
-			start := time.Now()
-			f := e.frozenLocked()
-			opts := pll.AutoOptions(f)
-			opts.Workers = e.workers
-			idx, err := pll.Build(ctx, f, opts)
-			if err != nil {
-				// Cancellation: the next query retries the build.
-				return nil, 0, err
-			}
-			po = core.NewPLLOracleFrozen(f, idx)
-			built = time.Since(start)
-			e.po.Store(po)
-		}
-		return po.CloneForWorker(), built, nil
-	default: // OracleMatrix
-		if mo := e.mo.Load(); mo != nil {
-			return mo, 0, nil
-		}
-		e.buildMu.Lock()
-		defer e.buildMu.Unlock()
-		mo := e.mo.Load()
-		var built time.Duration
-		if mo == nil {
-			start := time.Now()
-			// Build the matrix through the shared DynMatrix so Update
-			// keeps it consistent in place.
-			mo = core.NewMatrixOracle(e.g, e.ensureDM().Matrix())
-			built = time.Since(start)
-			e.mo.Store(mo)
-		}
-		return mo, built, nil
-	}
-}
 
 // RelSemantics identifies one of the four relation-valued matching
 // semantics the engine serves through one internal query path.
@@ -521,10 +385,9 @@ func normalizeSeed(seed [][]int32, n int) [][]int32 {
 }
 
 // relationQuery is the single dispatch behind the four relation-valued
-// semantics. Match, sim and dual run one fixpoint kernel (core.MatchOpts):
-// sim and dual without a distance oracle, dual with its parent
-// constraints on, and match with the engine's oracle, none under auto.
-// It holds the read lock across oracle acquisition, the fixpoint and the
+// semantics. Match, sim and dual run one fixpoint kernel (core.MatchOpts)
+// over the cached snapshot with no distance oracle, dual with its parent
+// constraints on. It holds the read lock across the fixpoint and the
 // generation read, so the returned generation is exactly the graph
 // version the relation describes.
 func (e *Engine) relationQuery(ctx context.Context, q RelationQuery) (*core.Result, MatchStats, uint64, error) {
@@ -544,14 +407,8 @@ func (e *Engine) relationQuery(ctx context.Context, q RelationQuery) (*core.Resu
 	defer e.mu.RUnlock()
 	gen := e.gen.Load()
 	stats := MatchStats{Oracle: OracleNone}
-	var o DistOracle
 	switch q.Semantics {
 	case RelMatch:
-		var err error
-		if o, stats.OracleBuild, err = e.queryOracle(ctx); err != nil {
-			return nil, MatchStats{}, 0, err
-		}
-		stats.Oracle = e.kind
 	case RelSim, RelDual:
 		// No oracle: every witness is a single arc.
 		if !p.AllBoundsOne() {
@@ -570,7 +427,7 @@ func (e *Engine) relationQuery(ctx context.Context, q RelationQuery) (*core.Resu
 	}
 	var cs core.Stats
 	start := time.Now()
-	res, err := core.MatchOpts(ctx, p, e.g, o, &cs, core.MatchOptions{
+	res, err := core.MatchOpts(ctx, p, e.g, nil, &cs, core.MatchOptions{
 		Workers: e.workers,
 		Frozen:  e.frozen(),
 		Seed:    q.Seed,
@@ -580,14 +437,14 @@ func (e *Engine) relationQuery(ctx context.Context, q RelationQuery) (*core.Resu
 		return nil, MatchStats{}, 0, err
 	}
 	stats.MatchTime = time.Since(start)
-	stats.OracleQueries, stats.SweepScans = cs.OracleQueries, cs.SweepScans
-	stats.Removals, stats.InitialPairs = cs.Removals, cs.InitialPairs
+	stats.SweepScans, stats.Removals, stats.InitialPairs = cs.SweepScans, cs.Removals, cs.InitialPairs
 	return res, stats, gen, nil
 }
 
 // Match computes the maximum bounded-simulation match of p against the
-// bound graph — the paper's cubic-time Match, served from the engine's
-// cached oracle. Cancelling ctx aborts the fixpoint with ctx.Err().
+// bound graph — the paper's cubic-time Match, its witnesses found by
+// sweeps over the engine's cached snapshot. Cancelling ctx aborts the
+// fixpoint with ctx.Err().
 func (e *Engine) Match(ctx context.Context, p *Pattern) (*MatchResult, error) {
 	res, stats, _, err := e.relationQuery(ctx, RelationQuery{Semantics: RelMatch, Pattern: p})
 	if err != nil {
@@ -598,9 +455,8 @@ func (e *Engine) Match(ctx context.Context, p *Pattern) (*MatchResult, error) {
 
 // MatchBatch computes the maximum bounded-simulation match of every
 // pattern in ps against the bound graph, fanning the batch across the
-// engine's workers (see WithWorkers) over the shared cached oracle.
-// Results align positionally with ps. The shared index build time, if
-// this batch paid it, is charged to the first result's stats.
+// engine's workers (see WithWorkers) over the shared cached snapshot.
+// Results align positionally with ps.
 //
 // Inside a batch each query runs its fixpoint sequentially when the
 // batch itself saturates the workers; a batch smaller than the worker
@@ -616,10 +472,6 @@ func (e *Engine) MatchBatch(ctx context.Context, ps []*Pattern) ([]*MatchResult,
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	o, built, err := e.queryOracle(ctx)
-	if err != nil {
-		return nil, err
-	}
 	f := e.frozen()
 	fanout := e.workers
 	if fanout > len(ps) {
@@ -651,18 +503,10 @@ func (e *Engine) MatchBatch(ctx context.Context, ps []*Pattern) ([]*MatchResult,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each fan-out worker probes a private clone of the shared
-			// oracle (the matrix oracle is itself concurrency-safe and
-			// clones to itself; BFS-backed oracles clone their frontier
-			// caches but share the frozen snapshot and 2-hop labelling).
-			wo := o
-			if c, ok := o.(core.WorkerCloner); ok {
-				wo = c.CloneForWorker()
-			}
 			for i := range idxCh {
 				var cs core.Stats
 				start := time.Now()
-				res, err := core.MatchOpts(ctx, ps[i], e.g, wo, &cs, core.MatchOptions{
+				res, err := core.MatchOpts(ctx, ps[i], e.g, nil, &cs, core.MatchOptions{
 					Workers: laneWorkers,
 					Frozen:  f,
 				})
@@ -674,12 +518,11 @@ func (e *Engine) MatchBatch(ctx context.Context, ps []*Pattern) ([]*MatchResult,
 					continue
 				}
 				results[i] = &MatchResult{Result: res, Stats: MatchStats{
-					Oracle:        e.kind,
-					MatchTime:     time.Since(start),
-					OracleQueries: cs.OracleQueries,
-					SweepScans:    cs.SweepScans,
-					Removals:      cs.Removals,
-					InitialPairs:  cs.InitialPairs,
+					Oracle:       OracleNone,
+					MatchTime:    time.Since(start),
+					SweepScans:   cs.SweepScans,
+					Removals:     cs.Removals,
+					InitialPairs: cs.InitialPairs,
 				}}
 			}
 		}()
@@ -692,7 +535,6 @@ func (e *Engine) MatchBatch(ctx context.Context, ps []*Pattern) ([]*MatchResult,
 	if batchErr != nil {
 		return nil, batchErr
 	}
-	results[0].Stats.OracleBuild = built
 	return results, nil
 }
 
@@ -863,25 +705,17 @@ func (e *Engine) ResultGraph(res *MatchResult) *ResultGraph {
 // well as dual and strong simulation ([Engine.DualSimulate],
 // [Engine.StrongSimulate], whose TopoResult embeds a Result).
 //
-// With no oracle, the auto engine's case and always on an all-bounds-one
-// pattern, one-hop witnesses are read off the cached snapshot's
-// adjacency and longer ones off one walk per matched source. An explicit
-// oracle kind probes plain bounded witnesses instead.
+// One-hop witnesses are read off the cached snapshot's adjacency and
+// longer ones off one walk per matched source.
 func (e *Engine) ResultGraphOf(res *Result) *ResultGraph {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	var o DistOracle
-	if !res.Pattern().AllBoundsOne() {
-		// An oracle that cannot be built (an oversized PLL binding)
-		// leaves o nil: the walks give the same lengths.
-		o, _, _ = e.queryOracle(context.Background())
-	}
-	return core.BuildResultGraphFrozen(res, o, e.frozen())
+	return core.BuildResultGraphFrozen(res, nil, e.frozen())
 }
 
 // Watch starts maintaining the maximum bounded-simulation match of p
-// incrementally (the paper's IncMatch). All bounded watchers share the
-// engine's DynamicMatrix; feed edge updates through [Engine.Update] and
+// incrementally (the paper's IncMatch). All bounded watchers share one
+// maintained distance matrix; feed edge updates through [Engine.Update] and
 // every watcher absorbs the same distance changes. Close a watcher to
 // stop paying its maintenance.
 func (e *Engine) Watch(p *Pattern) (*Watcher, error) {
@@ -950,22 +784,20 @@ func (e *Engine) register(m incremental.Maintainer, needsMatrix bool) *Watcher {
 // invalidates derived caches. It returns one delta per open watcher, in
 // Watch order. On a validation error the graph is unchanged.
 //
-// The shared distance matrix is kept consistent in place (the paper's
-// UpdateBM) only while one exists: while a bounded watcher is open, or
-// once an OracleMatrix engine has served a bounded query. An auto
-// engine with no bounded watcher builds none, so its updates pay no
-// distance maintenance.
+// The bounded watchers' distance matrix is kept consistent in place (the
+// paper's UpdateBM) only while one of them is open; with none, updates
+// pay no distance maintenance.
 //
 // A batch with no net structural effect (empty, or every touched edge
 // inserted-then-deleted within the batch) keeps the cached frozen
-// snapshot, 2-hop labelling and PLL labelling: they still describe the
-// graph, so later queries skip the rebuild.
+// snapshot: it still describes the graph, so later queries skip the
+// re-freeze.
 func (e *Engine) Update(updates ...Update) ([]WatchDelta, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var deltas []WatchDelta
-	if dm := e.dm.Load(); dm != nil {
-		aff, err := dm.Apply(updates)
+	if e.dm != nil {
+		aff, err := e.dm.Apply(updates)
 		if err != nil {
 			return nil, err
 		}
@@ -986,11 +818,8 @@ func (e *Engine) Update(updates ...Update) ([]WatchDelta, error) {
 		return deltas, nil
 	}
 	e.gen.Add(1)
-	// The matrix was maintained in place; the 2-hop labelling, the PLL
-	// labelling and the frozen CSR snapshot were not, so drop them for
-	// lazy rebuild.
-	e.idx.Store(nil)
-	e.po.Store(nil)
+	// The matrix was maintained in place; the frozen CSR snapshot was
+	// not, so drop it for a lazy re-freeze.
 	e.fz.Store(nil)
 	return deltas, nil
 }
@@ -1039,12 +868,10 @@ func (w *Watcher) Relation() [][]int32 {
 }
 
 // Close unregisters the watcher from its engine; subsequent Updates no
-// longer maintain it. When the last matrix-backed watcher closes and
-// nothing else uses the shared matrix (no OracleMatrix oracle is cached
-// on it; an auto engine never caches one), the DynamicMatrix is released
-// too, so Updates stop paying distance-matrix maintenance and the
-// O(|V|²) memory is freed — sim/dual/strong watchers never pin it.
-// Closing twice is a no-op.
+// longer maintain it. When the last bounded watcher closes, the shared
+// distance matrix is released too, so Updates stop paying its
+// maintenance and the O(|V|²) memory is freed — sim/dual/strong
+// watchers never pin it. Closing twice is a no-op.
 func (w *Watcher) Close() {
 	w.e.mu.Lock()
 	defer w.e.mu.Unlock()
@@ -1065,7 +892,7 @@ func (w *Watcher) Close() {
 			break
 		}
 	}
-	if !matrixNeeded && w.e.mo.Load() == nil {
-		w.e.dm.Store(nil)
+	if !matrixNeeded {
+		w.e.dm = nil
 	}
 }

@@ -27,10 +27,10 @@ func noopTestEngine(t *testing.T, opts ...EngineOption) (*Engine, *Pattern) {
 	return e, p
 }
 
-// Regression: Update used to drop the cached frozen snapshot (and 2-hop
-// labelling) wholesale even when the batch had no net structural effect
-// — an empty batch, or an insert-then-delete of the same edge. No-op
-// batches must keep the caches so the next query skips the rebuild.
+// Regression: Update used to drop the cached frozen snapshot wholesale
+// even when the batch had no net structural effect — an empty batch, or
+// an insert-then-delete of the same edge. No-op batches must keep it so
+// the next query skips the re-freeze.
 func TestUpdateNoopKeepsCaches(t *testing.T) {
 	e, _ := noopTestEngine(t)
 	fz := e.fz.Load()
@@ -61,61 +61,11 @@ func TestUpdateNoopKeepsCaches(t *testing.T) {
 	}
 }
 
-// The same retention must hold for the 2-hop labelling, which is much
-// more expensive to rebuild than the snapshot.
-func TestUpdateNoopKeepsTwoHopIndex(t *testing.T) {
-	e, p := noopTestEngine(t, WithOracle(OracleTwoHop))
-	if _, err := e.Match(context.Background(), p); err != nil {
-		t.Fatal(err)
-	}
-	idx := e.idx.Load()
-	if idx == nil {
-		t.Fatal("Match did not populate the 2-hop labelling")
-	}
-	if _, err := e.Update(InsertEdge(0, 2), DeleteEdge(0, 2), InsertEdge(3, 0), DeleteEdge(3, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if e.idx.Load() != idx {
-		t.Error("no-op Update batch dropped the 2-hop labelling")
-	}
-	if _, err := e.Update(InsertEdge(3, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if e.idx.Load() != nil {
-		t.Error("net-effective Update batch kept a stale 2-hop labelling")
-	}
-}
-
-// The same retention must hold for the PLL labelling — the most
-// expensive cache the engine keeps.
-func TestUpdateNoopKeepsPLLIndex(t *testing.T) {
-	e, p := noopTestEngine(t, WithOracle(OraclePLL))
-	if _, err := e.Match(context.Background(), p); err != nil {
-		t.Fatal(err)
-	}
-	po := e.po.Load()
-	if po == nil {
-		t.Fatal("Match did not populate the PLL oracle")
-	}
-	if _, err := e.Update(InsertEdge(0, 2), DeleteEdge(0, 2), InsertEdge(3, 0), DeleteEdge(3, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if e.po.Load() != po {
-		t.Error("no-op Update batch dropped the PLL labelling")
-	}
-	if _, err := e.Update(InsertEdge(3, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if e.po.Load() != nil {
-		t.Error("net-effective Update batch kept a stale PLL labelling")
-	}
-}
-
-// TestUpdateInvalidationUniform audits every cached oracle kind the same
+// TestUpdateInvalidationUniform audits every WithOracle kind the same
 // way: after a net-effective Update, queries (plain and colored) must
-// agree with a fresh engine over the mutated graph — no oracle may serve
-// stale distances. This pins the invalidation sweep in Engine.Update
-// against the cache set growing out of sync with it.
+// agree with a fresh engine over the mutated graph — no cache may serve
+// a stale graph. This pins the invalidation in Engine.Update against the
+// cache set growing out of sync with it.
 func TestUpdateInvalidationUniform(t *testing.T) {
 	kinds := []OracleKind{OracleMatrix, OracleBFS, OracleTwoHop, OraclePLL}
 	build := func() *Graph {
@@ -141,7 +91,7 @@ func TestUpdateInvalidationUniform(t *testing.T) {
 	}
 	for _, kind := range kinds {
 		e := NewEngine(build(), WithOracle(kind))
-		// Populate every lazy cache this kind owns.
+		// Populate every lazy cache the engine owns.
 		for _, p := range []*Pattern{plain, colored} {
 			if _, err := e.Match(context.Background(), p); err != nil {
 				t.Fatalf("%v: %v", kind, err)

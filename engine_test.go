@@ -10,6 +10,9 @@ import (
 	"time"
 
 	"gpm"
+	"gpm/internal/core"
+	"gpm/internal/simulation"
+	"gpm/internal/subiso"
 )
 
 func engineTestGraph(tb testing.TB, nodes, edges int, seed int64) *gpm.Graph {
@@ -30,8 +33,9 @@ func engineTestPatterns(tb testing.TB, g *gpm.Graph, n int) []*gpm.Pattern {
 	return ps
 }
 
-// TestEngineMatchEquivalence: every oracle kind produces the same
-// relation as the deprecated per-call entry points.
+// TestEngineMatchEquivalence: under every WithOracle kind the engine
+// produces the same relation as the paper's Fig. 4 over the distance
+// matrix (core.Match).
 func TestEngineMatchEquivalence(t *testing.T) {
 	g := engineTestGraph(t, 300, 1200, 11)
 	patterns := engineTestPatterns(t, g, 6)
@@ -39,7 +43,7 @@ func TestEngineMatchEquivalence(t *testing.T) {
 	for _, kind := range kinds {
 		eng := gpm.NewEngine(g, gpm.WithOracle(kind))
 		for i, p := range patterns {
-			want, err := gpm.Match(p, g)
+			want, err := core.Match(p, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,9 +172,13 @@ func TestEngineAutoOracle(t *testing.T) {
 		t.Errorf("large dense: auto picked %v, want none", k)
 	}
 
-	// The default (no options) is the paper's matrix configuration.
-	if k := gpm.NewEngine(largeDense).OracleKind(); k != gpm.OracleMatrix {
-		t.Errorf("default: picked %v, want matrix", k)
+	// So does the default (no options), and every explicit kind.
+	for _, opts := range [][]gpm.EngineOption{nil,
+		{gpm.WithOracle(gpm.OracleMatrix)}, {gpm.WithOracle(gpm.OracleBFS)},
+		{gpm.WithOracle(gpm.OracleTwoHop)}, {gpm.WithOracle(gpm.OraclePLL)}} {
+		if k := gpm.NewEngine(largeDense, opts...).OracleKind(); k != gpm.OracleNone {
+			t.Errorf("options %d: picked %v, want none", len(opts), k)
+		}
 	}
 }
 
@@ -246,7 +254,7 @@ func TestEngineWatchUpdate(t *testing.T) {
 			t.Fatalf("batch %d: %d deltas, want 2", batch, len(deltas))
 		}
 		for i, w := range []*gpm.Watcher{w1, w2} {
-			scratch, err := gpm.Match(w.Pattern(), eng.Graph())
+			scratch, err := core.Match(w.Pattern(), eng.Graph())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,11 +328,11 @@ func TestEngineUpdateWithoutWatchers(t *testing.T) {
 // engine's cached oracle.
 func TestEngineStatsAndResultGraph(t *testing.T) {
 	g := engineTestGraph(t, 400, 1600, 29)
-	eng := gpm.NewEngine(g) // matrix
+	eng := gpm.NewEngine(g)
 	var p *gpm.Pattern
 	for seed := int64(40); ; seed++ {
 		p = gpm.GeneratePattern(gpm.PatternGenConfig{Nodes: 3, Edges: 2, K: 2, Seed: seed}, g)
-		if res, err := gpm.Match(p, g); err == nil && res.OK() {
+		if res, err := core.Match(p, g); err == nil && res.OK() {
 			break
 		}
 	}
@@ -333,15 +341,12 @@ func TestEngineStatsAndResultGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Stats.OracleBuild <= 0 {
-		t.Error("first query: OracleBuild should be > 0")
+	if first.Stats.Oracle != gpm.OracleNone || first.Stats.OracleBuild != 0 || first.Stats.OracleQueries != 0 {
+		t.Errorf("stats %+v, want no oracle, no build and no probe", first.Stats)
 	}
-	if first.Stats.Oracle != gpm.OracleMatrix {
-		t.Errorf("stats oracle = %v, want matrix", first.Stats.Oracle)
-	}
-	// Sweeps are work too: on a plain pattern the engine's snapshot answers
-	// every witness question and the oracle is never probed.
-	if first.Stats.OracleQueries+first.Stats.SweepScans == 0 || first.Stats.InitialPairs == 0 {
+	// Sweeps are work too: the engine's snapshot answers every witness
+	// question.
+	if first.Stats.SweepScans == 0 || first.Stats.InitialPairs == 0 {
 		t.Errorf("work counters empty: %+v", first.Stats)
 	}
 
@@ -349,8 +354,9 @@ func TestEngineStatsAndResultGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Stats.OracleBuild != 0 {
-		t.Errorf("second query: OracleBuild = %v, want 0 (cache hit)", second.Stats.OracleBuild)
+	a, b := first.Stats, second.Stats
+	if a.SweepScans != b.SweepScans || a.Removals != b.Removals || a.InitialPairs != b.InitialPairs {
+		t.Errorf("second query: work counters %+v, first %+v", b, a)
 	}
 
 	rg := eng.ResultGraph(first)
@@ -359,14 +365,14 @@ func TestEngineStatsAndResultGraph(t *testing.T) {
 	}
 }
 
-// TestEngineSimulateEnumerate: parity with the deprecated entry points
-// plus algorithm selection through IsoOptions.Algo.
+// TestEngineSimulateEnumerate: parity with the internal per-call entry
+// points plus algorithm selection through IsoOptions.Algo.
 func TestEngineSimulateEnumerate(t *testing.T) {
 	g := engineTestGraph(t, 150, 600, 31)
 	eng := gpm.NewEngine(g)
 
 	simP := gpm.GeneratePattern(gpm.PatternGenConfig{Nodes: 3, Edges: 2, K: 1, Seed: 51}, g)
-	wantRel, wantOK, err := gpm.Simulate(simP, g)
+	wantRel, wantOK, err := simulation.RunFrozen(context.Background(), simP, g.Freeze())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,12 +381,12 @@ func TestEngineSimulateEnumerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sim.OK != wantOK || !reflect.DeepEqual(sim.Relation, wantRel) {
-		t.Fatal("engine.Simulate differs from Simulate")
+		t.Fatal("engine.Simulate differs from simulation.RunFrozen")
 	}
 
 	isoP := gpm.GeneratePattern(gpm.PatternGenConfig{Nodes: 3, Edges: 3, K: 1, Seed: 52}, g)
 	opts := gpm.IsoOptions{MaxEmbeddings: 50}
-	wantVF2 := gpm.VF2(isoP, g, opts)
+	wantVF2 := subiso.VF2(isoP, g, opts)
 	gotVF2, err := eng.Enumerate(context.Background(), isoP, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +396,7 @@ func TestEngineSimulateEnumerate(t *testing.T) {
 	}
 
 	opts.Algo = gpm.AlgoUllmann
-	wantUll := gpm.Ullmann(isoP, g, gpm.IsoOptions{MaxEmbeddings: 50})
+	wantUll := subiso.Ullmann(isoP, g, gpm.IsoOptions{MaxEmbeddings: 50})
 	gotUll, err := eng.Enumerate(context.Background(), isoP, opts)
 	if err != nil {
 		t.Fatal(err)

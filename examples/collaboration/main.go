@@ -81,7 +81,7 @@ func main() {
 	}
 
 	// G3 = G2 without (DB, Gen): the match collapses entirely. Updates go
-	// through the engine, which keeps its cached oracle consistent.
+	// through the engine, which keeps its cached snapshot consistent.
 	if _, err := eng.Update(gpm.DeleteEdge(name2id["DB"], name2id["Gen"])); err != nil {
 		log.Fatal(err)
 	}

@@ -69,7 +69,8 @@ func main() {
 		d := deltas[0].Delta
 
 		// The competitor: recompute from scratch on a copy via a fresh
-		// engine (oracle rebuild included, as the paper charges it).
+		// engine (snapshot freeze included, as the paper charges the
+		// rebuild of its index).
 		scratch := gpm.NewEngine(eng.Graph().Clone())
 		t1 := time.Now()
 		res, err := scratch.Match(context.Background(), p)

@@ -44,9 +44,8 @@ func main() {
 	eng := p.AddNode(pred("role = engineer"))
 	p.MustAddEdge(boss, eng, 3)
 
-	// The engine binds the graph once: it builds and caches the distance
-	// oracle on the first query, and later queries (and goroutines)
-	// share it.
+	// The engine binds the graph once: it freezes a snapshot of it on
+	// the first query, and later queries (and goroutines) share it.
 	engine := gpm.NewEngine(g)
 	ctx := context.Background()
 	res, err := engine.Match(ctx, p)

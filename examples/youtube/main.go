@@ -62,9 +62,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if res.Stats.OracleBuild > 0 {
-			fmt.Printf("(distance matrix built in %v on the first query; later queries share it)\n", res.Stats.OracleBuild)
-		}
 		rgInfo := "-"
 		if res.OK() {
 			rg := eng.ResultGraph(res)

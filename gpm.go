@@ -14,14 +14,13 @@
 //   - Graph / Pattern construction ([NewGraph], [NewPattern]) with typed
 //     attributes and predicate parsing;
 //   - [Engine], the graph-bound, concurrency-safe query API: it caches
-//     the distance oracle across queries and serves every matching
-//     semantics — bounded simulation ([Engine.Match]), plain simulation
-//     ([Engine.Simulate]), topology-preserving dual and strong
-//     simulation ([Engine.DualSimulate], [Engine.StrongSimulate]),
+//     a frozen snapshot of the graph across queries and serves every
+//     matching semantics — bounded simulation ([Engine.Match]), plain
+//     simulation ([Engine.Simulate]), topology-preserving dual and
+//     strong simulation ([Engine.DualSimulate], [Engine.StrongSimulate]),
 //     subgraph-isomorphism enumeration ([Engine.Enumerate]) and
 //     incremental matching ([Engine.Watch]);
-//   - the flat per-call entry points the Engine supersedes ([Match],
-//     [Simulate], [VF2], …), kept as deprecated wrappers;
+//   - per-call [DualSimulate] and [StrongSimulate] for one-off queries;
 //   - synthetic generators and dataset stand-ins used by the experiment
 //     harness (see cmd/gpmbench and EXPERIMENTS.md).
 //
@@ -55,7 +54,6 @@ import (
 	"gpm/internal/incremental"
 	"gpm/internal/pattern"
 	"gpm/internal/plan"
-	"gpm/internal/simulation"
 	"gpm/internal/subiso"
 	"gpm/internal/topo"
 	"gpm/internal/value"
@@ -89,11 +87,6 @@ type (
 	ResultGraph = core.ResultGraph
 	// ResultEdge is one result-graph edge with its witness length.
 	ResultEdge = core.ResultEdge
-	// DistOracle answers one question: NonemptyDistWithin(u, v, bound),
-	// the colour-blind shortest nonempty path from u to v, or -1 past
-	// bound. Coloured and ranged pattern edges are swept, never asked of
-	// an oracle.
-	DistOracle = core.DistOracle
 
 	// Update is an edge insertion or deletion.
 	Update = incremental.Update
@@ -101,10 +94,6 @@ type (
 	UpdateDelta = incremental.Delta
 	// MatchPair is one (pattern node, data node) element of a match delta.
 	MatchPair = incremental.MatchPair
-	// IncrementalMatcher maintains a match under updates.
-	IncrementalMatcher = incremental.Matcher
-	// DynamicMatrix maintains a distance matrix under updates.
-	DynamicMatrix = incremental.DynMatrix
 
 	// Enumeration is the outcome of a subgraph-isomorphism search.
 	Enumeration = subiso.Enumeration
@@ -156,77 +145,6 @@ func Label(name string) Predicate { return pattern.Label(name) }
 // "category = Music && rate > 3" (see the pattern format in README).
 func ParsePredicate(s string) (Predicate, error) { return pattern.ParsePredicate(s) }
 
-// Match computes the unique maximum match of p in g via bounded
-// simulation (the paper's cubic-time algorithm Match, Fig. 4). It builds
-// a distance matrix of g on every call.
-//
-// Deprecated: bind the graph once with [NewEngine] and use
-// [Engine.Match], which caches the oracle across queries, is safe for
-// concurrent use, and supports cancellation.
-func Match(p *Pattern, g *Graph) (*Result, error) { return core.Match(p, g) }
-
-// MatchBFS is Match computing distances by (cached) BFS instead of a
-// matrix: no preprocessing and O(|V|) memory, slower queries — the "BFS"
-// variant of the paper's Exp-2.
-//
-// Deprecated: use [NewEngine] with WithOracle(OracleBFS) and
-// [Engine.Match].
-func MatchBFS(p *Pattern, g *Graph) (*Result, error) { return core.MatchBFS(p, g) }
-
-// Match2Hop is Match with a 2-hop reachability labelling filtering BFS
-// distance queries — the "2-hop" variant of the paper's Exp-2.
-//
-// Deprecated: use [NewEngine] with WithOracle(OracleTwoHop) and
-// [Engine.Match].
-func Match2Hop(p *Pattern, g *Graph) (*Result, error) { return core.Match2Hop(p, g) }
-
-// MatchWithOracle runs the matching fixpoint against a caller-supplied
-// distance oracle.
-//
-// Deprecated: use [NewEngine], which owns oracle construction and
-// caching; MatchWithOracle remains for callers plugging in a custom
-// [DistOracle] implementation.
-func MatchWithOracle(p *Pattern, g *Graph, o DistOracle) (*Result, error) {
-	return core.MatchWithOracle(p, g, o)
-}
-
-// NewMatrixOracle precomputes the all-pairs distance matrix of g once, so
-// many patterns can be matched against the same graph without paying the
-// O(|V|(|V|+|E|)) preprocessing per pattern.
-//
-// Deprecated: [NewEngine] builds and caches this oracle internally.
-func NewMatrixOracle(g *Graph) DistOracle { return core.BuildMatrixOracle(g) }
-
-// NewBFSOracle returns the no-preprocessing BFS oracle for g.
-//
-// Deprecated: use [NewEngine] with WithOracle(OracleBFS).
-func NewBFSOracle(g *Graph) DistOracle { return core.NewBFSOracle(g) }
-
-// NewTwoHopOracle builds a 2-hop reachability labelling over g and wraps
-// it as a distance oracle.
-//
-// Deprecated: use [NewEngine] with WithOracle(OracleTwoHop).
-func NewTwoHopOracle(g *Graph) DistOracle { return core.BuildTwoHopOracle(g) }
-
-// ResultGraphOf materialises the result graph of a match (§2.2 of the
-// paper): nodes are matched data nodes; each edge records which pattern
-// edge it realises and the witness path length.
-//
-// Deprecated: use [Engine.ResultGraph], which reuses the engine's cached
-// oracle.
-func ResultGraphOf(res *Result, o DistOracle) *ResultGraph {
-	return core.BuildResultGraph(res, o)
-}
-
-// Simulate computes plain graph simulation (every pattern edge bound must
-// be 1): the special case the paper extends. Returns the per-pattern-node
-// match lists and whether every pattern node matched.
-//
-// Deprecated: use [Engine.Simulate].
-func Simulate(p *Pattern, g *Graph) ([][]int32, bool, error) {
-	return simulation.RunFrozen(context.Background(), p, g.Freeze())
-}
-
 // DualSimulate computes the maximum dual simulation of p in g (every
 // pattern edge bound must be 1): plain simulation extended with parent
 // constraints, preserving both child and parent topology (Ma et al.,
@@ -249,37 +167,6 @@ func StrongSimulate(p *Pattern, g *Graph) (rel [][]int32, ok bool, err error) {
 	return topo.StrongSim(context.Background(), p, g.Freeze(), topo.Options{})
 }
 
-// VF2 enumerates subgraph-isomorphism embeddings of p in g (edge-to-edge
-// semantics) — the baseline the paper compares against in Exp-1.
-//
-// Deprecated: use [Engine.Enumerate] (AlgoVF2 is the default).
-func VF2(p *Pattern, g *Graph, opts IsoOptions) *Enumeration { return subiso.VF2(p, g, opts) }
-
-// Ullmann is the Ullmann-style enumeration (the paper's "SubIso").
-//
-// Deprecated: use [Engine.Enumerate] with IsoOptions.Algo = AlgoUllmann.
-func Ullmann(p *Pattern, g *Graph, opts IsoOptions) *Enumeration { return subiso.Ullmann(p, g, opts) }
-
-// NewDynamicMatrix wraps g with an incrementally maintained distance
-// matrix (the paper's UpdateM / UpdateBM procedures). The graph must be
-// mutated only through the returned matrix.
-//
-// Deprecated: [Engine.Watch] and [Engine.Update] maintain a shared
-// DynamicMatrix internally.
-func NewDynamicMatrix(g *Graph) *DynamicMatrix { return incremental.NewDynMatrix(g) }
-
-// NewIncrementalMatcher computes the initial maximum match of p over dm's
-// graph and maintains it under dm.Apply-style updates (the paper's
-// IncMatch with the Match⁻/Match⁺ cascades). Multiple matchers may share
-// one DynamicMatrix only if their updates are applied through exactly one
-// of them; otherwise give each its own.
-//
-// Deprecated: use [Engine.Watch], which lets many watchers share one
-// maintained matrix safely.
-func NewIncrementalMatcher(p *Pattern, dm *DynamicMatrix) (*IncrementalMatcher, error) {
-	return incremental.NewMatcher(p, dm)
-}
-
-// InsertEdge and DeleteEdge build updates for IncrementalMatcher.Apply.
+// InsertEdge and DeleteEdge build updates for [Engine.Update].
 func InsertEdge(u, v int) Update { return incremental.Ins(u, v) }
 func DeleteEdge(u, v int) Update { return incremental.Del(u, v) }

@@ -2,10 +2,12 @@ package gpm_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"gpm"
+	"gpm/internal/core"
 )
 
 // buildTriangle returns a small labeled graph A->B->C->A.
@@ -26,7 +28,7 @@ func TestPublicMatch(t *testing.T) {
 	a := p.AddNode(gpm.Label("A"))
 	c := p.AddNode(gpm.Label("C"))
 	p.MustAddEdge(a, c, 2)
-	res, err := gpm.Match(p, g)
+	res, err := gpm.NewEngine(g).Match(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,17 +47,17 @@ func TestPublicOracleVariants(t *testing.T) {
 	b := p.AddNode(gpm.Label("B"))
 	p.MustAddEdge(a, b, gpm.Unbounded)
 	for name, f := range map[string]func(*gpm.Pattern, *gpm.Graph) (*gpm.Result, error){
-		"match": gpm.Match, "bfs": gpm.MatchBFS, "2hop": gpm.Match2Hop,
+		"match": core.Match, "bfs": core.MatchBFS, "2hop": core.Match2Hop,
 	} {
 		res, err := f(p, g)
 		if err != nil || !res.OK() {
 			t.Errorf("%s: ok=%v err=%v", name, res.OK(), err)
 		}
 	}
-	for name, o := range map[string]gpm.DistOracle{
-		"matrix": gpm.NewMatrixOracle(g), "bfs": gpm.NewBFSOracle(g), "2hop": gpm.NewTwoHopOracle(g),
+	for name, o := range map[string]core.DistOracle{
+		"matrix": core.BuildMatrixOracle(g), "bfs": core.NewBFSOracle(g), "2hop": core.BuildTwoHopOracle(g),
 	} {
-		res, err := gpm.MatchWithOracle(p, g, o)
+		res, err := core.MatchWithOracle(p, g, o)
 		if err != nil || !res.OK() {
 			t.Errorf("oracle %s failed", name)
 		}
@@ -68,15 +70,17 @@ func TestPublicSimulateAndIso(t *testing.T) {
 	a := p.AddNode(gpm.Label("A"))
 	b := p.AddNode(gpm.Label("B"))
 	p.MustAddEdge(a, b, 1)
-	rel, ok, err := gpm.Simulate(p, g)
-	if err != nil || !ok || len(rel) != 2 {
-		t.Fatalf("Simulate: %v %v %v", rel, ok, err)
+	ctx := context.Background()
+	eng := gpm.NewEngine(g)
+	sim, err := eng.Simulate(ctx, p)
+	if err != nil || !sim.OK || len(sim.Relation) != 2 {
+		t.Fatalf("Simulate: %+v %v", sim, err)
 	}
-	if e := gpm.VF2(p, g, gpm.IsoOptions{}); len(e.Embeddings) != 1 {
-		t.Errorf("VF2 embeddings = %d", len(e.Embeddings))
-	}
-	if e := gpm.Ullmann(p, g, gpm.IsoOptions{}); len(e.Embeddings) != 1 {
-		t.Errorf("Ullmann embeddings = %d", len(e.Embeddings))
+	for _, algo := range []gpm.EnumAlgo{gpm.AlgoVF2, gpm.AlgoUllmann} {
+		e, err := eng.Enumerate(ctx, p, gpm.IsoOptions{Algo: algo, NoPlan: true})
+		if err != nil || len(e.Embeddings) != 1 {
+			t.Errorf("%v embeddings = %d, err %v", algo, len(e.Embeddings), err)
+		}
 	}
 }
 
@@ -86,27 +90,27 @@ func TestPublicIncremental(t *testing.T) {
 	a := p.AddNode(gpm.Label("A"))
 	c := p.AddNode(gpm.Label("C"))
 	p.MustAddEdge(a, c, 1)
-	dm := gpm.NewDynamicMatrix(g)
-	m, err := gpm.NewIncrementalMatcher(p, dm)
+	eng := gpm.NewEngine(g)
+	w, err := eng.Watch(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.OK() {
+	if w.OK() {
 		t.Fatal("A->C in one hop should not hold on the triangle")
 	}
-	delta, err := m.Apply([]gpm.Update{gpm.InsertEdge(0, 2)})
+	deltas, err := eng.Update(gpm.InsertEdge(0, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.OK() || len(delta.Added) == 0 {
-		t.Errorf("insertion should create the match: %+v", delta)
+	if !w.OK() || len(deltas) != 1 || len(deltas[0].Delta.Added) == 0 {
+		t.Errorf("insertion should create the match: %+v", deltas)
 	}
-	delta, err = m.Apply([]gpm.Update{gpm.DeleteEdge(0, 2)})
+	deltas, err = eng.Update(gpm.DeleteEdge(0, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.OK() || len(delta.Removed) == 0 {
-		t.Errorf("deletion should destroy the match: %+v", delta)
+	if w.OK() || len(deltas) != 1 || len(deltas[0].Delta.Removed) == 0 {
+		t.Errorf("deletion should destroy the match: %+v", deltas)
 	}
 }
 
@@ -184,9 +188,12 @@ func TestPublicResultGraph(t *testing.T) {
 	a := p.AddNode(gpm.Label("A"))
 	c := p.AddNode(gpm.Label("C"))
 	p.MustAddEdge(a, c, 2)
-	o := gpm.NewMatrixOracle(g)
-	res, _ := gpm.MatchWithOracle(p, g, o)
-	rg := gpm.ResultGraphOf(res, o)
+	eng := gpm.NewEngine(g)
+	res, err := eng.Match(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg := eng.ResultGraph(res)
 	n, e := rg.Size()
 	if n != 2 || e != 1 {
 		t.Errorf("result graph %d/%d", n, e)
@@ -208,7 +215,8 @@ func TestDocExample(t *testing.T) {
 	a := p.AddNode(gpm.Label("A"))
 	c := p.AddNode(gpm.Label("C"))
 	p.MustAddEdge(a, c, 2)
-	res, err := gpm.Match(p, g)
+	eng := gpm.NewEngine(g)
+	res, err := eng.Match(context.Background(), p)
 	if err != nil || !res.OK() {
 		t.Fatalf("doc example broken: %v %v", res, err)
 	}
@@ -233,17 +241,20 @@ func TestPublicRangeEdge(t *testing.T) {
 	if _, err := p.AddRangeEdge(pa, pb, 2, 4, ""); err != nil {
 		t.Fatal(err)
 	}
-	res, err := gpm.Match(p, g)
+	ctx := context.Background()
+	eng := gpm.NewEngine(g)
+	res, err := eng.Match(ctx, p)
 	if err != nil || !res.OK() {
 		t.Fatalf("range match: ok=%v err=%v", res.OK(), err)
 	}
-	g.RemoveEdge(mid, b)
-	res, _ = gpm.Match(p, g)
-	if res.OK() {
-		t.Error("only the too-short direct edge remains; range must fail")
+	if _, err := eng.Update(gpm.DeleteEdge(mid, b)); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = eng.Match(ctx, p); err != nil || res.OK() {
+		t.Errorf("only the too-short direct edge remains; range must fail (err %v)", err)
 	}
 	// Incremental matching declines ranged patterns explicitly.
-	if _, err := gpm.NewIncrementalMatcher(p, gpm.NewDynamicMatrix(g.Clone())); err == nil {
+	if _, err := eng.Watch(p); err == nil {
 		t.Error("incremental matcher should reject ranged patterns")
 	}
 }

@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"time"
 
-	"gpm"
 	"gpm/internal/core"
 	"gpm/internal/difftest"
 	"gpm/internal/generator"
 	"gpm/internal/graph"
 	"gpm/internal/pll"
+	"gpm/internal/simulation"
 )
 
 // Million (id "million") is the ROADMAP's million-node north star: a
@@ -94,7 +94,7 @@ func Million(cfg Config) *Table {
 		if res.OK() {
 			okCount++
 		}
-		simT += timed(func() { _, _, _ = gpm.Simulate(p, g) })
+		simT += timed(func() { _, _, _ = simulation.RunFrozen(context.Background(), p, g.Freeze()) })
 		cfg.logf("million: pattern %d done", i)
 	}
 	t.AddRow("patterns P(4,4,3)", fmt.Sprintf("%d (%d matched)", len(ps), okCount))

@@ -51,7 +51,7 @@ func ParallelSpeedup(cfg Config) *Table {
 	var baseline time.Duration
 	var wantSum uint64
 	for _, w := range []int{1, 2, 4, 8} {
-		eng := gpm.NewEngine(g, gpm.WithWorkers(w), gpm.WithAutoOracle())
+		eng := gpm.NewEngine(g, gpm.WithWorkers(w))
 		// Warm the engine before timing: auto builds no oracle, only
 		// the frozen snapshot.
 		if _, err := eng.Match(context.Background(), ps[0]); err != nil {

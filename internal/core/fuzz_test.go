@@ -3,7 +3,6 @@ package core_test
 import (
 	"context"
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
@@ -24,8 +23,8 @@ const (
 
 // decodeSweepCase deterministically builds a semantics, an oracle choice,
 // a small labelled graph and a pattern from fuzz bytes: the semantics
-// byte (match, sim, dual; under match, its next bit picks the kernel's
-// oracle: matrix or BFS, and the bit after allows ranged edges), node
+// byte (match, sim, dual; under match, its next bit picks the Fig. 4
+// run's oracle: matrix or BFS, and the bit after allows ranged edges), node
 // counts, one label byte per node, then pairs — two of three wire a data
 // edge (self-loops included), the third a pattern edge. The top two bits
 // of a data edge's first byte, or of a pattern edge's second, colour it
@@ -84,14 +83,14 @@ func decodeSweepCase(data []byte) (sem int, bfs bool, p *pattern.Pattern, g *gra
 	return sem, bfs, p, g
 }
 
-// FuzzSweep pins MatchOpts over a snapshot — under the cost rule, with
-// every block forced to sweep, and with every block and removal forced
-// back to probes — against references that share neither its counters,
-// nor its witness matrices, nor its sweeps: MatchNaive over a distance
-// matrix for bounded simulation, whose kernel runs against the matrix or
-// against BFS (coloured and ranged edges sweep under either, and at cap
-// 0 sweep once from each removed node), simulation.RunNaive and
-// topo.NaiveDualSim for the
+// FuzzSweep pins MatchOpts over a snapshot, and for bounded simulation
+// also the paper's Fig. 4 run with no snapshot, with the default
+// witness-matrix cap and with every matrix capped away, against
+// references that share neither its counters, nor its witness matrices,
+// nor its sweeps: MatchNaive over a distance matrix for bounded
+// simulation, whose Fig. 4 run probes the matrix or BFS (coloured and
+// ranged edges sweep under either, and at cap 0 sweep once from each
+// removed node), simulation.RunNaive and topo.NaiveDualSim for the
 // oracle-free simulation and dual simulation runs, whose outputs must
 // also pass simulation.IsSimulation and topo.IsDualSim.
 func FuzzSweep(f *testing.F) {
@@ -125,19 +124,26 @@ func FuzzSweep(f *testing.F) {
 		case semDual:
 			want, wantOK = topo.NaiveDualSim(p, fz, nil)
 		}
-		for _, lim := range [][2]int64{{-1, -1}, {math.MaxInt64, -1}, {0, 0}} {
-			restore := core.SweepLimitsForTest(lim[0], lim[1])
-			got, err := core.MatchOpts(context.Background(), p, g, o, nil, core.MatchOptions{Frozen: fz, Dual: sem == semDual})
-			restore()
-			if err != nil {
-				t.Fatalf("MatchOpts: %v", err)
-			}
-			rel := got.Relation()
-			if sem == semSim && !simulation.IsSimulation(p, fz, rel) || sem == semDual && !topo.IsDualSim(p, fz, rel) {
-				t.Fatalf("semantics %d limits %v: %v is not a simulation of its kind\npattern:\n%s", sem, lim, rel, p)
-			}
-			if got.OK() != wantOK || !reflect.DeepEqual(rel, want) {
-				t.Fatalf("semantics %d bfs %v limits %v: kernel relation %v, naive %v\npattern:\n%s", sem, bfs, lim, rel, want, p)
+		runs := []core.MatchOptions{{Frozen: fz, Dual: sem == semDual}}
+		if sem == semMatch {
+			runs = append(runs, core.MatchOptions{}) // Fig. 4: probe o pair by pair
+		}
+		for _, wcap := range []int64{-1, 0} {
+			for _, opts := range runs {
+				restore := core.SweepLimitsForTest(wcap)
+				got, err := core.MatchOpts(context.Background(), p, g, o, nil, opts)
+				restore()
+				if err != nil {
+					t.Fatalf("MatchOpts: %v", err)
+				}
+				rel := got.Relation()
+				if sem == semSim && !simulation.IsSimulation(p, fz, rel) || sem == semDual && !topo.IsDualSim(p, fz, rel) {
+					t.Fatalf("semantics %d cap %d: %v is not a simulation of its kind\npattern:\n%s", sem, wcap, rel, p)
+				}
+				if got.OK() != wantOK || !reflect.DeepEqual(rel, want) {
+					t.Fatalf("semantics %d bfs %v cap %d snapshot %v: kernel relation %v, naive %v\npattern:\n%s",
+						sem, bfs, wcap, opts.Frozen != nil, rel, want, p)
+				}
 			}
 		}
 	})

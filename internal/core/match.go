@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -148,18 +147,18 @@ type MatchOptions struct {
 	// fixpoint is unique (Proposition 2.1), so the result is identical
 	// for every worker count.
 	Workers int
-	// Frozen, when non-nil, is a pre-frozen snapshot of the data graph
-	// that o describes; callers serving many queries (the engine layer)
-	// pass their cached snapshot so each query skips the O(|V|+|E|)
-	// freeze. Handing one also switches the fixpoint to sweep mode:
-	// counter initialisation runs witness sweeps over the snapshot
-	// (sweep.go), probing only a block whose sweep the cost rule
-	// abandons, removal never probes, and candidate selection uses the
-	// snapshot's attribute indexes. Relation and
-	// Stats.InitialPairs/Removals are identical either way. Without it
-	// MatchOpts is the paper's Fig. 4 verbatim, one probe per candidate
-	// pair, except that coloured and ranged edges, which no oracle
-	// answers, sweep over a snapshot frozen on first need.
+	// Frozen, when non-nil, is a pre-frozen snapshot of the data graph;
+	// callers serving many queries (the engine layer) pass their cached
+	// snapshot so each query skips the O(|V|+|E|) freeze. Handing one
+	// switches the fixpoint to sweep mode: counter initialisation runs
+	// witness sweeps over the snapshot (sweep.go) for every block,
+	// removal walks arcs or reads witness matrices, candidate selection
+	// uses the snapshot's attribute indexes, and the oracle is not
+	// consulted at all. Relation and Stats.InitialPairs/Removals are
+	// identical either way. Without it MatchOpts with an oracle is the
+	// paper's Fig. 4 verbatim, one probe per candidate pair, except that
+	// coloured and ranged edges, which no oracle answers, sweep over a
+	// snapshot frozen on first need.
 	Frozen *graph.Frozen
 	// Seed, when non-nil, restricts each pattern node's initial candidate
 	// set to the given data nodes (ascending, deduped, in-range; one
@@ -180,12 +179,12 @@ type MatchOptions struct {
 
 // MatchOpts is MatchContext with explicit MatchOptions.
 //
-// o may be nil on any pattern. The run is then in sweep mode with
-// nothing to fall back to: every block sweeps with no budget, bounded,
-// "*", coloured and ranged edges alike, and no distance is ever probed.
-// On an all-bounds-one pattern that is plain graph simulation (§2.2,
-// remark 2), or dual simulation with opts.Dual. g may be nil only when
-// opts.Frozen is set and opts.Seed is not.
+// o may be nil on any pattern, and is unused when opts.Frozen is set.
+// Either way the run is in sweep mode: every block sweeps, bounded, "*",
+// coloured and ranged edges alike, and no distance is ever probed. On an
+// all-bounds-one pattern that is plain graph simulation (§2.2, remark 2),
+// or dual simulation with opts.Dual. g may be nil only when opts.Frozen
+// is set and opts.Seed is not.
 func MatchOpts(ctx context.Context, p *pattern.Pattern, g *graph.Graph, o DistOracle, stats *Stats, opts MatchOptions) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -196,9 +195,11 @@ func MatchOpts(ctx context.Context, p *pattern.Pattern, g *graph.Graph, o DistOr
 	if opts.Dual && (o != nil || !p.AllBoundsOne()) {
 		return nil, fmt.Errorf("core: dual simulation is edge-to-edge: it takes no distance oracle and every bound must be 1")
 	}
-	st := &state{p: p, g: g, f: opts.Frozen, sweep: opts.Frozen != nil, seed: opts.Seed, stats: stats}
-	if o == nil {
-		st.sweep = true
+	if opts.Frozen != nil {
+		o = nil
+	}
+	st := &state{p: p, g: g, f: opts.Frozen, sweep: o == nil, seed: opts.Seed, stats: stats}
+	if st.sweep {
 		st.frozen()
 	}
 	st.constrain(opts.Dual)
@@ -214,9 +215,6 @@ func MatchOpts(ctx context.Context, p *pattern.Pattern, g *graph.Graph, o DistOr
 	}
 	if workers > 1 {
 		st.frozen() // freeze before the pool starts: workers share the snapshot
-	}
-	if st.sweep {
-		st.cost = probeCost(o, st.f)
 	}
 	// The first prober probes o itself and stays on for the refinement;
 	// the others probe private clones during initialisation only.
@@ -248,8 +246,7 @@ type state struct {
 	p     *pattern.Pattern
 	g     *graph.Graph
 	f     *graph.Frozen // CSR snapshot; lazily frozen when the caller gave none
-	sweep bool          // sweep mode: a snapshot or no oracle; no probe after counter init
-	cost  int64         // c(o) of the cost rule (sweep.go); plain edges only
+	sweep bool          // sweep mode: a snapshot or no oracle; no probe at all
 
 	cons []constraint // the witness obligations: one per pattern edge, two with Dual
 	into [][]int32    // per pattern node u, the constraints whose witnesses lie in cand(u)
@@ -475,20 +472,12 @@ func (st *state) countBlocks(p *prober, t cntTask) ([]removalItem, error) {
 		base := b * sweepBlock
 		srcs := from[base:min(base+sweepBlock, len(from))]
 		c := c[base : base+len(srcs)]
-		swept := false
+		// Every member of cand(u′) is still in mat(u′): refinement has
+		// not started.
 		if sweep {
-			budget := int64(math.MaxInt64)
-			if p.o != nil && !labelled(con.e) {
-				budget = blockBudget(st.cost, len(srcs), len(to))
-			}
-			var err error
-			if swept, err = p.sweeper().block(srcs, *con, budget); err != nil {
+			if err := p.sweeper().block(srcs, *con); err != nil {
 				return nil, err
 			}
-		}
-		if swept {
-			// Every member of cand(u′) is still in mat(u′): refinement
-			// has not started.
 			for j, z := range to {
 				m := p.sw.mask(z)
 				if m == 0 {
@@ -503,18 +492,15 @@ func (st *state) countBlocks(p *prober, t cntTask) ([]removalItem, error) {
 			}
 			p.sw.reset()
 		} else {
-			// Fig. 4: one probe per pair. A block whose sweep ran out of
-			// budget still records the outcomes in W_c where there is one.
+			// Fig. 4: one probe per pair. Only swept constraints keep a
+			// witness matrix.
 			for i, x := range srcs {
-				for j, z := range to {
+				for _, z := range to {
 					if err := p.poll.Err(); err != nil {
 						return nil, err
 					}
-					if st.inMat[con.to][j] && p.holds(con, int(x), int(z)) {
+					if p.holds(con, int(x), int(z)) {
 						c[i]++
-						if wm != nil {
-							wm.bits[j*wm.words+b] |= 1 << uint(i)
-						}
 					}
 				}
 			}
@@ -610,7 +596,7 @@ func (st *state) remove(u, j int) error {
 			rev := *con
 			rev.parent = !rev.parent
 			sw := p.sweeper()
-			if _, err := sw.bounded([]int32{x}, rev, math.MaxInt64); err != nil {
+			if err := sw.bounded([]int32{x}, rev); err != nil {
 				return err
 			}
 			pos := st.pos[con.from].at

@@ -138,8 +138,7 @@ func NewBFSOracle(g *graph.Graph) *BFSOracle {
 }
 
 // NewBFSOracleFrozen returns a BFS oracle over an existing immutable
-// snapshot, skipping the freeze NewBFSOracle would pay. The engine layer
-// uses this to serve per-query oracles from its cached snapshot.
+// snapshot, skipping the freeze NewBFSOracle would pay.
 func NewBFSOracleFrozen(f *graph.Frozen) *BFSOracle {
 	return &BFSOracle{f: f, lastU: -1, lastV: -1}
 }
@@ -257,12 +256,6 @@ func NewTwoHopOracle(g *graph.Graph, idx *twohop.Index) *TwoHopOracle {
 	return &TwoHopOracle{idx: idx, bfs: NewBFSOracle(g)}
 }
 
-// NewTwoHopOracleFrozen wraps a prebuilt index over an existing frozen
-// snapshot, skipping the freeze NewTwoHopOracle would pay on first use.
-func NewTwoHopOracleFrozen(f *graph.Frozen, idx *twohop.Index) *TwoHopOracle {
-	return &TwoHopOracle{idx: idx, bfs: NewBFSOracleFrozen(f)}
-}
-
 // BuildTwoHopOracle constructs the labelling for g and wraps it.
 func BuildTwoHopOracle(g *graph.Graph) *TwoHopOracle {
 	return NewTwoHopOracle(g, twohop.Build(g))
@@ -287,9 +280,8 @@ func (o *TwoHopOracle) NonemptyDistWithin(u, v, bound int) int {
 
 // PLLOracle answers queries from a pruned-landmark labelling (package
 // pll): exact distances in label-merge time with memory that scales
-// with the graph's hub structure instead of |V|² — the oracle that
-// takes bounded simulation to million-node graphs when an engine opts in
-// with WithOracle(OraclePLL).
+// with the graph's hub structure instead of |V|² — the oracle behind the
+// million-node Fig. 4 baseline (cmd/gpmbench -exp million).
 //
 // A PLLOracle is single-goroutine state: its probe caches expand one
 // endpoint's label into a hub-indexed distance array, so Match's

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -59,9 +58,9 @@ func (sw *sweeper) close() { sw.s.Put() }
 // y, at most |E| scans a level. From lo on first-reach pruning is sound
 // again: a bit that reaches y a second time can only extend walks that
 // its first arrival, at least lo and earlier, already extends within hi.
-// It gives up — ok false, masks already reset — once it has scanned more
-// than budget adjacency entries. After ok, mask is valid until reset.
-func (sw *sweeper) bounded(srcs []int32, c constraint, budget int64) (ok bool, err error) {
+// On success mask is valid until reset; on cancellation the masks are
+// already reset.
+func (sw *sweeper) bounded(srcs []int32, c constraint) (err error) {
 	s := sw.s
 	front := s.Frontier[:0]
 	for i, x := range srcs {
@@ -106,21 +105,9 @@ func (sw *sweeper) bounded(srcs []int32, c constraint, budget int64) (ok bool, e
 				}
 				s.Next[y] |= fresh
 			}
-			if scanned > budget {
-				break
-			}
 		}
 		s.Cur, s.Next = s.Next, s.Cur
 		s.Frontier, s.Grown = grown, front
-		if scanned > budget {
-			// Abandoned mid-level: the unexpanded rest of the old frontier
-			// still holds its masks (in what is now Next).
-			for _, w := range front {
-				s.Next[w] = 0
-			}
-			front = grown
-			break
-		}
 		front = grown
 	}
 	// The last frontier's masks were never expanded; clear them.
@@ -130,11 +117,10 @@ func (sw *sweeper) bounded(srcs []int32, c constraint, budget int64) (ok bool, e
 	s.Touched = touched
 	sw.scans += scanned
 	sw.cond = nil
-	if err != nil || scanned > budget {
+	if err != nil {
 		sw.reset()
-		return false, err
 	}
-	return true, nil
+	return err
 }
 
 // unbounded answers a "*" block through the SCC condensation: unbounded
@@ -284,48 +270,6 @@ func (p *positions) put(cand []int32) {
 	positionsPool.Put(p)
 }
 
-// The cost rule. A block's sweep may scan c(o) × |block| × |cand(u′)|
-// adjacency entries — what probing the block would cost, with one probe
-// priced at c(o) scans — before it is abandoned for probes. That keeps a
-// containment-seeded query over a handful of candidates from paying for a
-// traversal of the graph, with no knob to turn.
-//
-// A scan is an L1/L2-resident load, mask test and OR: about 2 ns. The
-// traced benchmark run measures matrix.probe_ns at 30–35 ns (one load
-// from a |V|² table, a miss past a few thousand nodes), hence 16. A PLL
-// probe merges one label against an expanded one and checks the
-// bit-parallel roots, 0.25–1.5 µs on the 5000-node benchmark graph
-// (pll.probe_ns) whose labels average 93 entries a side; two scans per
-// entry of an average label pair — LabelEntries / |V| — prices it at 187
-// there and follows the labelling as it grows. The BFS-backed oracles pay
-// a whole traversal whenever the probed source changes, so a probe is
-// priced at |E| and their blocks always sweep. A run with no oracle has
-// nothing to fall back to: like a labelled edge's, its blocks sweep with
-// no budget. The rule governs counter initialisation only; in sweep
-// mode remove never probes.
-const (
-	matrixProbeCost  = 16
-	unknownProbeCost = 16 // user-supplied oracles: assume the cheapest
-)
-
-// probeCost returns c(o).
-func probeCost(o DistOracle, f *graph.Frozen) int64 {
-	switch o := o.(type) {
-	case *MatrixOracle:
-		return matrixProbeCost
-	case *PLLOracle:
-		if n := o.idx.N(); n > 0 {
-			if c := int64(o.idx.LabelEntries() / n); c > matrixProbeCost {
-				return c
-			}
-		}
-		return matrixProbeCost
-	case *BFSOracle, *TwoHopOracle:
-		return int64(f.M()) + 1
-	}
-	return unknownProbeCost
-}
-
 // witnessCapDefault bounds the bytes of witness matrices one query may
 // hold. Past it a constraint keeps its sweep-computed counters and
 // remove sweeps once from the removed node instead of reading a row, so
@@ -333,42 +277,25 @@ func probeCost(o DistOracle, f *graph.Frozen) int64 {
 // One-hop constraints keep no matrix and spend none of it.
 const witnessCapDefault = 32 << 20
 
-// sweepLimits overrides the cost rule and the cap for tests; a negative
-// field leaves that limit to its rule.
-type sweepLimits struct{ budget, witnessCap int64 }
-
-// limitsOverride is nil outside tests. Atomic, because the hook may be
+// capOverride is nil outside tests. Atomic, because the hook may be
 // flipped while other tests' engines are still alive.
-var limitsOverride atomic.Pointer[sweepLimits]
+var capOverride atomic.Pointer[int64]
 
-// SweepLimitsForTest forces every block's scan budget and the per-query
-// witness-matrix cap (bytes) until restore is called; a negative value
-// leaves that limit to its rule. Budget 0 sends every block of a plain
-// edge to probes when there is an oracle to probe, math.MaxInt64 sweeps
-// them all; cap 0 keeps no witness matrix, so in sweep mode every
-// removal walks arcs or sweeps from the removed node, and in Fig. 4 mode
-// a labelled constraint's does. It exists for the differential tests
-// (internal/difftest), which referee sweep ≡ probe at those extremes.
-func SweepLimitsForTest(budget, witnessCap int64) (restore func()) {
-	old := limitsOverride.Swap(&sweepLimits{budget, witnessCap})
-	return func() { limitsOverride.Store(old) }
-}
-
-// blockBudget applies the cost rule to one block.
-func blockBudget(cost int64, block, targets int) int64 {
-	if l := limitsOverride.Load(); l != nil && l.budget >= 0 {
-		return l.budget
-	}
-	if cost > math.MaxInt64/int64(sweepBlock)/int64(targets+1) {
-		return math.MaxInt64
-	}
-	return cost * int64(block) * int64(targets)
+// SweepLimitsForTest forces the per-query witness-matrix cap (bytes)
+// until restore is called; a negative value leaves it at its default.
+// Cap 0 keeps no witness matrix, so in sweep mode every removal walks
+// arcs or sweeps from the removed node, and in Fig. 4 mode a labelled
+// constraint's does. It exists for the differential tests
+// (internal/difftest), which referee sweep ≡ probe at that extreme.
+func SweepLimitsForTest(witnessCap int64) (restore func()) {
+	old := capOverride.Swap(&witnessCap)
+	return func() { capOverride.Store(old) }
 }
 
 // witnessCap returns the bytes of witness matrices one query may hold.
 func witnessCap() int64 {
-	if l := limitsOverride.Load(); l != nil && l.witnessCap >= 0 {
-		return l.witnessCap
+	if c := capOverride.Load(); c != nil && *c >= 0 {
+		return *c
 	}
 	return witnessCapDefault
 }
@@ -382,24 +309,19 @@ func (st *state) sweepable(c constraint) bool {
 
 // labelled reports whether e carries a colour or a hop range. Its
 // witness is then a labelled walk, which no oracle answers: the kernel
-// sweeps its constraints with no budget, freezing the graph if the
-// caller gave no snapshot, and remove never probes them.
+// sweeps its constraints, freezing the graph if the caller gave no
+// snapshot, and remove never probes them.
 func labelled(e pattern.Edge) bool { return e.Color != "" || e.Ranged() }
 
 // oneHop reports whether e's witness is a single arc (of e's colour, if
 // any): bound 1, no hop range.
 func oneHop(e pattern.Edge) bool { return e.Bound == 1 && !e.Ranged() }
 
-// block runs the sweep for one block of sources of constraint c,
-// reporting whether the masks are ready (false: probe the block instead).
-func (sw *sweeper) block(srcs []int32, c constraint, budget int64) (bool, error) {
+// block runs the sweep for one block of sources of constraint c; on
+// success the masks are ready until reset.
+func (sw *sweeper) block(srcs []int32, c constraint) error {
 	if c.e.Bound == pattern.Unbounded && c.e.Color == "" {
-		// One pass costs up to |E| whatever the block holds.
-		if budget < int64(sw.f.M()) {
-			return false, nil
-		}
-		err := sw.unbounded(srcs)
-		return err == nil, err
+		return sw.unbounded(srcs)
 	}
-	return sw.bounded(srcs, c, budget)
+	return sw.bounded(srcs, c)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -105,9 +104,8 @@ func TestSweeperAgreesWithMatrixOracle(t *testing.T) {
 			}
 			for lo := 0; lo < len(srcs); lo += sweepBlock {
 				block := srcs[lo:min(lo+sweepBlock, len(srcs))]
-				ok, err := sw.block(block, c, math.MaxInt64)
-				if err != nil || !ok {
-					t.Fatalf("%s k=%d parent=%v block %d: ok=%v err=%v", name, k, c.parent, lo/sweepBlock, ok, err)
+				if err := sw.block(block, c); err != nil {
+					t.Fatalf("%s k=%d parent=%v block %d: %v", name, k, c.parent, lo/sweepBlock, err)
 				}
 				for w := 0; w < g.N(); w++ {
 					m := sw.mask(int32(w))
@@ -139,35 +137,6 @@ func TestSweeperAgreesWithMatrixOracle(t *testing.T) {
 	}
 }
 
-// A sweep that runs out of budget reports so and leaves the scratch
-// zeroed — it goes back to the pool as it came.
-func TestSweeperBudgetAbortLeavesScratchClean(t *testing.T) {
-	g := sweepFixtures()["random-150"]
-	f := g.Freeze()
-	poll := cancel.Every(context.Background(), 1)
-	sw := newSweeper(f, &poll)
-	defer sw.close()
-	srcs := make([]int32, sweepBlock)
-	for i := range srcs {
-		srcs[i] = int32(i)
-	}
-	for _, budget := range []int64{0, 1, 10, 100, 300} {
-		ok, err := sw.block(srcs, constraint{e: pattern.Edge{Bound: 5}}, budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			t.Fatalf("budget %d: a 5-level sweep of 64 sources over 420 edges fit", budget)
-		}
-		assertScratchZero(t, sw)
-	}
-	// "*" is all or nothing: below |E| it is not attempted.
-	if ok, _ := sw.block(srcs, constraint{e: pattern.Edge{Bound: pattern.Unbounded}}, int64(f.M())-1); ok {
-		t.Fatal("condensation pass ran on a budget below |E|")
-	}
-	assertScratchZero(t, sw)
-}
-
 func TestSweeperCancelled(t *testing.T) {
 	g := sweepFixtures()["random-150"]
 	f := g.Freeze()
@@ -177,9 +146,8 @@ func TestSweeperCancelled(t *testing.T) {
 	sw := newSweeper(f, &poll)
 	defer sw.close()
 	for _, k := range []int{2, pattern.Unbounded} {
-		ok, err := sw.block([]int32{0, 1, 2}, constraint{e: pattern.Edge{Bound: k}}, math.MaxInt64)
-		if ok || !errors.Is(err, context.Canceled) {
-			t.Fatalf("k=%d: ok=%v err=%v, want context.Canceled", k, ok, err)
+		if err := sw.block([]int32{0, 1, 2}, constraint{e: pattern.Edge{Bound: k}}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("k=%d: err=%v, want context.Canceled", k, err)
 		}
 		assertScratchZero(t, sw)
 	}
@@ -231,21 +199,17 @@ func sweepCase(seed int64) (*pattern.Pattern, *graph.Graph) {
 }
 
 // With a snapshot MatchOpts sweeps, without one it probes pair by pair;
-// relation, InitialPairs and Removals must not tell the two apart — under
-// the cost rule, with every block forced to probes, every block forced to
-// sweep, and with the witness matrices capped away. Coloured and ranged
-// edges sweep on both sides, so MatchNaive referees patterns that have
-// them.
+// relation, InitialPairs and Removals must not tell the two apart — with
+// the default witness-matrix cap and with the matrices capped away.
+// Coloured and ranged edges sweep on both sides, so MatchNaive referees
+// patterns that have them.
 func TestSweepEqualsProbe(t *testing.T) {
 	limits := []struct {
-		name        string
-		budget, cap int64
+		name string
+		cap  int64
 	}{
-		{"rule", -1, -1},
-		{"all-fallback", 0, -1},
-		{"all-sweep", math.MaxInt64, -1},
-		{"no-witness-matrix", -1, 0},
-		{"all-sweep-no-witness-matrix", math.MaxInt64, 0},
+		{"default", -1},
+		{"no-witness-matrix", 0},
 	}
 	for seed := int64(1); seed <= 30; seed++ {
 		p, g := sweepCase(seed)
@@ -268,7 +232,7 @@ func TestSweepEqualsProbe(t *testing.T) {
 		f := g.Freeze()
 		for _, lim := range limits {
 			func() {
-				defer SweepLimitsForTest(lim.budget, lim.cap)()
+				defer SweepLimitsForTest(lim.cap)()
 				for _, workers := range []int{1, 3} {
 					var got Stats
 					res, err := MatchOpts(context.Background(), p, g, o, &got, MatchOptions{Frozen: f, Workers: workers})
@@ -282,13 +246,88 @@ func TestSweepEqualsProbe(t *testing.T) {
 						t.Fatalf("seed %d %s workers %d: pairs/removals %d/%d, probing run %d/%d",
 							seed, lim.name, workers, got.InitialPairs, got.Removals, want.InitialPairs, want.Removals)
 					}
-					if lim.budget == 0 && !labelled && got.SweepScans > got.OracleQueries {
-						// Forced fallback still starts each sweep before giving
-						// up on its first node, so a few scans are expected.
-						t.Fatalf("seed %d %s: %d scans against %d probes", seed, lim.name, got.SweepScans, got.OracleQueries)
-					}
 				}
 			}()
+		}
+	}
+}
+
+// A run over a snapshot consults no oracle: under the matrix, BFS, 2-hop
+// and PLL oracles, at workers 1/2/4/8, it issues no probe, and its
+// relation and every work counter — InitialPairs, Removals, SweepScans —
+// equal the run with no oracle at all. Each case runs unseeded and
+// seeded with its own relation. The last case is a 400-node graph where
+// one node carries each pattern label: blocks of one candidate against
+// one target, where probing once looked cheaper than a sweep.
+func TestSnapshotRunIgnoresOracle(t *testing.T) {
+	ctx := context.Background()
+	type matchCase struct {
+		p *pattern.Pattern
+		g *graph.Graph
+	}
+	var cases []matchCase
+	for seed := int64(1); seed <= 12; seed++ {
+		p, g := sweepCase(seed)
+		cases = append(cases, matchCase{p, g})
+	}
+	rare := graph.New(400)
+	for i := 0; i < 400; i++ {
+		rare.SetAttr(i, value.Tuple{"label": value.Str("X")})
+		rare.AddEdge(i, (i+1)%400)
+		rare.AddEdge(i, (i+7)%400)
+	}
+	rare.SetAttr(0, value.Tuple{"label": value.Str("A")})
+	rare.SetAttr(200, value.Tuple{"label": value.Str("B")})
+	ab := pattern.New()
+	a, b := ab.AddNode(pattern.Label("A")), ab.AddNode(pattern.Label("B"))
+	ab.MustAddEdge(a, b, pattern.Unbounded)
+	ab.MustAddEdge(b, a, 120)
+	cases = append(cases, matchCase{ab, rare})
+	for ci, c := range cases {
+		p, g := c.p, c.g
+		f := g.Freeze()
+		pllO, err := BuildPLLOracle(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracles := map[string]DistOracle{
+			"matrix": BuildMatrixOracle(g),
+			"bfs":    NewBFSOracleFrozen(f),
+			"2hop":   BuildTwoHopOracle(g),
+			"pll":    pllO,
+		}
+		full, err := MatchOpts(ctx, p, g, nil, nil, MatchOptions{Frozen: f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ci == len(cases)-1 && !full.OK() {
+			t.Fatal("the rare-label pattern does not match")
+		}
+		for _, rows := range [][][]int32{nil, full.Relation()} {
+			for _, workers := range []int{1, 2, 4, 8} {
+				opts := MatchOptions{Frozen: f, Workers: workers, Seed: rows}
+				var want Stats
+				ref, err := MatchOpts(ctx, p, g, nil, &want, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for kind, o := range oracles {
+					var got Stats
+					res, err := MatchOpts(ctx, p, g, o, &got, opts)
+					if err != nil {
+						t.Fatalf("case %d %s workers %d seeded %v: %v", ci, kind, workers, rows != nil, err)
+					}
+					if !relEqual(res.Relation(), ref.Relation()) || res.OK() != ref.OK() {
+						t.Errorf("case %d %s workers %d seeded %v: relation differs from the oracle-free run", ci, kind, workers, rows != nil)
+					}
+					if got != want {
+						t.Errorf("case %d %s workers %d seeded %v: stats %+v, oracle-free run %+v", ci, kind, workers, rows != nil, got, want)
+					}
+				}
+				if want.OracleQueries != 0 {
+					t.Fatalf("case %d workers %d: the oracle-free run counted %d probes", ci, workers, want.OracleQueries)
+				}
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package difftest
 
 import (
 	"context"
-	"math"
 	"reflect"
 	"testing"
 
@@ -10,30 +9,27 @@ import (
 	"gpm/internal/core"
 	"gpm/internal/simulation"
 	"gpm/internal/topo"
-	"gpm/internal/twohop"
 )
 
 // Property (d'): handing MatchOpts a frozen snapshot replaces pairwise
 // probes with witness sweeps but must not change the answer or the work
 // the fixpoint does: relation, InitialPairs and Removals equal the
 // snapshot-less run (the paper's Fig. 4, which probes the oracle for
-// every candidate pair) — for every oracle kind, since each prices a
-// probe differently and so falls back to probing at different points, at
-// every worker count, and at both extremes of the cost rule: every block
-// probed (budget 0), every block swept (budget ∞), and no witness matrix
-// kept (cap 0), where removals probe again. Coloured workloads repeat
-// the check with bounded and "*" coloured edges, and a ranged row turns
-// every other edge of their patterns into a hop range. No oracle answers
-// a coloured or ranged edge, so every run sweeps it whatever the budget,
-// and at cap 0 sweeps once from each removed node; those rows take their
-// relation from core.MatchNaive, a rescan that shares no code with the
-// sweeps, and their InitialPairs and Removals from the probing run.
+// every candidate pair) — for every oracle kind's Fig. 4 run, whose
+// oracle the snapshot run is handed and ignores, at every worker count,
+// with the default witness-matrix cap and with no witness matrix kept
+// (cap 0), where removals walk arcs or sweep back from the removed node.
+// Coloured workloads repeat the check with bounded and "*" coloured
+// edges, and a ranged row turns every other edge of their patterns into
+// a hop range. No oracle answers a coloured or ranged edge, so every run
+// sweeps it; those rows take their relation from core.MatchNaive, a
+// rescan that shares no code with the sweeps, and their InitialPairs and
+// Removals from the probing run.
 //
-// Every pattern also runs with no oracle at all, the auto engine's
-// configuration: every block sweeps with no budget, so the budget rows
-// change nothing there, and its relation, InitialPairs and Removals must
-// equal the matrix-probing run's (MatchNaive's relation for labelled
-// patterns) at every worker count and with no witness matrix kept.
+// Every pattern also runs with no oracle at all, the engine's
+// configuration, and its relation, InitialPairs and Removals must equal
+// the matrix-probing run's (MatchNaive's relation for labelled patterns)
+// at every worker count and with no witness matrix kept.
 //
 // The same kernel run without an oracle on all-bounds-one patterns is
 // plain simulation, and with its parent constraints dual simulation. Their rows are refereed by
@@ -56,7 +52,7 @@ func TestSweepEqualsProbeAcrossOraclesAndWorkers(t *testing.T) {
 		oracles := map[string]core.DistOracle{
 			"matrix": core.BuildMatrixOracle(w.G),
 			"bfs":    core.NewBFSOracleFrozen(f),
-			"2hop":   core.NewTwoHopOracleFrozen(f, twohop.Build(w.G)),
+			"2hop":   core.BuildTwoHopOracle(w.G),
 			"pll":    pllO,
 		}
 		patterns := w.Patterns
@@ -132,22 +128,21 @@ func TestSweepEqualsProbeAcrossOraclesAndWorkers(t *testing.T) {
 }
 
 // checkAcrossLimits runs one kernel configuration at workers 1/2/4/8
-// under the cost rule and its three extremes, and compares each run's
-// relation with want and its InitialPairs and Removals with wantStats.
+// with the default witness-matrix cap and with none kept, and compares
+// each run's relation with want and its InitialPairs and Removals with
+// wantStats.
 func checkAcrossLimits(t *testing.T, seed int64, pi int, row string, want [][]int32, wantOK bool, wantStats core.Stats,
 	run func(workers int, st *core.Stats) (*core.Result, error)) {
 	t.Helper()
 	limits := []struct {
-		name        string
-		budget, cap int64
+		name string
+		cap  int64
 	}{
-		{"rule", -1, -1},
-		{"all-fallback", 0, -1},
-		{"all-sweep", math.MaxInt64, -1},
-		{"no-witness-matrix", -1, 0},
+		{"default", -1},
+		{"no-witness-matrix", 0},
 	}
 	for _, lim := range limits {
-		restore := core.SweepLimitsForTest(lim.budget, lim.cap)
+		restore := core.SweepLimitsForTest(lim.cap)
 		for _, workers := range []int{1, 2, 4, 8} {
 			var got core.Stats
 			res, err := run(workers, &got)
@@ -212,9 +207,9 @@ func TestLabelledEdgesProbeNoOracle(t *testing.T) {
 	}
 }
 
-// TestSweepModeProbesOnlyAtInit: in sweep mode no probe happens after
-// counter init. With every block swept and no witness matrix kept
-// (SweepLimitsForTest(math.MaxInt64, 0)), Engine.Match on plain
+// TestSweepModeProbesOnlyAtInit: in sweep mode no probe happens at all,
+// at counter init or after. With no witness matrix kept
+// (SweepLimitsForTest(0)), Engine.Match on plain
 // patterns (bounds 1..3 and "*"), Simulate and DualSimulate issue no
 // probe under any oracle kind — a removal walks arcs at k = 1 and sweeps
 // back from the removed node otherwise — and return the relations of
@@ -223,7 +218,7 @@ func TestLabelledEdgesProbeNoOracle(t *testing.T) {
 // witnesses the engine reads off the adjacency, equals the one the
 // matrix oracle and walkLengths build.
 func TestSweepModeProbesOnlyAtInit(t *testing.T) {
-	defer core.SweepLimitsForTest(math.MaxInt64, 0)()
+	defer core.SweepLimitsForTest(0)()
 	ctx := context.Background()
 	kinds := []gpm.OracleKind{gpm.OracleMatrix, gpm.OracleBFS, gpm.OracleTwoHop, gpm.OraclePLL, gpm.OracleAuto}
 	check := func(seed int64, pi int, name string, kind gpm.OracleKind, probes int64, got, want [][]int32, gotOK, wantOK bool) {

@@ -324,7 +324,7 @@ func (s *scanner) next() bool {
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
-		s.fields = splitQuoted(text)
+		s.fields = splitQuoted(s.fields[:0], text)
 		if len(s.fields) > 0 {
 			return true
 		}
@@ -337,14 +337,14 @@ func (s *scanner) errf(format string, args ...interface{}) error {
 	return fmt.Errorf("gio: line %d: %s", s.line, fmt.Sprintf(format, args...))
 }
 
-// splitQuoted splits on whitespace but keeps double-quoted spans intact.
-// Inside quotes a backslash escapes the next character, matching the
-// strconv.Quote escaping the writers emit, so string values containing
-// quotes round-trip.
-func splitQuoted(s string) []string {
+// splitQuoted splits s on whitespace, appending the fields to out, but
+// keeps double-quoted spans intact. Inside quotes a backslash escapes the
+// next character, matching the strconv.Quote escaping the writers emit,
+// so string values containing quotes round-trip. The scanner hands it
+// its previous line's fields, so one slice serves every line.
+func splitQuoted(out []string, s string) []string {
 	// Every byte but an unquoted space or tab belongs to a field, so each
 	// field is a substring of s.
-	var out []string
 	start := -1 // where the current field began; -1 between fields
 	inQuote, escaped := false, false
 	for i := 0; i < len(s); i++ {

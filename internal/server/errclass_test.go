@@ -9,25 +9,21 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"gpm"
 	"gpm/client"
 )
 
 // TestEngineErrorClassification is the regression test for the
 // watch/update error-mapping bug: these handlers used to wrap every
 // engine error in badRequest("%v", ...), flattening the chain so
-// writeError could never see gpm.ErrGraphTooLarge (422) or context
-// errors (504) — a lazy oracle failure or an expired deadline on the
-// write path reported as the caller's fault. engineError must pass the
-// classified errors through unwrapped and keep everything else a 400.
+// writeError could never see context errors (504) — an expired deadline
+// on the write path reported as the caller's fault. engineError must
+// pass them through unwrapped and keep everything else a 400.
 func TestEngineErrorClassification(t *testing.T) {
 	cases := []struct {
 		name string
 		err  error
 		want int
 	}{
-		{"graph too large", gpm.ErrGraphTooLarge, http.StatusUnprocessableEntity},
-		{"wrapped graph too large", fmt.Errorf("building oracle: %w", gpm.ErrGraphTooLarge), http.StatusUnprocessableEntity},
 		{"deadline exceeded", context.DeadlineExceeded, http.StatusGatewayTimeout},
 		{"wrapped cancellation", fmt.Errorf("fixpoint: %w", context.Canceled), http.StatusGatewayTimeout},
 		{"validation error", errors.New("pattern bound 3 needs a distance oracle"), http.StatusBadRequest},

@@ -319,17 +319,13 @@ func badRequest(format string, args ...interface{}) *httpError {
 
 // writeError maps an error to a JSON error response. Context errors
 // become 504: the request's deadline (or the shutting-down server)
-// cancelled the fixpoint. A graph bound beyond its oracle's addressing
-// limit becomes 422: the request was well-formed, the binding cannot
-// serve it — and, critically for a daemon, the process stays up.
+// cancelled the fixpoint.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	var he *httpError
 	switch {
 	case errors.As(err, &he):
 		code = he.code
-	case errors.Is(err, gpm.ErrGraphTooLarge):
-		code = http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		code = http.StatusGatewayTimeout
 	}
@@ -878,14 +874,11 @@ func (s *Server) handleWatchOpen(w http.ResponseWriter, r *http.Request) {
 }
 
 // engineError classifies an error from the engine's watch/update write
-// path. The sentinel and context errors must reach writeError unwrapped
-// so they map to 422 and 504 exactly as the relation handlers report
-// them; anything else is a validation failure of the request and stays
-// a 400.
+// path. Context errors must reach writeError unwrapped so they map to
+// 504 exactly as the relation handlers report them; anything else is a
+// validation failure of the request and stays a 400.
 func engineError(err error) error {
-	if errors.Is(err, gpm.ErrGraphTooLarge) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, context.Canceled) {
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		return err
 	}
 	return badRequest("%v", err)

@@ -223,8 +223,7 @@ type strongWorker struct {
 	poll cancel.Poller
 	cur  *Component // component being evaluated by the current ball
 
-	sc      *graph.Scratch // ball BFS dist + member queue (pooled)
-	lid     []int32        // global node -> local ball id; -1 outside
+	sc      *graph.Scratch // ball members; Dist maps them to local ids, -1 outside (pooled)
 	sim     [][]bool       // per pattern node, local ball ids
 	fwd     [][]int32      // per pattern edge, out-witness counters
 	back    [][]int32      // per pattern edge, in-witness counters
@@ -243,14 +242,10 @@ func newStrongWorker(ctx context.Context, p *pattern.Pattern, f *graph.Frozen, d
 		dual: dual,
 		poll: cancel.Every(ctx, cancelPollInterval),
 		sc:   graph.GetScratch(n),
-		lid:  make([]int32, n),
 		sim:  make([][]bool, np),
 		fwd:  make([][]int32, p.EdgeCount()),
 		back: make([][]int32, p.EdgeCount()),
 		res:  res,
-	}
-	for i := range w.lid {
-		w.lid[i] = -1
 	}
 	return w
 }
@@ -280,15 +275,17 @@ func (w *strongWorker) ball(c *Component, center int) error {
 	w.cur = c
 	r := w.f.BallInto(center, c.Radius, w.sc.Dist, &w.sc.Queue)
 	members := w.sc.Queue[:r]
+	// BallInto left Dist ≥ 0 exactly at the members; from here on it
+	// holds their local ids instead of their distances.
+	lid := w.sc.Dist
 	for i, g := range members {
-		w.lid[g] = int32(i)
+		lid[g] = int32(i)
 	}
 	defer func() {
 		// Return every touched buffer to its zero state so the next ball
 		// starts clean without O(n) refills.
 		for _, g := range members {
-			w.lid[g] = -1
-			w.sc.Dist[g] = -1
+			lid[g] = -1
 		}
 		for _, u := range c.Nodes {
 			row := w.sim[u]
@@ -332,7 +329,7 @@ func (w *strongWorker) ball(c *Component, center int) error {
 			}
 			if w.sim[e.From][i] {
 				for _, y := range w.f.Out(int(g)) {
-					ly := w.lid[y]
+					ly := lid[y]
 					if ly >= 0 && w.sim[e.To][ly] && colorOK(w.f, int(g), int(y), e.Color) {
 						fr[i]++
 					}
@@ -343,7 +340,7 @@ func (w *strongWorker) ball(c *Component, center int) error {
 			}
 			if w.sim[e.To][i] {
 				for _, z := range w.f.In(int(g)) {
-					lz := w.lid[z]
+					lz := lid[z]
 					if lz >= 0 && w.sim[e.From][lz] && colorOK(w.f, int(z), int(g), e.Color) {
 						bk[i]++
 					}
@@ -371,7 +368,7 @@ func (w *strongWorker) ball(c *Component, center int) error {
 				if err := w.poll.Err(); err != nil {
 					return err
 				}
-				lz := w.lid[z]
+				lz := lid[z]
 				if lz < 0 || !w.sim[e.From][lz] || !colorOK(w.f, int(z), gx, e.Color) {
 					continue
 				}
@@ -387,7 +384,7 @@ func (w *strongWorker) ball(c *Component, center int) error {
 				if err := w.poll.Err(); err != nil {
 					return err
 				}
-				ly := w.lid[y]
+				ly := lid[y]
 				if ly < 0 || !w.sim[e.To][ly] || !colorOK(w.f, gx, int(y), e.Color) {
 					continue
 				}
@@ -425,14 +422,14 @@ func (w *strongWorker) ball(c *Component, center int) error {
 		lx := int(w.mq[head])
 		gx := int(members[lx])
 		for _, y := range w.f.Out(gx) {
-			ly := w.lid[y]
+			ly := lid[y]
 			if ly >= 0 && !w.visited[ly] && w.matchEdge(lx, int(ly), gx, int(y)) {
 				w.visited[ly] = true
 				w.mq = append(w.mq, ly)
 			}
 		}
 		for _, z := range w.f.In(gx) {
-			lz := w.lid[z]
+			lz := lid[z]
 			if lz >= 0 && !w.visited[lz] && w.matchEdge(int(lz), lx, int(z), gx) {
 				w.visited[lz] = true
 				w.mq = append(w.mq, lz)
