@@ -339,7 +339,7 @@ func BenchmarkDualSim(b *testing.B) {
 	eng := gpm.NewEngine(ytGraph)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.DualSimulate(context.Background(), p); err != nil {
+		if _, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelDual, Pattern: p}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -353,7 +353,7 @@ func BenchmarkStrongSim(b *testing.B) {
 			eng := gpm.NewEngine(ytGraph, gpm.WithWorkers(workers))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.StrongSimulate(context.Background(), p); err != nil {
+				if _, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelStrong, Pattern: p}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -370,7 +370,7 @@ func BenchmarkColoredMatchAuto(b *testing.B) {
 		w := difftest.NewWorkload(3, difftest.Config{Nodes: nodes, Attrs: 20, Colors: 2, Patterns: 8})
 		ctx := context.Background()
 		match := func(b *testing.B, eng *gpm.Engine, i int) {
-			if _, err := eng.Match(ctx, w.Patterns[i%len(w.Patterns)]); err != nil {
+			if _, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: w.Patterns[i%len(w.Patterns)]}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -402,14 +402,15 @@ func BenchmarkResultGraphAuto(b *testing.B) {
 	for _, nodes := range []int{3000, 20000} {
 		w := difftest.NewWorkload(3, difftest.Config{Nodes: nodes, Attrs: 20, Patterns: 8, IsoBias: true})
 		eng := gpm.NewEngine(w.G)
-		var results []*gpm.MatchResult
+		var results []*gpm.RelationResult
+		var matched []*gpm.Pattern
 		for _, p := range w.Patterns {
-			r, err := eng.Match(context.Background(), p)
+			r, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if r.OK() {
-				results = append(results, r)
+			if r.OK {
+				results, matched = append(results, r), append(matched, p)
 			}
 		}
 		if len(results) == 0 {
@@ -419,7 +420,7 @@ func BenchmarkResultGraphAuto(b *testing.B) {
 			b.ReportAllocs()
 			var edges int
 			for i := 0; i < b.N; i++ {
-				edges += len(eng.ResultGraph(results[i%len(results)]).Edges)
+				edges += len(eng.ResultGraph(matched[i%len(results)], results[i%len(results)]).Edges)
 			}
 			b.ReportMetric(float64(edges)/float64(b.N), "edges/op")
 		})
@@ -445,12 +446,12 @@ func BenchmarkRangedMatch(b *testing.B) {
 	}
 	ctx := context.Background()
 	eng := gpm.NewEngine(w.G)
-	if _, err := eng.Match(ctx, ps[0]); err != nil {
+	if _, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: ps[0]}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Match(ctx, ps[i%len(ps)]); err != nil {
+		if _, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: ps[i%len(ps)]}); err != nil {
 			b.Fatal(err)
 		}
 	}

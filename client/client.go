@@ -141,7 +141,7 @@ func (c *Client) relation(ctx context.Context, path, graph string, p *gpm.Patter
 }
 
 // Match computes the maximum bounded-simulation match of p against the
-// named graph — the remote [gpm.Engine.Match].
+// named graph — the remote [gpm.Engine.RelationQuery] with [gpm.RelMatch].
 func (c *Client) Match(ctx context.Context, graph string, p *gpm.Pattern) (*Relation, error) {
 	return c.relation(ctx, "/match", graph, p)
 }

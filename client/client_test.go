@@ -130,12 +130,12 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("MatchBatch returned %d results, want 2", len(batch))
 	}
 	for i, q := range []*gpm.Pattern{p, testPattern(g, 4)} {
-		want, err := ref.Match(ctx, q)
+		want, err := ref.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: q})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batch[i].OK != want.OK() || !reflect.DeepEqual(batch[i].Matches, want.Relation()) {
-			t.Errorf("batch %d diverges from Engine.Match", i)
+		if batch[i].OK != want.OK || !reflect.DeepEqual(batch[i].Matches, want.Relation) {
+			t.Errorf("batch %d diverges from the in-process match query", i)
 		}
 	}
 

@@ -1,10 +1,13 @@
-// Command gpmatch matches a pattern file against a data graph file.
+// Command gpmatch matches a pattern file against a data graph file, or
+// maintains the match through an update stream.
 //
 // Usage:
 //
 //	gpmatch -graph g.graph -pattern p.pattern
 //	        [-semantics match|sim|dual|strong|iso|vf2|ullmann]
 //	        [-workers N] [-result] [-limit 100] [-time] [-plan] [-count] [-noplan]
+//	gpmatch -graph g.graph -pattern p.pattern -updates u.updates
+//	        [-semantics match|sim|dual|strong] [-workers N] [-chunk 100] [-verify]
 //
 // The default semantics is the paper's cubic-time Match (bounded
 // simulation, its witnesses found by sweeps over the graph's adjacency:
@@ -19,8 +22,14 @@
 // listing them, and -noplan opts out of the planner. -result additionally
 // prints the result graph (bounded, dual and strong simulation). -time
 // reports the matching time. -workers sets the matching parallelism
-// (0 = GOMAXPROCS); every worker count returns identical output. -algo
-// is the deprecated spelling of -semantics.
+// (0 = GOMAXPROCS); every worker count returns identical output.
+//
+// -updates watches the relation instead (the paper's IncMatch for match,
+// the incremental sim/dual/strong maintainers for the others): updates are
+// applied in chunks of -chunk, each chunk's line reports the incremental
+// time and the relation delta, and -verify cross-checks the maintained
+// relation against a from-scratch recompute of the same semantics after
+// every chunk.
 package main
 
 import (
@@ -29,52 +38,63 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"gpm"
+	"gpm/internal/difftest"
 )
 
+// options carries the parsed command line.
+type options struct {
+	graphPath, patternPath, updatesPath string
+	semantics                           string
+	showResult, showTime                bool
+	limit, workers, chunk               int
+	showPlan, count, noPlan, verify     bool
+}
+
 func main() {
-	var (
-		graphPath   = flag.String("graph", "", "data graph file (required)")
-		patternPath = flag.String("pattern", "", "pattern file (required)")
-		algo        = flag.String("algo", "", "deprecated alias for -semantics")
-		semantics   = flag.String("semantics", "", "match | sim | dual | strong | iso | vf2 | ullmann")
-		showResult  = flag.Bool("result", false, "print the result graph (bounded/dual/strong simulation)")
-		limit       = flag.Int("limit", 100, "embedding cap for iso/vf2/ullmann")
-		showTime    = flag.Bool("time", false, "print the match time")
-		workers     = flag.Int("workers", 0, "matching parallelism (0 = GOMAXPROCS)")
-		showPlan    = flag.Bool("plan", false, "print the enumeration plan (iso/vf2/ullmann)")
-		count       = flag.Bool("count", false, "print the embedding count instead of embeddings (iso/vf2/ullmann)")
-		noPlan      = flag.Bool("noplan", false, "skip the query planner (iso/vf2/ullmann)")
-	)
+	var o options
+	flag.StringVar(&o.graphPath, "graph", "", "data graph file (required)")
+	flag.StringVar(&o.patternPath, "pattern", "", "pattern file (required)")
+	flag.StringVar(&o.semantics, "semantics", "match", "match | sim | dual | strong | iso | vf2 | ullmann")
+	flag.BoolVar(&o.showResult, "result", false, "print the result graph (bounded/dual/strong simulation)")
+	flag.IntVar(&o.limit, "limit", 100, "embedding cap for iso/vf2/ullmann")
+	flag.BoolVar(&o.showTime, "time", false, "print the match time")
+	flag.IntVar(&o.workers, "workers", 0, "matching parallelism (0 = GOMAXPROCS)")
+	flag.BoolVar(&o.showPlan, "plan", false, "print the enumeration plan (iso/vf2/ullmann)")
+	flag.BoolVar(&o.count, "count", false, "print the embedding count instead of embeddings (iso/vf2/ullmann)")
+	flag.BoolVar(&o.noPlan, "noplan", false, "skip the query planner (iso/vf2/ullmann)")
+	flag.StringVar(&o.updatesPath, "updates", "", "update stream file: watch the relation through it (match/sim/dual/strong)")
+	flag.IntVar(&o.chunk, "chunk", 100, "updates per batch (-updates)")
+	flag.BoolVar(&o.verify, "verify", false, "cross-check each chunk against a from-scratch recompute (-updates)")
 	flag.Parse()
-	if *graphPath == "" || *patternPath == "" {
+	if o.graphPath == "" || o.patternPath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	sem := *semantics
-	if sem == "" {
-		sem = *algo
-	}
-	if sem == "" {
-		sem = "match"
-	}
-	if err := run(os.Stdout, *graphPath, *patternPath, sem, *showResult, *limit, *showTime, *workers, *showPlan, *count, *noPlan); err != nil {
+	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "gpmatch:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, graphPath, patternPath, semantics string, showResult bool, limit int, showTime bool, workers int, showPlan, count, noPlan bool) error {
-	isEnum := semantics == "iso" || semantics == "vf2" || semantics == "ullmann"
-	if (showPlan || count || noPlan) && !isEnum {
-		return fmt.Errorf("-plan/-count/-noplan apply to -semantics iso|vf2|ullmann, not %q", semantics)
+func run(w io.Writer, o options) error {
+	isEnum := o.semantics == "iso" || o.semantics == "vf2" || o.semantics == "ullmann"
+	if (o.showPlan || o.count || o.noPlan) && !isEnum {
+		return fmt.Errorf("-plan/-count/-noplan apply to -semantics iso|vf2|ullmann, not %q", o.semantics)
 	}
-	g, err := gpm.LoadGraphFile(graphPath)
+	if o.updatesPath != "" && isEnum {
+		return fmt.Errorf("-updates applies to -semantics match|sim|dual|strong, not %q", o.semantics)
+	}
+	if o.verify && o.updatesPath == "" {
+		return fmt.Errorf("-verify applies to -updates")
+	}
+	g, err := gpm.LoadGraphFile(o.graphPath)
 	if err != nil {
 		return err
 	}
-	p, err := gpm.LoadPatternFile(patternPath)
+	p, err := gpm.LoadPatternFile(o.patternPath)
 	if err != nil {
 		return err
 	}
@@ -82,100 +102,154 @@ func run(w io.Writer, graphPath, patternPath, semantics string, showResult bool,
 		g.N(), g.M(), p.N(), p.EdgeCount())
 	ctx := context.Background()
 	var engOpts []gpm.EngineOption
-	if workers > 0 {
-		engOpts = append(engOpts, gpm.WithWorkers(workers))
+	if o.workers > 0 {
+		engOpts = append(engOpts, gpm.WithWorkers(o.workers))
 	}
+	eng := gpm.NewEngine(g, engOpts...)
 
-	switch semantics {
-	case "match":
-		eng := gpm.NewEngine(g, engOpts...)
-		res, err := eng.Match(ctx, p)
-		if err != nil {
-			return err
-		}
-		printRelation(w, "bounded simulation", res.Result, p)
-		if showTime {
-			printTime(w, res.Stats)
-		}
-		if showResult {
-			fmt.Fprint(w, eng.ResultGraph(res).String())
-		}
-	case "sim":
-		eng := gpm.NewEngine(g, engOpts...)
-		sim, err := eng.Simulate(ctx, p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "plain simulation: ok=%v\n", sim.OK)
-		for u, l := range sim.Relation {
+	if isEnum {
+		return enumerate(w, eng, p, o)
+	}
+	sem, err := gpm.ParseRelSemantics(o.semantics)
+	if err != nil {
+		return fmt.Errorf("unknown semantics %q", o.semantics)
+	}
+	if o.updatesPath != "" {
+		return watch(w, eng, p, sem, o)
+	}
+	res, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: sem, Pattern: p})
+	if err != nil {
+		return err
+	}
+	if sem == gpm.RelSim {
+		fmt.Fprintf(w, "plain simulation: ok=%v\n", res.OK)
+		for u, l := range res.Relation {
 			fmt.Fprintf(w, "  sim(%d): %d nodes\n", u, len(l))
 		}
-		if showTime {
-			printTime(w, sim.Stats)
+	} else {
+		name := o.semantics + " simulation"
+		if sem == gpm.RelMatch {
+			name = "bounded simulation"
 		}
-	case "dual", "strong":
-		eng := gpm.NewEngine(g, engOpts...)
-		var res *gpm.TopoResult
-		var err error
-		if semantics == "dual" {
-			res, err = eng.DualSimulate(ctx, p)
-		} else {
-			res, err = eng.StrongSimulate(ctx, p)
-		}
-		if err != nil {
-			return err
-		}
-		printRelation(w, semantics+" simulation", res.Result, p)
-		if showTime {
-			printTime(w, res.Stats)
-		}
-		if showResult {
-			fmt.Fprint(w, eng.ResultGraphOf(res.Result).String())
-		}
-	case "iso", "vf2", "ullmann":
-		opts := gpm.IsoOptions{MaxEmbeddings: limit, NoPlan: noPlan}
-		if semantics == "ullmann" {
-			opts.Algo = gpm.AlgoUllmann
-		}
-		eng := gpm.NewEngine(g, engOpts...)
-		if showPlan {
-			pl, err := eng.EnumerationPlan(p)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, pl.String())
-		}
-		if count {
-			cnt, err := eng.CountEmbeddings(ctx, p, opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%s: count=%d (complete=%v, steps=%d, |Aut|=%d)\n",
-				semantics, cnt.Count, cnt.Complete, cnt.Steps, cnt.Automorphisms)
-			if showTime {
-				printTime(w, cnt.Stats)
-			}
-			return nil
-		}
-		enum, err := eng.Enumerate(ctx, p, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%s: %d embeddings (complete=%v, steps=%d)\n",
-			semantics, len(enum.Embeddings), enum.Complete, enum.Steps)
-		for i, emb := range enum.Embeddings {
-			if i >= 10 {
-				fmt.Fprintf(w, "  ... %d more\n", len(enum.Embeddings)-10)
-				break
-			}
-			fmt.Fprintf(w, "  %v\n", emb)
-		}
-		if showTime {
-			printTime(w, enum.Stats)
-		}
-	default:
-		return fmt.Errorf("unknown semantics %q", semantics)
+		printRelation(w, name, res, p)
 	}
+	if o.showTime {
+		printTime(w, res.Stats)
+	}
+	if o.showResult && sem != gpm.RelSim {
+		fmt.Fprint(w, eng.ResultGraph(p, res).String())
+	}
+	return nil
+}
+
+// enumerate runs the subgraph-isomorphism semantics iso, vf2 and ullmann.
+func enumerate(w io.Writer, eng *gpm.Engine, p *gpm.Pattern, o options) error {
+	ctx := context.Background()
+	opts := gpm.IsoOptions{MaxEmbeddings: o.limit, NoPlan: o.noPlan}
+	if o.semantics == "ullmann" {
+		opts.Algo = gpm.AlgoUllmann
+	}
+	if o.showPlan {
+		pl, err := eng.EnumerationPlan(p)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, pl.String())
+	}
+	if o.count {
+		cnt, err := eng.CountEmbeddings(ctx, p, opts)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%s: count=%d (complete=%v, steps=%d, |Aut|=%d)\n",
+			o.semantics, cnt.Count, cnt.Complete, cnt.Steps, cnt.Automorphisms)
+		if o.showTime {
+			printTime(w, cnt.Stats)
+		}
+		return nil
+	}
+	enum, err := eng.Enumerate(ctx, p, opts)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%s: %d embeddings (complete=%v, steps=%d)\n",
+		o.semantics, len(enum.Embeddings), enum.Complete, enum.Steps)
+	for i, emb := range enum.Embeddings {
+		if i >= 10 {
+			fmt.Fprintf(w, "  ... %d more\n", len(enum.Embeddings)-10)
+			break
+		}
+		fmt.Fprintf(w, "  %v\n", emb)
+	}
+	if o.showTime {
+		printTime(w, enum.Stats)
+	}
+	return nil
+}
+
+// watch maintains the relation of p through the -updates stream with an
+// engine watcher, one Update batch per chunk.
+func watch(out io.Writer, eng *gpm.Engine, p *gpm.Pattern, sem gpm.RelSemantics, o options) error {
+	f, err := os.Open(o.updatesPath)
+	if err != nil {
+		return err
+	}
+	ups, err := gpm.ReadUpdates(f)
+	f.Close()
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	var w *gpm.Watcher
+	switch sem {
+	case gpm.RelMatch:
+		w, err = eng.Watch(p)
+	case gpm.RelSim:
+		w, err = eng.WatchSim(p)
+	case gpm.RelDual:
+		w, err = eng.WatchDual(p)
+	case gpm.RelStrong:
+		w, err = eng.WatchStrong(p)
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "initial %v watch: ok=%v |S|=%d (built in %v)\n", sem, w.OK(), w.Pairs(), time.Since(start))
+
+	chunk := o.chunk
+	if chunk <= 0 {
+		chunk = len(ups)
+	}
+	for off := 0; off < len(ups); off += chunk {
+		end := min(off+chunk, len(ups))
+		t0 := time.Now()
+		deltas, err := eng.Update(ups[off:end]...)
+		if err != nil {
+			return fmt.Errorf("chunk at %d: %w", off, err)
+		}
+		incTime := time.Since(t0)
+		delta := deltas[0].Delta
+		fmt.Fprintf(out, "chunk %4d..%-4d  inc: %-12v +%d -%d pairs  |AFF1|=%d |AFF2|=%d recomputed=%v\n",
+			off, end-1, incTime, len(delta.Added), len(delta.Removed), delta.Aff1, delta.Aff2, delta.Recomputed)
+		if !o.verify {
+			continue
+		}
+		// A throwaway engine over the live graph: the scratch query is
+		// read-only, and its snapshot freeze is charged to the scratch
+		// time the way the paper charges recomputation.
+		t1 := time.Now()
+		res, err := gpm.NewEngine(eng.Graph()).RelationQuery(context.Background(), gpm.RelationQuery{Semantics: sem, Pattern: p})
+		if err != nil {
+			return err
+		}
+		scratchTime := time.Since(t1)
+		wantSum, gotSum := difftest.Checksum(res.Relation), difftest.Checksum(w.Relation())
+		fmt.Fprintf(out, "    scratch: %-12v ok=%v |S|=%d checksum=%016x\n", scratchTime, res.OK, res.Pairs(), wantSum)
+		if res.OK != w.OK() || gotSum != wantSum {
+			return fmt.Errorf("divergence after chunk at %d: inc checksum %016x, scratch %016x", off, gotSum, wantSum)
+		}
+	}
+	fmt.Fprintf(out, "final: ok=%v |S|=%d checksum=%016x\n", w.OK(), w.Pairs(), difftest.Checksum(w.Relation()))
 	return nil
 }
 
@@ -183,10 +257,10 @@ func printTime(w io.Writer, s gpm.MatchStats) {
 	fmt.Fprintf(w, "match: %v\n", s.MatchTime)
 }
 
-func printRelation(w io.Writer, name string, res *gpm.Result, p *gpm.Pattern) {
-	fmt.Fprintf(w, "%s: ok=%v, |S|=%d pairs\n", name, res.OK(), res.Pairs())
+func printRelation(w io.Writer, name string, res *gpm.RelationResult, p *gpm.Pattern) {
+	fmt.Fprintf(w, "%s: ok=%v, |S|=%d pairs\n", name, res.OK, res.Pairs())
 	for u := 0; u < p.N(); u++ {
-		mat := res.Mat(u)
+		mat := res.Relation[u]
 		fmt.Fprintf(w, "  mat(%d) [%s]: %d nodes", u, p.Pred(u), len(mat))
 		if len(mat) <= 12 {
 			fmt.Fprintf(w, " %v", mat)

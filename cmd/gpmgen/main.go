@@ -132,11 +132,11 @@ func genPattern(args []string) error {
 		Nodes: *nodes, Edges: *edges, K: *k, StarProb: *star, Seed: *seed,
 	}, g)
 	if *check {
-		res, err := gpm.NewEngine(g).Match(context.Background(), p)
+		res, err := gpm.NewEngine(g).RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "check: ok=%v |S|=%d (match %v)\n", res.OK(), res.Pairs(), res.Stats.MatchTime)
+		fmt.Fprintf(os.Stderr, "check: ok=%v |S|=%d (match %v)\n", res.OK, res.Pairs(), res.Stats.MatchTime)
 	}
 	w, err := outWriter(*out)
 	if err != nil {

@@ -91,7 +91,7 @@ func WithOracle(k OracleKind) EngineOption {
 func WithAutoOracle() EngineOption { return WithOracle(OracleAuto) }
 
 // WithWorkers sets the engine's matching parallelism: the number of
-// goroutines one Match query shards its fixpoint initialisation across,
+// goroutines one relation query shards its fixpoint initialisation across,
 // and the fan-out of MatchBatch. n <= 0 (and the default) means
 // GOMAXPROCS. WithWorkers(1) pins fully sequential matching — the
 // reference behavior the differential tests compare against; any worker
@@ -114,19 +114,6 @@ type MatchStats struct {
 	InitialPairs  int64         // candidate pairs before refinement
 }
 
-// MatchResult is a bounded-simulation match with its query stats.
-type MatchResult struct {
-	*Result
-	Stats MatchStats
-}
-
-// SimulationResult is a plain-simulation outcome with its query stats.
-type SimulationResult struct {
-	Relation [][]int32 // per pattern node, sorted matching data nodes
-	OK       bool      // every pattern node matched
-	Stats    MatchStats
-}
-
 // EnumerationResult is a subgraph-isomorphism enumeration with its query
 // stats.
 type EnumerationResult struct {
@@ -147,15 +134,6 @@ type CountResult struct {
 	Stats         MatchStats
 }
 
-// TopoResult is a dual- or strong-simulation outcome with its query
-// stats (see [Engine.DualSimulate] and [Engine.StrongSimulate]). It
-// embeds [Result], so it carries the full relation accessor set and can
-// be materialised as a result graph through [Engine.ResultGraphOf].
-type TopoResult struct {
-	*Result
-	Stats MatchStats
-}
-
 // WatchDelta pairs a watcher with the effect one Update batch had on its
 // maintained match.
 type WatchDelta struct {
@@ -164,10 +142,9 @@ type WatchDelta struct {
 }
 
 // Engine binds a data graph once and serves every matching semantics the
-// package implements against it: bounded simulation ([Engine.Match]),
-// plain simulation ([Engine.Simulate]), dual and strong simulation
-// ([Engine.DualSimulate], [Engine.StrongSimulate]), subgraph-isomorphism
-// enumeration ([Engine.Enumerate]), and incremental matching under edge
+// package implements against it: bounded, plain, dual and strong
+// simulation ([Engine.RelationQuery]), subgraph-isomorphism enumeration
+// ([Engine.Enumerate]), and incremental matching under edge
 // updates ([Engine.Watch], [Engine.WatchSim], [Engine.WatchDual],
 // [Engine.WatchStrong] / [Engine.Update]). It builds no distance oracle:
 // every witness is found by a sweep over a frozen CSR snapshot of the
@@ -320,9 +297,9 @@ func ParseRelSemantics(s string) (RelSemantics, error) {
 	return 0, fmt.Errorf("gpm: unknown relation semantics %q (want match, sim, dual or strong)", s)
 }
 
-// RelationQuery describes one relation-valued query — the shared
-// descriptor behind [Engine.Match], [Engine.Simulate],
-// [Engine.DualSimulate] and [Engine.StrongSimulate].
+// RelationQuery describes one relation-valued query: bounded simulation
+// (RelMatch, the paper's Match), plain simulation (RelSim), dual or strong
+// simulation (RelDual, RelStrong) of Pattern against the bound graph.
 type RelationQuery struct {
 	Semantics RelSemantics
 	Pattern   *Pattern
@@ -339,10 +316,12 @@ type RelationQuery struct {
 	Seed [][]int32
 }
 
-// RelationResult is the uniform outcome of [Engine.RelationQuery]: the
-// relation rows (fresh copies, ascending data-node ids per pattern
-// node), whether every pattern node matched, the graph generation the
-// query observed (see [Engine.Generation]) and the query stats.
+// RelationResult is the outcome of [Engine.RelationQuery]: the relation
+// rows (ascending data-node ids per pattern node, owned by the caller),
+// whether every pattern node matched, the graph generation the query
+// observed (see [Engine.Generation]) and the query stats. When OK is
+// false the rows are the fixpoint's remainder, useful for diagnostics;
+// the maximum relation itself is empty.
 type RelationResult struct {
 	Relation   [][]int32
 	OK         bool
@@ -350,19 +329,48 @@ type RelationResult struct {
 	Stats      MatchStats
 }
 
-// RelationQuery runs one relation-valued query through the engine's
-// unified dispatch. The Generation in the result is read under the same
-// lock as the query itself, so a cache may key the answer by it without
-// racing concurrent updates.
-func (e *Engine) RelationQuery(ctx context.Context, q RelationQuery) (*RelationResult, error) {
-	if q.Seed != nil {
-		q.Seed = normalizeSeed(q.Seed, e.g.N())
+// Pairs returns |S|, the number of (pattern node, data node) pairs in
+// the relation.
+func (r *RelationResult) Pairs() int {
+	total := 0
+	for _, row := range r.Relation {
+		total += len(row)
 	}
-	res, stats, gen, err := e.relationQuery(ctx, q)
-	if err != nil {
+	return total
+}
+
+// RelationQuery runs one relation-valued query. Match, sim and dual run
+// one fixpoint kernel over the engine's cached snapshot, its witnesses
+// found by sweeps over the graph's adjacency (the fixpoint's
+// initialisation shards across the engine's workers, see WithWorkers);
+// sim and dual need every pattern edge bound to be 1, and dual adds the
+// parent constraints that preserve the pattern's parent topology (Ma et
+// al., "Capturing Topology in Graph Pattern Matching", VLDB 2012).
+// Strong simulation evaluates dual simulation inside diameter-bounded
+// balls around candidate centers, keeping only maximum perfect subgraphs,
+// its balls fanned across the workers. Every worker count returns
+// bit-identical relations. Cancelling ctx aborts the query with
+// ctx.Err().
+//
+// The Generation in the result is read under the same lock as the query
+// itself, so a cache may key the answer by it without racing concurrent
+// updates.
+func (e *Engine) RelationQuery(ctx context.Context, q RelationQuery) (*RelationResult, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &RelationResult{Relation: res.Relation(), OK: res.OK(), Generation: gen, Stats: stats}, nil
+	if q.Seed != nil {
+		if q.Semantics == RelStrong {
+			return nil, fmt.Errorf("gpm: strong simulation does not support seeded queries")
+		}
+		if len(q.Seed) != q.Pattern.N() {
+			return nil, fmt.Errorf("gpm: seed has %d rows for a %d-node pattern", len(q.Seed), q.Pattern.N())
+		}
+		q.Seed = normalizeSeed(q.Seed, e.g.N())
+	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.relation(ctx, q, e.frozen(), e.workers)
 }
 
 // normalizeSeed returns a copy of seed with every row ascending, deduped
@@ -384,86 +392,61 @@ func normalizeSeed(seed [][]int32, n int) [][]int32 {
 	return out
 }
 
-// relationQuery is the single dispatch behind the four relation-valued
-// semantics. Match, sim and dual run one fixpoint kernel (core.MatchOpts)
-// over the cached snapshot with no distance oracle, dual with its parent
-// constraints on. It holds the read lock across the fixpoint and the
-// generation read, so the returned generation is exactly the graph
-// version the relation describes.
-func (e *Engine) relationQuery(ctx context.Context, q RelationQuery) (*core.Result, MatchStats, uint64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, MatchStats{}, 0, err
-	}
+// relation is the per-query body behind RelationQuery and every
+// MatchBatch lane: one query over snapshot f with the given fixpoint
+// parallelism. Callers hold mu read-side across it, so the generation it
+// reads is exactly the graph version the relation describes. The
+// returned rows are the fixpoint's own, fresh per query.
+func (e *Engine) relation(ctx context.Context, q RelationQuery, f *graph.Frozen, workers int) (*RelationResult, error) {
 	p := q.Pattern
-	if q.Seed != nil {
-		if q.Semantics == RelStrong {
-			return nil, MatchStats{}, 0, fmt.Errorf("gpm: strong simulation does not support seeded queries")
-		}
-		if len(q.Seed) != p.N() {
-			return nil, MatchStats{}, 0, fmt.Errorf("gpm: seed has %d rows for a %d-node pattern", len(q.Seed), p.N())
-		}
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	gen := e.gen.Load()
-	stats := MatchStats{Oracle: OracleNone}
 	switch q.Semantics {
-	case RelMatch:
+	case RelMatch, RelStrong:
 	case RelSim, RelDual:
 		// No oracle: every witness is a single arc.
 		if !p.AllBoundsOne() {
-			return nil, MatchStats{}, 0, fmt.Errorf("gpm: %v simulation is edge-to-edge: pattern has a bound != 1", q.Semantics)
+			return nil, fmt.Errorf("gpm: %v simulation is edge-to-edge: pattern has a bound != 1", q.Semantics)
 		}
-	case RelStrong:
-		start := time.Now()
-		rel, ok, err := topo.StrongSim(ctx, p, e.frozen(), topo.Options{Workers: e.workers})
-		if err != nil {
-			return nil, MatchStats{}, 0, err
-		}
-		stats.MatchTime = time.Since(start)
-		return core.NewResult(p, e.g, rel, ok), stats, gen, nil
 	default:
-		return nil, MatchStats{}, 0, fmt.Errorf("gpm: unknown relation semantics %v", q.Semantics)
+		return nil, fmt.Errorf("gpm: unknown relation semantics %v", q.Semantics)
 	}
-	var cs core.Stats
+	res := &RelationResult{Generation: e.gen.Load(), Stats: MatchStats{Oracle: OracleNone}}
 	start := time.Now()
-	res, err := core.MatchOpts(ctx, p, e.g, nil, &cs, core.MatchOptions{
-		Workers: e.workers,
-		Frozen:  e.frozen(),
-		Seed:    q.Seed,
-		Dual:    q.Semantics == RelDual,
-	})
-	if err != nil {
-		return nil, MatchStats{}, 0, err
+	if q.Semantics == RelStrong {
+		rel, ok, err := topo.StrongSim(ctx, p, f, topo.Options{Workers: workers})
+		if err != nil {
+			return nil, err
+		}
+		res.Relation, res.OK = rel, ok
+	} else {
+		var cs core.Stats
+		cr, err := core.MatchOpts(ctx, p, e.g, nil, &cs, core.MatchOptions{
+			Workers: workers,
+			Frozen:  f,
+			Seed:    q.Seed,
+			Dual:    q.Semantics == RelDual,
+		})
+		if err != nil {
+			return nil, err
+		}
+		res.Relation, res.OK = cr.Rows(), cr.OK()
+		res.Stats.SweepScans, res.Stats.Removals, res.Stats.InitialPairs = cs.SweepScans, cs.Removals, cs.InitialPairs
 	}
-	stats.MatchTime = time.Since(start)
-	stats.SweepScans, stats.Removals, stats.InitialPairs = cs.SweepScans, cs.Removals, cs.InitialPairs
-	return res, stats, gen, nil
-}
-
-// Match computes the maximum bounded-simulation match of p against the
-// bound graph — the paper's cubic-time Match, its witnesses found by
-// sweeps over the engine's cached snapshot. Cancelling ctx aborts the
-// fixpoint with ctx.Err().
-func (e *Engine) Match(ctx context.Context, p *Pattern) (*MatchResult, error) {
-	res, stats, _, err := e.relationQuery(ctx, RelationQuery{Semantics: RelMatch, Pattern: p})
-	if err != nil {
-		return nil, err
-	}
-	return &MatchResult{Result: res, Stats: stats}, nil
+	res.Stats.MatchTime = time.Since(start)
+	return res, nil
 }
 
 // MatchBatch computes the maximum bounded-simulation match of every
 // pattern in ps against the bound graph, fanning the batch across the
 // engine's workers (see WithWorkers) over the shared cached snapshot.
-// Results align positionally with ps.
+// Results align positionally with ps; each is what RelationQuery with
+// RelMatch returns.
 //
 // Inside a batch each query runs its fixpoint sequentially when the
 // batch itself saturates the workers; a batch smaller than the worker
 // count hands the spare workers to per-query sharding. Cancelling ctx
 // aborts outstanding queries and returns ctx.Err(); the whole batch
 // fails on the first query error.
-func (e *Engine) MatchBatch(ctx context.Context, ps []*Pattern) ([]*MatchResult, error) {
+func (e *Engine) MatchBatch(ctx context.Context, ps []*Pattern) ([]*RelationResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -488,7 +471,7 @@ func (e *Engine) MatchBatch(ctx context.Context, ps []*Pattern) ([]*MatchResult,
 	ctx, cancelBatch := context.WithCancel(ctx)
 	defer cancelBatch()
 
-	results := make([]*MatchResult, len(ps))
+	results := make([]*RelationResult, len(ps))
 	// The first real failure is latched before the batch is cancelled, so
 	// sibling queries aborting with context.Canceled cannot mask it.
 	var errOnce sync.Once
@@ -504,12 +487,7 @@ func (e *Engine) MatchBatch(ctx context.Context, ps []*Pattern) ([]*MatchResult,
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				var cs core.Stats
-				start := time.Now()
-				res, err := core.MatchOpts(ctx, ps[i], e.g, nil, &cs, core.MatchOptions{
-					Workers: laneWorkers,
-					Frozen:  f,
-				})
+				res, err := e.relation(ctx, RelationQuery{Semantics: RelMatch, Pattern: ps[i]}, f, laneWorkers)
 				if err != nil {
 					errOnce.Do(func() {
 						batchErr = err
@@ -517,13 +495,7 @@ func (e *Engine) MatchBatch(ctx context.Context, ps []*Pattern) ([]*MatchResult,
 					})
 					continue
 				}
-				results[i] = &MatchResult{Result: res, Stats: MatchStats{
-					Oracle:       OracleNone,
-					MatchTime:    time.Since(start),
-					SweepScans:   cs.SweepScans,
-					Removals:     cs.Removals,
-					InitialPairs: cs.InitialPairs,
-				}}
+				results[i] = res
 			}
 		}()
 	}
@@ -536,47 +508,6 @@ func (e *Engine) MatchBatch(ctx context.Context, ps []*Pattern) ([]*MatchResult,
 		return nil, batchErr
 	}
 	return results, nil
-}
-
-// Simulate computes plain graph simulation of p (every pattern edge
-// bound must be 1) against the bound graph.
-func (e *Engine) Simulate(ctx context.Context, p *Pattern) (*SimulationResult, error) {
-	res, stats, _, err := e.relationQuery(ctx, RelationQuery{Semantics: RelSim, Pattern: p})
-	if err != nil {
-		return nil, err
-	}
-	return &SimulationResult{Relation: res.Relation(), OK: res.OK(), Stats: stats}, nil
-}
-
-// DualSimulate computes the maximum dual simulation of p (every pattern
-// edge bound must be 1) against the bound graph: plain simulation
-// extended with parent constraints, so both child and parent topology
-// of the pattern are preserved (Ma et al., "Capturing Topology in Graph
-// Pattern Matching", VLDB 2012). The fixpoint's initialisation shards
-// across the engine's workers (see WithWorkers); every worker count
-// returns bit-identical relations.
-func (e *Engine) DualSimulate(ctx context.Context, p *Pattern) (*TopoResult, error) {
-	res, stats, _, err := e.relationQuery(ctx, RelationQuery{Semantics: RelDual, Pattern: p})
-	if err != nil {
-		return nil, err
-	}
-	return &TopoResult{Result: res, Stats: stats}, nil
-}
-
-// StrongSimulate computes strong simulation of p (every pattern edge
-// bound must be 1) against the bound graph: dual simulation evaluated
-// inside diameter-bounded balls around candidate centers, keeping only
-// maximum perfect subgraphs (Ma et al., VLDB 2012) — the strictest
-// polynomial-time semantics the engine serves, preserving topology that
-// plain and dual simulation lose. Ball evaluation fans out across the
-// engine's workers (see WithWorkers); every worker count returns
-// bit-identical relations.
-func (e *Engine) StrongSimulate(ctx context.Context, p *Pattern) (*TopoResult, error) {
-	res, stats, _, err := e.relationQuery(ctx, RelationQuery{Semantics: RelStrong, Pattern: p})
-	if err != nil {
-		return nil, err
-	}
-	return &TopoResult{Result: res, Stats: stats}, nil
 }
 
 // usePlanner reports whether Enumerate/CountEmbeddings should consult the
@@ -694,23 +625,15 @@ func (e *Engine) EnumerationPlan(p *Pattern) (*EnumPlan, error) {
 	return plan.Build(p, f)
 }
 
-// ResultGraph materialises the succinct result graph (§2.2) of a match
-// this engine computed.
-func (e *Engine) ResultGraph(res *MatchResult) *ResultGraph {
-	return e.ResultGraphOf(res.Result)
-}
-
-// ResultGraphOf materialises the result graph of any relation-valued
-// result this engine computed — bounded simulation ([Engine.Match]) as
-// well as dual and strong simulation ([Engine.DualSimulate],
-// [Engine.StrongSimulate], whose TopoResult embeds a Result).
-//
-// One-hop witnesses are read off the cached snapshot's adjacency and
-// longer ones off one walk per matched source.
-func (e *Engine) ResultGraphOf(res *Result) *ResultGraph {
+// ResultGraph materialises the succinct result graph (§2.2) of a
+// relation res this engine computed for p — bounded simulation as well
+// as dual and strong simulation. One-hop witnesses are read off the
+// cached snapshot's adjacency and longer ones off one walk per matched
+// source.
+func (e *Engine) ResultGraph(p *Pattern, res *RelationResult) *ResultGraph {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return core.BuildResultGraphFrozen(res, nil, e.frozen())
+	return core.BuildResultGraphFrozen(core.NewResult(p, e.g, res.Relation, res.OK), nil, e.frozen())
 }
 
 // Watch starts maintaining the maximum bounded-simulation match of p
@@ -760,7 +683,8 @@ func (e *Engine) watchIncSim(p *Pattern, childOnly bool) (*Watcher, error) {
 // contributions are stored, and an Update batch re-evaluates only the
 // balls within the pattern's diameter of a touched node, fanning them
 // across the engine's workers (see WithWorkers). The maintained relation
-// is bit-identical to [Engine.StrongSimulate] at every worker count.
+// is bit-identical to a [RelStrong] [Engine.RelationQuery] at every
+// worker count.
 func (e *Engine) WatchStrong(p *Pattern) (*Watcher, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

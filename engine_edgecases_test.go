@@ -35,10 +35,6 @@ func TestEngineRejectsEmptyPattern(t *testing.T) {
 		t.Run(gname, func(t *testing.T) {
 			eng := NewEngine(g.Clone())
 			calls := map[string]func() error{
-				"Match":    func() error { _, err := eng.Match(ctx, empty); return err },
-				"Simulate": func() error { _, err := eng.Simulate(ctx, empty); return err },
-				"Dual":     func() error { _, err := eng.DualSimulate(ctx, empty); return err },
-				"Strong":   func() error { _, err := eng.StrongSimulate(ctx, empty); return err },
 				"Enumerate": func() error {
 					_, err := eng.Enumerate(ctx, empty, IsoOptions{})
 					return err
@@ -51,6 +47,12 @@ func TestEngineRejectsEmptyPattern(t *testing.T) {
 				"WatchSim":    func() error { _, err := eng.WatchSim(empty); return err },
 				"WatchDual":   func() error { _, err := eng.WatchDual(empty); return err },
 				"WatchStrong": func() error { _, err := eng.WatchStrong(empty); return err },
+			}
+			for _, sem := range []RelSemantics{RelMatch, RelSim, RelDual, RelStrong} {
+				calls["RelationQuery/"+sem.String()] = func() error {
+					_, err := eng.RelationQuery(ctx, RelationQuery{Semantics: sem, Pattern: empty})
+					return err
+				}
 			}
 			for name, call := range calls {
 				err := call()
@@ -84,18 +86,20 @@ func TestEngineEdgeCases(t *testing.T) {
 				eng := NewEngine(g, WithOracle(kind))
 				wantOK := gname == "pair" // needs A -> B
 
-				res, err := eng.Match(ctx, p)
-				if err != nil {
-					t.Fatalf("Match: %v", err)
-				}
-				if res.OK() != wantOK {
-					t.Errorf("Match OK = %v, want %v", res.OK(), wantOK)
-				}
-				if !wantOK && res.Pairs() != 0 {
-					t.Errorf("failed Match still holds %d pairs", res.Pairs())
-				}
-				if rg := eng.ResultGraph(res); rg == nil {
-					t.Error("ResultGraph returned nil")
+				for _, sem := range []RelSemantics{RelMatch, RelSim, RelDual, RelStrong} {
+					res, err := eng.RelationQuery(ctx, RelationQuery{Semantics: sem, Pattern: p})
+					if err != nil {
+						t.Fatalf("%v: %v", sem, err)
+					}
+					if res.OK != wantOK {
+						t.Errorf("%v OK = %v, want %v", sem, res.OK, wantOK)
+					}
+					if !wantOK && sem == RelMatch && res.Pairs() != 0 {
+						t.Errorf("failed match still holds %d pairs", res.Pairs())
+					}
+					if rg := eng.ResultGraph(p, res); rg == nil {
+						t.Errorf("ResultGraph(%v) returned nil", sem)
+					}
 				}
 
 				batch, err := eng.MatchBatch(ctx, []*Pattern{p, p})
@@ -103,39 +107,12 @@ func TestEngineEdgeCases(t *testing.T) {
 					t.Fatalf("MatchBatch: %v", err)
 				}
 				for i, r := range batch {
-					if r.OK() != wantOK {
-						t.Errorf("MatchBatch[%d] OK = %v, want %v", i, r.OK(), wantOK)
+					if r.OK != wantOK {
+						t.Errorf("MatchBatch[%d] OK = %v, want %v", i, r.OK, wantOK)
 					}
 				}
 				if _, err := eng.MatchBatch(ctx, nil); err != nil {
 					t.Errorf("MatchBatch(nil): %v", err)
-				}
-
-				sim, err := eng.Simulate(ctx, p)
-				if err != nil {
-					t.Fatalf("Simulate: %v", err)
-				}
-				if sim.OK != wantOK {
-					t.Errorf("Simulate OK = %v, want %v", sim.OK, wantOK)
-				}
-
-				dual, err := eng.DualSimulate(ctx, p)
-				if err != nil {
-					t.Fatalf("DualSimulate: %v", err)
-				}
-				if dual.OK() != wantOK {
-					t.Errorf("DualSimulate OK = %v, want %v", dual.OK(), wantOK)
-				}
-				if rg := eng.ResultGraphOf(dual.Result); rg == nil {
-					t.Error("ResultGraphOf(dual) returned nil")
-				}
-
-				strong, err := eng.StrongSimulate(ctx, p)
-				if err != nil {
-					t.Fatalf("StrongSimulate: %v", err)
-				}
-				if strong.OK() != wantOK {
-					t.Errorf("StrongSimulate OK = %v, want %v", strong.OK(), wantOK)
 				}
 
 				enum, err := eng.Enumerate(ctx, p, IsoOptions{MaxEmbeddings: 4})

@@ -21,7 +21,7 @@ func noopTestEngine(t *testing.T, opts ...EngineOption) (*Engine, *Pattern) {
 	b := p.AddNode(Label("A"))
 	p.MustAddEdge(a, b, 1)
 	e := NewEngine(g, opts...)
-	if _, err := e.Match(context.Background(), p); err != nil {
+	if _, err := e.RelationQuery(context.Background(), RelationQuery{Semantics: RelMatch, Pattern: p}); err != nil {
 		t.Fatal(err)
 	}
 	return e, p
@@ -93,7 +93,7 @@ func TestUpdateInvalidationUniform(t *testing.T) {
 		e := NewEngine(build(), WithOracle(kind))
 		// Populate every lazy cache the engine owns.
 		for _, p := range []*Pattern{plain, colored} {
-			if _, err := e.Match(context.Background(), p); err != nil {
+			if _, err := e.RelationQuery(context.Background(), RelationQuery{Semantics: RelMatch, Pattern: p}); err != nil {
 				t.Fatalf("%v: %v", kind, err)
 			}
 		}
@@ -105,20 +105,20 @@ func TestUpdateInvalidationUniform(t *testing.T) {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		for name, p := range map[string]*Pattern{"plain": plain, "colored": colored} {
-			got, err := e.Match(context.Background(), p)
+			got, err := e.RelationQuery(context.Background(), RelationQuery{Semantics: RelMatch, Pattern: p})
 			if err != nil {
 				t.Fatalf("%v/%s: %v", kind, name, err)
 			}
-			want, err := fresh.Match(context.Background(), p)
+			want, err := fresh.RelationQuery(context.Background(), RelationQuery{Semantics: RelMatch, Pattern: p})
 			if err != nil {
 				t.Fatalf("%v/%s: %v", kind, name, err)
 			}
-			if got.OK() != want.OK() {
-				t.Errorf("%v/%s: stale OK %v, fresh %v", kind, name, got.OK(), want.OK())
+			if got.OK != want.OK {
+				t.Errorf("%v/%s: stale OK %v, fresh %v", kind, name, got.OK, want.OK)
 				continue
 			}
 			for u := 0; u < p.N(); u++ {
-				gm, wm := got.Mat(u), want.Mat(u)
+				gm, wm := got.Relation[u], want.Relation[u]
 				if len(gm) != len(wm) {
 					t.Errorf("%v/%s: node %d relation diverged after Update", kind, name, u)
 					break

@@ -19,7 +19,7 @@ import (
 // TestEngineOraclePLLTooLarge: forcing OraclePLL onto a graph past the
 // labelling's 24-bit addressing limit once bound an engine whose bounded
 // queries all failed. The engine now builds no labelling under any kind,
-// so the limit never reaches it: Match, MatchBatch, Simulate and
+// so the limit never reaches it: match and sim queries, MatchBatch and
 // ResultGraph answer, and equal core.MatchNaive and an auto engine.
 // MaxNodes is a variable precisely so this test does not need a
 // 16M-node graph.
@@ -32,42 +32,42 @@ func TestEngineOraclePLLTooLarge(t *testing.T) {
 	g := engineTestGraph(t, 100, 300, 23)
 	eng := gpm.NewEngine(g, gpm.WithOracle(gpm.OraclePLL)) // must not panic
 	auto := gpm.NewEngine(g, gpm.WithAutoOracle())
-	var res *gpm.MatchResult
-	for seed := int64(3); res == nil || !res.OK() || res.Pattern().AllBoundsOne(); seed++ {
+	var res *gpm.RelationResult
+	var p *gpm.Pattern
+	for seed := int64(3); res == nil || !res.OK || p.AllBoundsOne(); seed++ {
 		if seed == 40 {
 			t.Fatal("no generated pattern matched; the result graph check needs a bounded match")
 		}
-		q := gpm.GeneratePattern(gpm.PatternGenConfig{Nodes: 3, Edges: 3, K: 2, IsoBias: true, Seed: seed}, g)
+		p = gpm.GeneratePattern(gpm.PatternGenConfig{Nodes: 3, Edges: 3, K: 2, IsoBias: true, Seed: seed}, g)
 		var err error
-		if res, err = eng.Match(ctx, q); err != nil {
+		if res, err = eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p}); err != nil {
 			t.Fatalf("Match on oversized PLL engine: %v", err)
 		}
 	}
-	p := res.Pattern()
 	naive, err := core.MatchNaive(p, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Relation(), naive.Relation()) {
-		t.Fatalf("oversized PLL engine: %s", difftest.DiffRelations(res.Relation(), naive.Relation()))
+	if !reflect.DeepEqual(res.Relation, naive.Relation()) {
+		t.Fatalf("oversized PLL engine: %s", difftest.DiffRelations(res.Relation, naive.Relation()))
 	}
 	batch, err := eng.MatchBatch(ctx, []*gpm.Pattern{p, p})
 	if err != nil {
 		t.Fatalf("MatchBatch on oversized PLL engine: %v", err)
 	}
 	for i, r := range batch {
-		if !reflect.DeepEqual(r.Relation(), naive.Relation()) {
-			t.Errorf("MatchBatch[%d]: %s", i, difftest.DiffRelations(r.Relation(), naive.Relation()))
+		if !reflect.DeepEqual(r.Relation, naive.Relation()) {
+			t.Errorf("MatchBatch[%d]: %s", i, difftest.DiffRelations(r.Relation, naive.Relation()))
 		}
 	}
-	if _, err := eng.Simulate(ctx, boundOnePattern()); err != nil {
-		t.Fatalf("Simulate on oversized PLL engine: %v", err)
+	if _, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelSim, Pattern: boundOnePattern()}); err != nil {
+		t.Fatalf("sim on oversized PLL engine: %v", err)
 	}
-	want := core.BuildResultGraph(res.Result, core.BuildMatrixOracle(g))
-	if got := eng.ResultGraph(res); !reflect.DeepEqual(got, want) {
+	want := core.BuildResultGraph(naive, core.BuildMatrixOracle(g))
+	if got := eng.ResultGraph(p, res); !reflect.DeepEqual(got, want) {
 		t.Error("oversized PLL engine: result graph differs from the matrix-probed one")
 	}
-	if got := auto.ResultGraph(res); !reflect.DeepEqual(got, want) {
+	if got := auto.ResultGraph(p, res); !reflect.DeepEqual(got, want) {
 		t.Error("auto engine: result graph differs from the matrix-probed one")
 	}
 }
@@ -75,8 +75,8 @@ func TestEngineOraclePLLTooLarge(t *testing.T) {
 // TestEngineAutoBuildsNoLabelling: an engine owns no distance oracle
 // under any WithOracle kind, at any graph size. At 1000, 3000 and 4200
 // nodes, for auto, matrix, BFS, 2-hop and PLL, no index build fires on
-// any engine path — Match on k > 1, "*", coloured and ranged patterns,
-// MatchBatch, sim, dual, strong, ResultGraphOf and Update — no build
+// any engine path — match on k > 1, "*", coloured and ranged patterns,
+// MatchBatch, sim, dual, strong, ResultGraph and Update — no build
 // time is charged and no probe is issued, and every relation equals
 // core.MatchNaive's, simulation.RunNaive's or topo.NaiveDualSim's; the
 // strong relations equal a default engine's computed before the hook
@@ -132,11 +132,11 @@ func TestEngineAutoBuildsNoLabelling(t *testing.T) {
 				t.Fatal(err)
 			}
 			dual, _ := topo.NaiveDualSim(p, f, nil)
-			strong, err := ref.StrongSimulate(ctx, p)
+			strong, err := ref.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelStrong, Pattern: p})
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantTopo = append(wantTopo, [3][][]int32{sim, dual, strong.Relation()})
+			wantTopo = append(wantTopo, [3][][]int32{sim, dual, strong.Relation})
 		}
 		var wantRG *gpm.ResultGraph
 
@@ -156,15 +156,16 @@ func TestEngineAutoBuildsNoLabelling(t *testing.T) {
 					t.Errorf("%d nodes %v %s: %s", n, kind, what, difftest.DiffRelations(got, want))
 				}
 			}
-			var nonEmpty *gpm.MatchResult
+			var nonEmpty *gpm.RelationResult
+			var nonEmptyAt int
 			for i, p := range patterns {
-				res, err := eng.Match(ctx, p)
+				res, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 				if err != nil {
 					t.Fatalf("%d nodes %v pattern %d: %v", n, kind, i, err)
 				}
-				check(fmt.Sprintf("pattern %d", i), res.Stats, res.Relation(), want[i].Relation())
-				if res.OK() && !p.AllBoundsOne() && (nonEmpty == nil || res.Pairs() < nonEmpty.Pairs()) {
-					nonEmpty = res
+				check(fmt.Sprintf("pattern %d", i), res.Stats, res.Relation, want[i].Relation())
+				if res.OK && !p.AllBoundsOne() && (nonEmpty == nil || res.Pairs() < nonEmpty.Pairs()) {
+					nonEmpty, nonEmptyAt = res, i
 				}
 			}
 			batch, err := eng.MatchBatch(ctx, patterns)
@@ -172,39 +173,39 @@ func TestEngineAutoBuildsNoLabelling(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, res := range batch {
-				check(fmt.Sprintf("batch %d", i), res.Stats, res.Relation(), want[i].Relation())
+				check(fmt.Sprintf("batch %d", i), res.Stats, res.Relation, want[i].Relation())
 			}
 			for i, p := range edgeToEdge {
-				sim, err := eng.Simulate(ctx, p)
+				sim, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelSim, Pattern: p})
 				if err != nil {
 					t.Fatal(err)
 				}
 				check(fmt.Sprintf("sim %d", i), sim.Stats, sim.Relation, wantTopo[i][0])
-				dual, err := eng.DualSimulate(ctx, p)
+				dual, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelDual, Pattern: p})
 				if err != nil {
 					t.Fatal(err)
 				}
-				check(fmt.Sprintf("dual %d", i), dual.Stats, dual.Relation(), wantTopo[i][1])
-				strong, err := eng.StrongSimulate(ctx, p)
+				check(fmt.Sprintf("dual %d", i), dual.Stats, dual.Relation, wantTopo[i][1])
+				strong, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelStrong, Pattern: p})
 				if err != nil {
 					t.Fatal(err)
 				}
-				check(fmt.Sprintf("strong %d", i), strong.Stats, strong.Relation(), wantTopo[i][2])
+				check(fmt.Sprintf("strong %d", i), strong.Stats, strong.Relation, wantTopo[i][2])
 			}
 			if nonEmpty == nil {
 				t.Fatalf("%d nodes: no bounded pattern matched; the result graph check needs a match", n)
 			}
 			if wantRG == nil {
-				wantRG = core.BuildResultGraph(nonEmpty.Result, core.BuildMatrixOracle(w.G))
+				wantRG = core.BuildResultGraph(want[nonEmptyAt], core.BuildMatrixOracle(w.G))
 			}
-			if got := eng.ResultGraph(nonEmpty); !reflect.DeepEqual(got, wantRG) {
+			if got := eng.ResultGraph(patterns[nonEmptyAt], nonEmpty); !reflect.DeepEqual(got, wantRG) {
 				t.Errorf("%d nodes %v: result graph differs from the matrix-probed one", n, kind)
 			}
 			e := w.G.EdgeList()[0]
 			if _, err := eng.Update(gpm.DeleteEdge(int(e[0]), int(e[1])), gpm.InsertEdge(int(e[1]), int(e[0]))); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := eng.Match(ctx, patterns[0]); err != nil {
+			if _, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: patterns[0]}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -234,7 +235,7 @@ func rangedCopy(p *gpm.Pattern) *gpm.Pattern {
 	return q
 }
 
-// TestResultGraphOfAllocsIndependentOfGraphSize: an auto engine reads a
+// TestResultGraphOfAllocsIndependentOfGraphSize: Engine.ResultGraph reads a
 // bounded result graph's witnesses off one walk per matched source, with
 // scratch allocated once per call and reset through the nodes each walk
 // reached. The same result on a 400- and a 4000-node graph then costs
@@ -267,15 +268,15 @@ func TestResultGraphOfAllocsIndependentOfGraphSize(t *testing.T) {
 		}
 		g.AddEdge(59, 0)
 		eng := gpm.NewEngine(g, gpm.WithAutoOracle())
-		res, err := eng.Match(context.Background(), p)
+		res, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.OK() {
+		if !res.OK {
 			t.Fatalf("%d nodes: the triangle does not match", n)
 		}
 		var rg *gpm.ResultGraph
-		run := func() { rg = eng.ResultGraph(res) }
+		run := func() { rg = eng.ResultGraph(p, res) }
 		run() // warm the frozen snapshot
 		const runs = 20
 		allocs := testing.AllocsPerRun(runs, run)

@@ -83,9 +83,11 @@ func TestGenerationCountsEffectiveUpdates(t *testing.T) {
 	}
 }
 
-// TestRelationQueryMatchesPublicMethods pins that the unified dispatch
-// returns exactly what the four public wrappers return, semantics by
-// semantics, including the observed generation.
+// TestRelationQueryMatchesPublicMethods pins that RelationQuery returns,
+// semantics by semantics, exactly what the other public paths to the
+// same relation hold — a freshly opened watcher of that semantics and,
+// for match, a MatchBatch lane — and that it reports the generation it
+// observed.
 func TestRelationQueryMatchesPublicMethods(t *testing.T) {
 	ctx := context.Background()
 	e := NewEngine(relQueryGraph())
@@ -93,59 +95,41 @@ func TestRelationQueryMatchesPublicMethods(t *testing.T) {
 	if _, err := e.Update(InsertEdge(0, 5)); err != nil { // non-zero generation
 		t.Fatal(err)
 	}
-
-	type viaMethod func() ([][]int32, bool, error)
-	cases := []struct {
-		sem RelSemantics
-		via viaMethod
-	}{
-		{RelMatch, func() ([][]int32, bool, error) {
-			r, err := e.Match(ctx, p)
-			if err != nil {
-				return nil, false, err
-			}
-			return matRows(r, p.N()), r.OK(), nil
-		}},
-		{RelSim, func() ([][]int32, bool, error) {
-			r, err := e.Simulate(ctx, p)
-			if err != nil {
-				return nil, false, err
-			}
-			return r.Relation, r.OK, nil
-		}},
-		{RelDual, func() ([][]int32, bool, error) {
-			r, err := e.DualSimulate(ctx, p)
-			if err != nil {
-				return nil, false, err
-			}
-			return matRows(r.Result, p.N()), r.OK(), nil
-		}},
-		{RelStrong, func() ([][]int32, bool, error) {
-			r, err := e.StrongSimulate(ctx, p)
-			if err != nil {
-				return nil, false, err
-			}
-			return matRows(r.Result, p.N()), r.OK(), nil
-		}},
+	watch := map[RelSemantics]func(*Pattern) (*Watcher, error){
+		RelMatch: e.Watch, RelSim: e.WatchSim, RelDual: e.WatchDual, RelStrong: e.WatchStrong,
 	}
-	for _, tc := range cases {
-		t.Run(tc.sem.String(), func(t *testing.T) {
-			got, err := e.RelationQuery(ctx, RelationQuery{Semantics: tc.sem, Pattern: p})
+	for sem, open := range watch {
+		t.Run(sem.String(), func(t *testing.T) {
+			got, err := e.RelationQuery(ctx, RelationQuery{Semantics: sem, Pattern: p})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Generation != e.Generation() {
 				t.Errorf("RelationQuery observed generation %d, engine reports %d", got.Generation, e.Generation())
 			}
-			wantRel, wantOK, err := tc.via()
+			w, err := open(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.OK != wantOK {
-				t.Fatalf("OK = %v via RelationQuery, %v via public method", got.OK, wantOK)
+			defer w.Close()
+			if got.OK != w.OK() {
+				t.Fatalf("OK = %v via RelationQuery, %v via the watcher", got.OK, w.OK())
 			}
-			if err := relationsEqual(got.Relation, wantRel); err != nil {
-				t.Fatalf("relation diverged from public method: %v", err)
+			if err := relationsEqual(got.Relation, w.Relation()); err != nil {
+				t.Fatalf("relation diverged from the watcher's: %v", err)
+			}
+			if sem != RelMatch {
+				return
+			}
+			batch, err := e.MatchBatch(ctx, []*Pattern{p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch[0].OK != got.OK || batch[0].Generation != got.Generation {
+				t.Errorf("MatchBatch OK/generation %v/%d, RelationQuery %v/%d", batch[0].OK, batch[0].Generation, got.OK, got.Generation)
+			}
+			if err := relationsEqual(batch[0].Relation, got.Relation); err != nil {
+				t.Errorf("relation diverged from MatchBatch: %v", err)
 			}
 		})
 	}
@@ -250,15 +234,6 @@ func TestRelationQuerySeedErrors(t *testing.T) {
 			t.Errorf("%v accepted a seed with the wrong row count", sem)
 		}
 	}
-}
-
-// matRows extracts the relation rows of a result exposing Mat.
-func matRows(r interface{ Mat(u int) []int32 }, np int) [][]int32 {
-	rows := make([][]int32, np)
-	for u := 0; u < np; u++ {
-		rows[u] = r.Mat(u)
-	}
-	return rows
 }
 
 func relationsEqual(a, b [][]int32) error {

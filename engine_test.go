@@ -13,6 +13,7 @@ import (
 	"gpm/internal/core"
 	"gpm/internal/simulation"
 	"gpm/internal/subiso"
+	"gpm/internal/topo"
 )
 
 func engineTestGraph(tb testing.TB, nodes, edges int, seed int64) *gpm.Graph {
@@ -47,11 +48,11 @@ func TestEngineMatchEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := eng.Match(context.Background(), p)
+			got, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 			if err != nil {
 				t.Fatalf("kind %v pattern %d: %v", kind, i, err)
 			}
-			if got.OK() != want.OK() || !reflect.DeepEqual(got.Relation(), want.Relation()) {
+			if got.OK != want.OK() || !reflect.DeepEqual(got.Relation, want.Relation()) {
 				t.Fatalf("kind %v pattern %d: engine relation differs from Match", kind, i)
 			}
 			if got.Stats.Oracle == gpm.OracleAuto {
@@ -89,11 +90,11 @@ func TestEngineConcurrentMatch(t *testing.T) {
 
 	for _, kind := range []gpm.OracleKind{gpm.OracleMatrix, gpm.OracleBFS, gpm.OracleTwoHop, gpm.OraclePLL} {
 		eng := gpm.NewEngine(g, gpm.WithOracle(kind))
-		wantPlain, err := eng.Match(context.Background(), plain)
+		wantPlain, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: plain})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantColored, err := eng.Match(context.Background(), colored)
+		wantColored, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: colored})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,16 +113,16 @@ func TestEngineConcurrentMatch(t *testing.T) {
 					if (w+it)%2 == 1 {
 						p, want = colored, wantColored
 					}
-					res, err := eng.Match(context.Background(), p)
+					res, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 					if err != nil {
 						errs <- err
 						return
 					}
-					if !reflect.DeepEqual(res.Relation(), want.Relation()) {
+					if !reflect.DeepEqual(res.Relation, want.Relation) {
 						errs <- fmt.Errorf("kind %v worker %d: relation mismatch", kind, w)
 						return
 					}
-					if _, err := eng.Simulate(context.Background(), boundOnePattern()); err != nil {
+					if _, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelSim, Pattern: boundOnePattern()}); err != nil {
 						errs <- err
 						return
 					}
@@ -204,14 +205,14 @@ func TestEngineMatchCancellation(t *testing.T) {
 	eng := gpm.NewEngine(g, gpm.WithOracle(gpm.OracleBFS))
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.Match(cancelled, p); !errors.Is(err, context.Canceled) {
+	if _, err := eng.RelationQuery(cancelled, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
 	}
 
 	ctx, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel2()
 	time.Sleep(2 * time.Millisecond) // let the deadline pass mid-setup
-	if _, err := eng.Match(ctx, p); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 
@@ -219,7 +220,7 @@ func TestEngineMatchCancellation(t *testing.T) {
 	if _, err := eng.Enumerate(cancelled, p, gpm.IsoOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("enumerate: err = %v, want context.Canceled", err)
 	}
-	if _, err := eng.Simulate(cancelled, boundOnePattern()); !errors.Is(err, context.Canceled) {
+	if _, err := eng.RelationQuery(cancelled, gpm.RelationQuery{Semantics: gpm.RelSim, Pattern: boundOnePattern()}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("simulate: err = %v, want context.Canceled", err)
 	}
 }
@@ -264,7 +265,7 @@ func TestEngineWatchUpdate(t *testing.T) {
 			}
 		}
 		// A fresh engine query sees the maintained (post-update) matrix.
-		res, err := eng.Match(context.Background(), p1)
+		res, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,21 +300,21 @@ func TestEngineUpdateWithoutWatchers(t *testing.T) {
 	p.MustAddEdge(a, c, 2)
 
 	eng := gpm.NewEngine(g, gpm.WithOracle(gpm.OracleBFS))
-	res, err := eng.Match(context.Background(), p)
+	res, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.OK() {
+	if res.OK {
 		t.Fatal("should not match before inserting 1->2")
 	}
 	if _, err := eng.Update(gpm.InsertEdge(1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	res, err = eng.Match(context.Background(), p)
+	res, err = eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.OK() {
+	if !res.OK {
 		t.Fatal("should match after inserting 1->2")
 	}
 
@@ -337,7 +338,7 @@ func TestEngineStatsAndResultGraph(t *testing.T) {
 		}
 	}
 
-	first, err := eng.Match(context.Background(), p)
+	first, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +351,7 @@ func TestEngineStatsAndResultGraph(t *testing.T) {
 		t.Errorf("work counters empty: %+v", first.Stats)
 	}
 
-	second, err := eng.Match(context.Background(), p)
+	second, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +360,7 @@ func TestEngineStatsAndResultGraph(t *testing.T) {
 		t.Errorf("second query: work counters %+v, first %+v", b, a)
 	}
 
-	rg := eng.ResultGraph(first)
+	rg := eng.ResultGraph(p, first)
 	if n, _ := rg.Size(); n == 0 {
 		t.Error("result graph of an OK match should be nonempty")
 	}
@@ -376,12 +377,12 @@ func TestEngineSimulateEnumerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := eng.Simulate(context.Background(), simP)
+	sim, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelSim, Pattern: simP})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sim.OK != wantOK || !reflect.DeepEqual(sim.Relation, wantRel) {
-		t.Fatal("engine.Simulate differs from simulation.RunFrozen")
+		t.Fatal("the sim query differs from simulation.RunFrozen")
 	}
 
 	isoP := gpm.GeneratePattern(gpm.PatternGenConfig{Nodes: 3, Edges: 3, K: 1, Seed: 52}, g)
@@ -406,9 +407,9 @@ func TestEngineSimulateEnumerate(t *testing.T) {
 	}
 }
 
-// Engine.DualSimulate / StrongSimulate agree with the one-shot top-level
-// wrappers, observe Updates (the frozen snapshot is invalidated), and
-// stay safe under concurrent queries.
+// Dual and strong relation queries agree with the one-shot kernels over
+// a fresh snapshot, observe Updates (the frozen snapshot is invalidated),
+// and honour cancellation.
 func TestEngineTopoSemantics(t *testing.T) {
 	g := engineTestGraph(t, 60, 180, 17)
 	p := gpm.GeneratePattern(gpm.PatternGenConfig{
@@ -416,27 +417,27 @@ func TestEngineTopoSemantics(t *testing.T) {
 	}, g)
 	eng := gpm.NewEngine(g)
 
-	dual, err := eng.DualSimulate(context.Background(), p)
+	dual, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelDual, Pattern: p})
 	if err != nil {
-		t.Fatalf("DualSimulate: %v", err)
+		t.Fatalf("dual: %v", err)
 	}
-	wantDual, wantOK, err := gpm.DualSimulate(p, g.Clone())
+	wantDual, wantOK, err := topo.DualSim(context.Background(), p, g.Freeze(), topo.Options{})
 	if err != nil {
-		t.Fatalf("gpm.DualSimulate: %v", err)
+		t.Fatalf("topo.DualSim: %v", err)
 	}
-	if dual.OK() != wantOK || !reflect.DeepEqual(dual.Relation(), relCopy(wantDual)) {
-		t.Errorf("engine dual diverges from one-shot wrapper")
+	if dual.OK != wantOK || !reflect.DeepEqual(dual.Relation, wantDual) {
+		t.Errorf("engine dual diverges from topo.DualSim")
 	}
-	strong, err := eng.StrongSimulate(context.Background(), p)
+	strong, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelStrong, Pattern: p})
 	if err != nil {
-		t.Fatalf("StrongSimulate: %v", err)
+		t.Fatalf("strong: %v", err)
 	}
-	wantStrong, wantSOK, err := gpm.StrongSimulate(p, g.Clone())
+	wantStrong, wantSOK, err := topo.StrongSim(context.Background(), p, g.Freeze(), topo.Options{})
 	if err != nil {
-		t.Fatalf("gpm.StrongSimulate: %v", err)
+		t.Fatalf("topo.StrongSim: %v", err)
 	}
-	if strong.OK() != wantSOK || !reflect.DeepEqual(strong.Relation(), relCopy(wantStrong)) {
-		t.Errorf("engine strong diverges from one-shot wrapper")
+	if strong.OK != wantSOK || !reflect.DeepEqual(strong.Relation, wantStrong) {
+		t.Errorf("engine strong diverges from topo.StrongSim")
 	}
 
 	// Stats carry no oracle: these semantics never probe distances.
@@ -449,26 +450,25 @@ func TestEngineTopoSemantics(t *testing.T) {
 	if _, err := eng.Update(ups...); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
-	dual2, err := eng.DualSimulate(context.Background(), p)
+	dual2, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelDual, Pattern: p})
 	if err != nil {
-		t.Fatalf("DualSimulate after update: %v", err)
+		t.Fatalf("dual after update: %v", err)
 	}
-	wantDual2, _, err := gpm.DualSimulate(p, g.Clone())
+	wantDual2, _, err := topo.DualSim(context.Background(), p, g.Freeze(), topo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(dual2.Relation(), relCopy(wantDual2)) {
+	if !reflect.DeepEqual(dual2.Relation, wantDual2) {
 		t.Errorf("post-update dual does not match recompute on the mutated graph")
 	}
 
 	// Cancellation propagates.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.DualSimulate(ctx, p); err == nil {
-		t.Errorf("DualSimulate ignored cancelled context")
-	}
-	if _, err := eng.StrongSimulate(ctx, p); err == nil {
-		t.Errorf("StrongSimulate ignored cancelled context")
+	for _, sem := range []gpm.RelSemantics{gpm.RelDual, gpm.RelStrong} {
+		if _, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: sem, Pattern: p}); err == nil {
+			t.Errorf("%v ignored cancelled context", sem)
+		}
 	}
 }
 
@@ -480,7 +480,7 @@ func TestEngineTopoConcurrent(t *testing.T) {
 		Nodes: 3, Edges: 3, K: 1, IsoBias: true, Seed: 7,
 	}, g)
 	eng := gpm.NewEngine(g, gpm.WithWorkers(4))
-	ref, err := eng.StrongSimulate(context.Background(), p)
+	ref, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelStrong, Pattern: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,17 +492,17 @@ func TestEngineTopoConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
 				if q%2 == 0 {
-					res, err := eng.StrongSimulate(context.Background(), p)
+					res, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelStrong, Pattern: p})
 					if err != nil {
 						errCh <- err
 						return
 					}
-					if !reflect.DeepEqual(res.Relation(), ref.Relation()) {
+					if !reflect.DeepEqual(res.Relation, ref.Relation) {
 						errCh <- fmt.Errorf("concurrent strong diverged")
 						return
 					}
 				} else {
-					if _, err := eng.DualSimulate(context.Background(), p); err != nil {
+					if _, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelDual, Pattern: p}); err != nil {
 						errCh <- err
 						return
 					}
@@ -516,14 +516,4 @@ func TestEngineTopoConcurrent(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-}
-
-// relCopy maps a raw relation into the append-allocated form
-// Result.Relation returns, for DeepEqual comparisons.
-func relCopy(rel [][]int32) [][]int32 {
-	out := make([][]int32, len(rel))
-	for i, l := range rel {
-		out[i] = append([]int32(nil), l...)
-	}
-	return out
 }

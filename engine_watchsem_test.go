@@ -70,31 +70,17 @@ func TestWatchSemanticsTrackRecompute(t *testing.T) {
 		{gpm.InsertEdge(2, 0)},                       // chord: a second triangle 0-1-2
 		{gpm.DeleteEdge(2, 0), gpm.DeleteEdge(0, 1)},
 	}
+	watchers := map[gpm.RelSemantics]*gpm.Watcher{gpm.RelSim: ws, gpm.RelDual: wd, gpm.RelStrong: wst}
 	check := func(step int) {
 		t.Helper()
-		sim, err := eng.Simulate(ctx, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dual, err := eng.DualSimulate(ctx, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		strong, err := eng.StrongSimulate(ctx, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := fmt.Sprint(ws.Relation()), fmt.Sprint(sim.Relation); got != want {
-			t.Errorf("step %d: sim watcher diverged: %s vs %s", step, got, want)
-		}
-		if got, want := fmt.Sprint(wd.Relation()), fmt.Sprint(dual.Relation()); got != want {
-			t.Errorf("step %d: dual watcher diverged: %s vs %s", step, got, want)
-		}
-		if got, want := fmt.Sprint(wst.Relation()), fmt.Sprint(strong.Relation()); got != want {
-			t.Errorf("step %d: strong watcher diverged: %s vs %s", step, got, want)
-		}
-		if ws.OK() != sim.OK || wd.OK() != dual.OK() || wst.OK() != strong.OK() {
-			t.Errorf("step %d: watcher OK flags diverged", step)
+		for sem, w := range watchers {
+			res, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: sem, Pattern: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fmt.Sprint(w.Relation()), fmt.Sprint(res.Relation); got != want || w.OK() != res.OK {
+				t.Errorf("step %d: %v watcher diverged: %s ok=%v vs %s ok=%v", step, sem, got, w.OK(), want, res.OK)
+			}
 		}
 	}
 	check(-1)
@@ -129,7 +115,7 @@ func TestWatchSemanticsConcurrent(t *testing.T) {
 				w.Relation()
 				w.OK()
 				w.Pairs()
-				if _, err := eng.Simulate(context.Background(), p); err != nil {
+				if _, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelSim, Pattern: p}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -170,14 +156,10 @@ func TestWatchSemanticsRejectsBounds(t *testing.T) {
 	}
 	auto := gpm.NewEngine(g, gpm.WithAutoOracle())
 	ctx := context.Background()
-	if _, err := auto.Simulate(ctx, p); err == nil {
-		t.Error("Simulate accepted a bound-2 pattern")
-	}
-	if _, err := auto.DualSimulate(ctx, p); err == nil {
-		t.Error("DualSimulate accepted a bound-2 pattern")
-	}
-	if _, err := auto.StrongSimulate(ctx, p); err == nil {
-		t.Error("StrongSimulate accepted a bound-2 pattern")
+	for _, sem := range []gpm.RelSemantics{gpm.RelSim, gpm.RelDual, gpm.RelStrong} {
+		if _, err := auto.RelationQuery(ctx, gpm.RelationQuery{Semantics: sem, Pattern: p}); err == nil {
+			t.Errorf("%v accepted a bound-2 pattern", sem)
+		}
 	}
 }
 
@@ -205,11 +187,11 @@ func TestWatchMixedRegistry(t *testing.T) {
 	if _, err := eng.Update(gpm.InsertEdge(5, 0)); err != nil {
 		t.Fatal(err)
 	}
-	dual, err := eng.DualSimulate(ctx, p)
+	dual, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelDual, Pattern: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprint(wd.Relation()), fmt.Sprint(dual.Relation()); got != want {
+	if got, want := fmt.Sprint(wd.Relation()), fmt.Sprint(dual.Relation); got != want {
 		t.Errorf("dual watcher diverged after bounded watcher closed: %s vs %s", got, want)
 	}
 }

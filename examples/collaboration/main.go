@@ -56,14 +56,14 @@ func main() {
 
 	eng := gpm.NewEngine(g)
 	ctx := context.Background()
-	res, err := eng.Match(ctx, p)
+	res, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("P2 matches G2: %v\n", res.OK())
+	fmt.Printf("P2 matches G2: %v\n", res.OK)
 	for u, label := range []string{"CS ", "Bio", "Soc", "Med"} {
 		fmt.Printf("  %s -> ", label)
-		for _, x := range res.Mat(u) {
+		for _, x := range res.Relation[u] {
 			fmt.Printf("%s ", names[x])
 		}
 		fmt.Println()
@@ -72,7 +72,7 @@ func main() {
 
 	// Fig. 3(a): the result graph, with witness path lengths.
 	fmt.Println("\nresult graph (Fig. 3(a)); DB -> Soc denotes a path of length 3:")
-	rg := eng.ResultGraph(res)
+	rg := eng.ResultGraph(p, res)
 	fmt.Print(rg.Render(func(x int32) string { return names[x] }))
 
 	// Subgraph isomorphism finds no embedding at all.
@@ -85,9 +85,9 @@ func main() {
 	if _, err := eng.Update(gpm.DeleteEdge(name2id["DB"], name2id["Gen"])); err != nil {
 		log.Fatal(err)
 	}
-	res3, err := eng.Match(ctx, p)
+	res3, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nafter dropping DB -> Gen (G3): match = %v — one edge was load-bearing\n", res3.OK())
+	fmt.Printf("\nafter dropping DB -> Gen (G3): match = %v — one edge was load-bearing\n", res3.OK)
 }

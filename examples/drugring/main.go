@@ -62,24 +62,24 @@ func main() {
 
 	eng := gpm.NewEngine(g)
 	ctx := context.Background()
-	res, err := eng.Match(ctx, p)
+	res, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("drug ring detected: %v\n", res.OK())
+	fmt.Printf("drug ring detected: %v\n", res.OK)
 	for u, label := range []string{"B", "AM", "S", "FW"} {
 		fmt.Printf("  %-3s -> ", label)
-		for _, x := range res.Mat(u) {
+		for _, x := range res.Relation[u] {
 			fmt.Printf("%s ", names[int(x)])
 		}
 		fmt.Println()
 	}
 
 	// The three observations of Example 1.1:
-	sec := res.Mat(s)[0]
+	sec := res.Relation[s][0]
 	fmt.Printf("\n(1) AM and S map to the same node %s (no bijection can do this)\n", names[int(sec)])
-	fmt.Printf("(2) AM maps to %d nodes (a relation, not a function)\n", len(res.Mat(am)))
-	fmt.Printf("(3) FW captures all %d workers via <=3-hop supervision paths\n", len(res.Mat(fw)))
+	fmt.Printf("(2) AM maps to %d nodes (a relation, not a function)\n", len(res.Relation[am]))
+	fmt.Printf("(3) FW captures all %d workers via <=3-hop supervision paths\n", len(res.Relation[fw]))
 
 	if iso, err := eng.Enumerate(ctx, p, gpm.IsoOptions{}); err == nil && len(iso.Embeddings) == 0 {
 		fmt.Println("\nsubgraph isomorphism (VF2) finds nothing, as the paper predicts")

@@ -41,17 +41,17 @@ func main() {
 
 	eng := gpm.NewEngine(g)
 	ctx := context.Background()
-	res, err := eng.Match(ctx, p)
+	res, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("suspicious accounts (mule reachable in 2..4 hops):\n")
-	for _, x := range res.Mat(acct) {
+	for _, x := range res.Relation[acct] {
 		fmt.Printf("  %s\n", names[x])
 	}
 	fmt.Println("the direct payer is NOT flagged: its only walk to the mule has length 1")
 
-	rg := eng.ResultGraph(res)
+	rg := eng.ResultGraph(p, res)
 	for _, e := range rg.Edges {
 		fmt.Printf("evidence: %s -> %s via a %d-hop layering chain\n", names[e.From], names[e.To], e.Dist)
 	}
@@ -61,10 +61,10 @@ func main() {
 	qa := q.AddNode(gpm.Predicate{{Attr: "role", Op: gpm.OpEQ, Val: gpm.Str("account")}})
 	qm := q.AddNode(gpm.Predicate{{Attr: "role", Op: gpm.OpEQ, Val: gpm.Str("mule")}})
 	q.MustAddEdge(qa, qm, 4)
-	res2, err := eng.Match(ctx, q)
+	res2, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: q})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nwith a plain <=4 bound (no lower bound), %d accounts are flagged — the range is what isolates layering\n",
-		len(res2.Mat(qa)))
+		len(res2.Relation[qa]))
 }

@@ -73,7 +73,7 @@ func main() {
 		// rebuild of its index).
 		scratch := gpm.NewEngine(eng.Graph().Clone())
 		t1 := time.Now()
-		res, err := scratch.Match(context.Background(), p)
+		res, err := scratch.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -48,17 +48,17 @@ func main() {
 	// the first query, and later queries (and goroutines) share it.
 	engine := gpm.NewEngine(g)
 	ctx := context.Background()
-	res, err := engine.Match(ctx, p)
+	res, err := engine.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("match found: %v, %d pairs\n", res.OK(), res.Pairs())
-	fmt.Printf("  boss candidates:     %v\n", res.Mat(boss))
-	fmt.Printf("  engineer candidates: %v\n", res.Mat(eng))
+	fmt.Printf("match found: %v, %d pairs\n", res.OK, res.Pairs())
+	fmt.Printf("  boss candidates:     %v\n", res.Relation[boss])
+	fmt.Printf("  engineer candidates: %v\n", res.Relation[eng])
 
 	// The result graph records which pattern edge each connection
 	// realises and the witness path length.
-	fmt.Println(engine.ResultGraph(res))
+	fmt.Println(engine.ResultGraph(p, res))
 
 	// Contrast with subgraph isomorphism: edge-to-edge semantics only
 	// reaches eng1, never the mentee two hops away.

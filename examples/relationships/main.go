@@ -44,18 +44,18 @@ func main() {
 
 	eng := gpm.NewEngine(g)
 	ctx := context.Background()
-	res, err := eng.Match(ctx, p)
+	res, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("friend-only pattern matches: %v\n", res.OK())
+	fmt.Printf("friend-only pattern matches: %v\n", res.OK)
 
 	// mat(investor) lists every investor (the node has no outgoing
 	// constraints); the color constraint shows in the result graph, whose
 	// founder -> investor edges exist only where a monochromatic friend
 	// path witnesses them.
 	fmt.Println("result graph under the friend-only edge:")
-	rg := eng.ResultGraph(res)
+	rg := eng.ResultGraph(p, res)
 	for _, e := range rg.Edges {
 		fmt.Printf("  %s -> %s (friend path of length %d)\n", names[e.From], names[e.To], e.Dist)
 	}
@@ -66,12 +66,12 @@ func main() {
 	qf := q.AddNode(gpm.Predicate{{Attr: "role", Op: gpm.OpEQ, Val: gpm.Str("founder")}})
 	qi := q.AddNode(gpm.Predicate{{Attr: "role", Op: gpm.OpEQ, Val: gpm.Str("investor")}})
 	q.MustAddEdge(qf, qi, 3)
-	res2, err := eng.Match(ctx, q)
+	res2, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: q})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nresult graph without the color constraint:")
-	rg2 := eng.ResultGraph(res2)
+	rg2 := eng.ResultGraph(q, res2)
 	for _, e := range rg2.Edges {
 		fmt.Printf("  %s -> %s (any-color path of length %d)\n", names[e.From], names[e.To], e.Dist)
 	}

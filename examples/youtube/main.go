@@ -58,33 +58,33 @@ func main() {
 	fmt.Printf("%-6s %-8s %-8s %-12s %s\n", "k", "match", "|S|", "time", "result graph")
 	for k := 1; k <= 5; k++ {
 		p := build(k)
-		res, err := eng.Match(ctx, p)
+		res, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 		if err != nil {
 			log.Fatal(err)
 		}
 		rgInfo := "-"
-		if res.OK() {
-			rg := eng.ResultGraph(res)
+		if res.OK {
+			rg := eng.ResultGraph(p, res)
 			n, e := rg.Size()
 			rgInfo = fmt.Sprintf("%d nodes, %d edges", n, e)
 		}
-		fmt.Printf("%-6d %-8v %-8d %-12v %s\n", k, res.OK(), res.Pairs(), res.Stats.MatchTime, rgInfo)
+		fmt.Printf("%-6d %-8v %-8d %-12v %s\n", k, res.OK, res.Pairs(), res.Stats.MatchTime, rgInfo)
 	}
 	fmt.Println("\nas the paper's Fig. 9 shows, matches appear past a bound threshold and then saturate.")
 
 	// Breakdown at the first matching bound.
 	for k := 1; k <= 6; k++ {
-		res, err := eng.Match(ctx, build(k))
+		res, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: build(k)})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if !res.OK() {
+		if !res.OK {
 			continue
 		}
 		labels := []string{"p3 (long+old)", "p2 (popular)", "p4 (neil010)", "p1 (People)", "p5 (Travel)"}
 		fmt.Printf("\ncommunity found at k=%d:\n", k)
 		for u, l := range labels {
-			fmt.Printf("  %-14s -> %d videos\n", l, len(res.Mat(u)))
+			fmt.Printf("  %-14s -> %d videos\n", l, len(res.Relation[u]))
 		}
 		break
 	}

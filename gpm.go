@@ -15,12 +15,11 @@
 //     attributes and predicate parsing;
 //   - [Engine], the graph-bound, concurrency-safe query API: it caches
 //     a frozen snapshot of the graph across queries and serves every
-//     matching semantics — bounded simulation ([Engine.Match]), plain
-//     simulation ([Engine.Simulate]), topology-preserving dual and
-//     strong simulation ([Engine.DualSimulate], [Engine.StrongSimulate]),
+//     matching semantics — bounded simulation, plain simulation and the
+//     topology-preserving dual and strong simulation through one
+//     [Engine.RelationQuery] (the [RelSemantics] picks which),
 //     subgraph-isomorphism enumeration ([Engine.Enumerate]) and
 //     incremental matching ([Engine.Watch]);
-//   - per-call [DualSimulate] and [StrongSimulate] for one-off queries;
 //   - synthetic generators and dataset stand-ins used by the experiment
 //     harness (see cmd/gpmbench and EXPERIMENTS.md).
 //
@@ -39,23 +38,21 @@
 //	p.MustAddEdge(a, c, 2) // "C reachable from A within 2 hops"
 //
 //	eng := gpm.NewEngine(g)
-//	res, err := eng.Match(context.Background(), p)
-//	// res.OK() == true; res.Mat(c) == [2]
+//	res, err := eng.RelationQuery(context.Background(),
+//		gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
+//	// res.OK == true; res.Relation[c] == [2]
 //
 // See README.md for the Engine API and the text formats the command-line
 // tools read and write.
 package gpm
 
 import (
-	"context"
-
 	"gpm/internal/core"
 	"gpm/internal/graph"
 	"gpm/internal/incremental"
 	"gpm/internal/pattern"
 	"gpm/internal/plan"
 	"gpm/internal/subiso"
-	"gpm/internal/topo"
 	"gpm/internal/value"
 )
 
@@ -81,8 +78,6 @@ type (
 	// PatternEdge describes one pattern edge (bound, optional color).
 	PatternEdge = pattern.Edge
 
-	// Result is a (maximum) bounded-simulation match.
-	Result = core.Result
 	// ResultGraph is the succinct graph representation of a match.
 	ResultGraph = core.ResultGraph
 	// ResultEdge is one result-graph edge with its witness length.
@@ -144,28 +139,6 @@ func Label(name string) Predicate { return pattern.Label(name) }
 // ParsePredicate parses predicate surface syntax such as
 // "category = Music && rate > 3" (see the pattern format in README).
 func ParsePredicate(s string) (Predicate, error) { return pattern.ParsePredicate(s) }
-
-// DualSimulate computes the maximum dual simulation of p in g (every
-// pattern edge bound must be 1): plain simulation extended with parent
-// constraints, preserving both child and parent topology (Ma et al.,
-// "Capturing Topology in Graph Pattern Matching", VLDB 2012). The
-// returned relation lists, per pattern node, the sorted data nodes that
-// dual-simulate it; ok reports whether every pattern node matched. It
-// freezes g on every call; bind the graph once with [NewEngine] and use
-// [Engine.DualSimulate] for repeated queries.
-func DualSimulate(p *Pattern, g *Graph) (rel [][]int32, ok bool, err error) {
-	return topo.DualSim(context.Background(), p, g.Freeze(), topo.Options{})
-}
-
-// StrongSimulate computes strong simulation of p in g (every pattern
-// edge bound must be 1): dual simulation inside diameter-bounded balls
-// with maximum-perfect-subgraph filtering — the strictest cubic-time
-// semantics the package serves (Ma et al., VLDB 2012). It freezes g on
-// every call; bind the graph once with [NewEngine] and use
-// [Engine.StrongSimulate] for repeated (and parallel) queries.
-func StrongSimulate(p *Pattern, g *Graph) (rel [][]int32, ok bool, err error) {
-	return topo.StrongSim(context.Background(), p, g.Freeze(), topo.Options{})
-}
 
 // InsertEdge and DeleteEdge build updates for [Engine.Update].
 func InsertEdge(u, v int) Update { return incremental.Ins(u, v) }

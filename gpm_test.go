@@ -28,15 +28,15 @@ func TestPublicMatch(t *testing.T) {
 	a := p.AddNode(gpm.Label("A"))
 	c := p.AddNode(gpm.Label("C"))
 	p.MustAddEdge(a, c, 2)
-	res, err := gpm.NewEngine(g).Match(context.Background(), p)
+	res, err := gpm.NewEngine(g).RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.OK() || res.Pairs() != 2 {
-		t.Fatalf("ok=%v pairs=%d", res.OK(), res.Pairs())
+	if !res.OK || res.Pairs() != 2 {
+		t.Fatalf("ok=%v pairs=%d", res.OK, res.Pairs())
 	}
-	if got := res.Mat(c); len(got) != 1 || got[0] != 2 {
-		t.Errorf("Mat(c) = %v", got)
+	if got := res.Relation[c]; len(got) != 1 || got[0] != 2 {
+		t.Errorf("Relation[c] = %v", got)
 	}
 }
 
@@ -46,7 +46,7 @@ func TestPublicOracleVariants(t *testing.T) {
 	a := p.AddNode(gpm.Label("A"))
 	b := p.AddNode(gpm.Label("B"))
 	p.MustAddEdge(a, b, gpm.Unbounded)
-	for name, f := range map[string]func(*gpm.Pattern, *gpm.Graph) (*gpm.Result, error){
+	for name, f := range map[string]func(*gpm.Pattern, *gpm.Graph) (*core.Result, error){
 		"match": core.Match, "bfs": core.MatchBFS, "2hop": core.Match2Hop,
 	} {
 		res, err := f(p, g)
@@ -72,9 +72,9 @@ func TestPublicSimulateAndIso(t *testing.T) {
 	p.MustAddEdge(a, b, 1)
 	ctx := context.Background()
 	eng := gpm.NewEngine(g)
-	sim, err := eng.Simulate(ctx, p)
+	sim, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelSim, Pattern: p})
 	if err != nil || !sim.OK || len(sim.Relation) != 2 {
-		t.Fatalf("Simulate: %+v %v", sim, err)
+		t.Fatalf("sim: %+v %v", sim, err)
 	}
 	for _, algo := range []gpm.EnumAlgo{gpm.AlgoVF2, gpm.AlgoUllmann} {
 		e, err := eng.Enumerate(ctx, p, gpm.IsoOptions{Algo: algo, NoPlan: true})
@@ -189,11 +189,11 @@ func TestPublicResultGraph(t *testing.T) {
 	c := p.AddNode(gpm.Label("C"))
 	p.MustAddEdge(a, c, 2)
 	eng := gpm.NewEngine(g)
-	res, err := eng.Match(context.Background(), p)
+	res, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rg := eng.ResultGraph(res)
+	rg := eng.ResultGraph(p, res)
 	n, e := rg.Size()
 	if n != 2 || e != 1 {
 		t.Errorf("result graph %d/%d", n, e)
@@ -216,12 +216,12 @@ func TestDocExample(t *testing.T) {
 	c := p.AddNode(gpm.Label("C"))
 	p.MustAddEdge(a, c, 2)
 	eng := gpm.NewEngine(g)
-	res, err := eng.Match(context.Background(), p)
-	if err != nil || !res.OK() {
+	res, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
+	if err != nil || !res.OK {
 		t.Fatalf("doc example broken: %v %v", res, err)
 	}
-	if got := res.Mat(c); len(got) != 1 || got[0] != 2 {
-		t.Errorf("doc example Mat = %v", got)
+	if got := res.Relation[c]; len(got) != 1 || got[0] != 2 {
+		t.Errorf("doc example Relation[c] = %v", got)
 	}
 }
 
@@ -243,14 +243,14 @@ func TestPublicRangeEdge(t *testing.T) {
 	}
 	ctx := context.Background()
 	eng := gpm.NewEngine(g)
-	res, err := eng.Match(ctx, p)
-	if err != nil || !res.OK() {
-		t.Fatalf("range match: ok=%v err=%v", res.OK(), err)
+	res, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
+	if err != nil || !res.OK {
+		t.Fatalf("range match: ok=%v err=%v", res.OK, err)
 	}
 	if _, err := eng.Update(gpm.DeleteEdge(mid, b)); err != nil {
 		t.Fatal(err)
 	}
-	if res, err = eng.Match(ctx, p); err != nil || res.OK() {
+	if res, err = eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p}); err != nil || res.OK {
 		t.Errorf("only the too-short direct edge remains; range must fail (err %v)", err)
 	}
 	// Incremental matching declines ranged patterns explicitly.

@@ -12,7 +12,7 @@ import (
 
 // incSemantics enumerates the incrementally maintained edge-to-edge
 // semantics the incsim experiment measures.
-var incSemantics = []string{"sim", "dual", "strong"}
+var incSemantics = []gpm.RelSemantics{gpm.RelSim, gpm.RelDual, gpm.RelStrong}
 
 // IncSimSpeedup measures incremental maintenance of the sim/dual/strong
 // relations against full recomputation, per update batch size. For each
@@ -50,11 +50,11 @@ func IncSimSpeedup(cfg Config) *Table {
 			var w *gpm.Watcher
 			var err error
 			switch sem {
-			case "sim":
+			case gpm.RelSim:
 				w, err = eng.WatchSim(p)
-			case "dual":
+			case gpm.RelDual:
 				w, err = eng.WatchDual(p)
-			case "strong":
+			case gpm.RelStrong:
 				w, err = eng.WatchStrong(p)
 			}
 			if err != nil {
@@ -75,36 +75,19 @@ func IncSimSpeedup(cfg Config) *Table {
 				incT += time.Since(start)
 
 				start = time.Now()
-				var rel [][]int32
-				switch sem {
-				case "sim":
-					res, err := gpm.NewEngine(g).Simulate(ctx, p)
-					if err != nil {
-						panic(err)
-					}
-					rel = res.Relation
-				case "dual":
-					res, err := gpm.NewEngine(g).DualSimulate(ctx, p)
-					if err != nil {
-						panic(err)
-					}
-					rel = res.Relation()
-				case "strong":
-					res, err := gpm.NewEngine(g).StrongSimulate(ctx, p)
-					if err != nil {
-						panic(err)
-					}
-					rel = res.Relation()
+				res, err := gpm.NewEngine(g).RelationQuery(ctx, gpm.RelationQuery{Semantics: sem, Pattern: p})
+				if err != nil {
+					panic(err)
 				}
 				recompT += time.Since(start)
-				incSum, recompSum = difftest.Checksum(w.Relation()), difftest.Checksum(rel)
+				incSum, recompSum = difftest.Checksum(w.Relation()), difftest.Checksum(res.Relation)
 				if incSum != recompSum {
 					panic(fmt.Sprintf("bench: incsim %s diverged at batch size %d round %d: %x vs %x",
 						sem, batchSize, round, incSum, recompSum))
 				}
 			}
 			w.Close()
-			t.AddRow(sem, fmt.Sprintf("%d", batchSize), msAvg(incT, rounds), msAvg(recompT, rounds),
+			t.AddRow(sem.String(), fmt.Sprintf("%d", batchSize), msAvg(incT, rounds), msAvg(recompT, rounds),
 				f2(recompT.Seconds()/incT.Seconds()), fmt.Sprintf("%016x", incSum))
 			cfg.logf("incsim: %s at batch size %d done", sem, batchSize)
 		}

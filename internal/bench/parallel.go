@@ -12,12 +12,12 @@ import (
 // relChecksum folds every (pattern node, data node) pair of a batch's
 // relations into one FNV-1a hash, so two rows of the speedup table can
 // prove they computed bit-identical matches.
-func relChecksum(results []*gpm.MatchResult) uint64 {
+func relChecksum(results []*gpm.RelationResult) uint64 {
 	h := fnv.New64a()
 	var buf [4]byte
 	for _, res := range results {
-		for u := 0; u < res.Pattern().N(); u++ {
-			for _, x := range res.Mat(u) {
+		for u, row := range res.Relation {
+			for _, x := range row {
 				buf[0] = byte(u)
 				buf[1] = byte(x)
 				buf[2] = byte(x >> 8)
@@ -54,7 +54,7 @@ func ParallelSpeedup(cfg Config) *Table {
 		eng := gpm.NewEngine(g, gpm.WithWorkers(w))
 		// Warm the engine before timing: auto builds no oracle, only
 		// the frozen snapshot.
-		if _, err := eng.Match(context.Background(), ps[0]); err != nil {
+		if _, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: ps[0]}); err != nil {
 			panic(err)
 		}
 		var sum uint64

@@ -46,7 +46,7 @@ func TopoSpeedup(cfg Config) *Table {
 		Columns: []string{"semantics", "workers", "elapsed (ms)", "speedup", "relation checksum"},
 	}
 	ctx := context.Background()
-	for _, sem := range []string{"dual", "strong"} {
+	for _, sem := range []gpm.RelSemantics{gpm.RelDual, gpm.RelStrong} {
 		var baseline time.Duration
 		var wantSum uint64
 		for _, w := range []int{1, 2, 4, 8} {
@@ -55,26 +55,13 @@ func TopoSpeedup(cfg Config) *Table {
 			var buf [8]byte
 			start := time.Now()
 			for _, p := range ps {
-				var rel [][]int32
-				var err error
-				switch sem {
-				case "dual":
-					var res *gpm.TopoResult
-					if res, err = eng.DualSimulate(ctx, p); err == nil {
-						rel = res.Relation()
-					}
-				case "strong":
-					var res *gpm.TopoResult
-					if res, err = eng.StrongSimulate(ctx, p); err == nil {
-						rel = res.Relation()
-					}
-				}
+				res, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: sem, Pattern: p})
 				if err != nil {
 					panic(err)
 				}
 				// difftest.Checksum is the same encoding the lattice tests
 				// pin, so the table and the harness prove one property.
-				sum := difftest.Checksum(rel)
+				sum := difftest.Checksum(res.Relation)
 				buf[0], buf[1], buf[2], buf[3] = byte(sum), byte(sum>>8), byte(sum>>16), byte(sum>>24)
 				buf[4], buf[5], buf[6], buf[7] = byte(sum>>32), byte(sum>>40), byte(sum>>48), byte(sum>>56)
 				h.Write(buf[:])
@@ -87,7 +74,7 @@ func TopoSpeedup(cfg Config) *Table {
 			} else if sum != wantSum {
 				panic(fmt.Sprintf("bench: topo checksum diverged for %s at %d workers: %x vs %x", sem, w, sum, wantSum))
 			}
-			t.AddRow(sem, fmt.Sprintf("%d", w), ms(elapsed),
+			t.AddRow(sem.String(), fmt.Sprintf("%d", w), ms(elapsed),
 				f2(baseline.Seconds()/elapsed.Seconds()), fmt.Sprintf("%016x", sum))
 			cfg.logf("topo: %s at %d workers done", sem, w)
 		}

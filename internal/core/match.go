@@ -55,6 +55,10 @@ func (r *Result) Relation() [][]int32 {
 	return out
 }
 
+// Rows returns the relation itself, not a copy: the caller takes
+// ownership of the rows from a result it alone holds.
+func (r *Result) Rows() [][]int32 { return r.mat }
+
 // Pairs returns |S|, the number of (pattern node, data node) pairs.
 func (r *Result) Pairs() int {
 	total := 0
@@ -87,11 +91,12 @@ func (r *Result) String() string {
 	return fmt.Sprintf("match{ok: %v, pairs: %d}", r.ok, r.Pairs())
 }
 
-// NewResult wraps a relation computed by another matching semantics
-// (strong simulation, see internal/topo) into a Result, making
-// it result-graph-capable and giving it the Result accessor set. mat
-// must hold ascending data-node ids per pattern node; ok reports whether
-// every pattern node matched. The caller hands over ownership of mat.
+// NewResult wraps a relation — one computed by another matching
+// semantics (strong simulation, see internal/topo), or rows handed out
+// by Rows — into a Result, making it result-graph-capable and giving it
+// the Result accessor set. mat must hold ascending data-node ids per
+// pattern node; ok reports whether every pattern node matched. The
+// Result reads mat in place, so mat must not change while it is in use.
 func NewResult(p *pattern.Pattern, g *graph.Graph, mat [][]int32, ok bool) *Result {
 	return &Result{p: p, g: g, mat: mat, ok: ok}
 }
@@ -611,18 +616,29 @@ func (st *state) remove(u, j int) error {
 	return nil
 }
 
-// result snapshots the current relation.
+// result snapshots the current relation, each row allocated at its exact
+// size: callers keep the rows (Rows), some for as long as a cache entry
+// lives.
 func (st *state) result() *Result {
 	res := &Result{p: st.p, g: st.g, mat: make([][]int32, st.p.N()), ok: true}
 	for u := 0; u < st.p.N(); u++ {
-		for j, x := range st.cand[u] {
-			if st.inMat[u][j] {
-				res.mat[u] = append(res.mat[u], x)
+		n := 0
+		for _, in := range st.inMat[u] {
+			if in {
+				n++
 			}
 		}
-		if len(res.mat[u]) == 0 {
+		if n == 0 {
 			res.ok = false
+			continue
 		}
+		row := make([]int32, 0, n)
+		for j, x := range st.cand[u] {
+			if st.inMat[u][j] {
+				row = append(row, x)
+			}
+		}
+		res.mat[u] = row
 	}
 	return res
 }

@@ -46,25 +46,25 @@ func TestContainmentTransfersToRelations(t *testing.T) {
 				sums := make(map[string][2]uint64)
 				for sem, run := range map[string]func(*gpm.Pattern) ([][]int32, error){
 					"match": func(q *gpm.Pattern) ([][]int32, error) {
-						r, err := eng.Match(ctx, q)
+						r, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: q})
 						if err != nil {
 							return nil, err
 						}
-						return r.Relation(), nil
+						return r.Relation, nil
 					},
 					"sim": func(q *gpm.Pattern) ([][]int32, error) {
-						r, err := eng.Simulate(ctx, q)
+						r, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelSim, Pattern: q})
 						if err != nil {
 							return nil, err
 						}
 						return r.Relation, nil
 					},
 					"dual": func(q *gpm.Pattern) ([][]int32, error) {
-						r, err := eng.DualSimulate(ctx, q)
+						r, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelDual, Pattern: q})
 						if err != nil {
 							return nil, err
 						}
-						return r.Relation(), nil
+						return r.Relation, nil
 					},
 				} {
 					strictRel, err := run(p)

@@ -3,6 +3,7 @@ package difftest
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -16,27 +17,27 @@ const workloads = 12 // random workloads per differential property
 
 // Property (a): plain simulation is the all-bounds-one special case of
 // bounded simulation (paper §2.2, remark 2), so on K=1 patterns
-// Engine.Match and Engine.Simulate must compute the same relation and the
+// match and sim relation queries must compute the same relation and the
 // same OK verdict.
 func TestMatchBoundsOneEqualsSimulate(t *testing.T) {
 	for seed := int64(1); seed <= workloads; seed++ {
 		w := NewWorkload(seed, Config{K: 1})
 		eng := gpm.NewEngine(w.G)
 		for pi, p := range w.Patterns {
-			m, err := eng.Match(context.Background(), p)
+			m, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 			if err != nil {
 				t.Fatalf("seed %d pattern %d: Match: %v", seed, pi, err)
 			}
-			s, err := eng.Simulate(context.Background(), p)
+			s, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelSim, Pattern: p})
 			if err != nil {
-				t.Fatalf("seed %d pattern %d: Simulate: %v", seed, pi, err)
+				t.Fatalf("seed %d pattern %d: sim: %v", seed, pi, err)
 			}
-			if m.OK() != s.OK {
-				t.Errorf("seed %d pattern %d: Match OK=%v, Simulate OK=%v", seed, pi, m.OK(), s.OK)
+			if m.OK != s.OK {
+				t.Errorf("seed %d pattern %d: Match OK=%v, sim OK=%v", seed, pi, m.OK, s.OK)
 			}
-			if !RelationsEqual(m.Relation(), s.Relation) {
+			if !RelationsEqual(m.Relation, s.Relation) {
 				t.Errorf("seed %d pattern %d: relations differ: %s",
-					seed, pi, DiffRelations(m.Relation(), s.Relation))
+					seed, pi, DiffRelations(m.Relation, s.Relation))
 			}
 		}
 	}
@@ -52,7 +53,7 @@ func TestIsoEmbeddingsContainedInMatch(t *testing.T) {
 		eng := gpm.NewEngine(w.G)
 		checked := 0
 		for pi, p := range w.Patterns {
-			m, err := eng.Match(context.Background(), p)
+			m, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 			if err != nil {
 				t.Fatalf("seed %d pattern %d: Match: %v", seed, pi, err)
 			}
@@ -66,7 +67,7 @@ func TestIsoEmbeddingsContainedInMatch(t *testing.T) {
 				for ei, emb := range enum.Embeddings {
 					for u, x := range emb {
 						checked++
-						if !m.Contains(u, x) {
+						if !slices.Contains(m.Relation[u], x) {
 							t.Errorf("seed %d pattern %d algo %v embedding %d: pair (%d,%d) not in max bounded-simulation relation",
 								seed, pi, algo, ei, u, x)
 						}
@@ -92,18 +93,18 @@ func TestOraclesProduceIdenticalMatches(t *testing.T) {
 			engines[i] = gpm.NewEngine(w.G, gpm.WithOracle(k))
 		}
 		for pi, p := range w.Patterns {
-			ref, err := engines[0].Match(context.Background(), p)
+			ref, err := engines[0].RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 			if err != nil {
 				t.Fatalf("seed %d pattern %d: matrix Match: %v", seed, pi, err)
 			}
 			for i, k := range kinds[1:] {
-				got, err := engines[i+1].Match(context.Background(), p)
+				got, err := engines[i+1].RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 				if err != nil {
 					t.Fatalf("seed %d pattern %d: %v Match: %v", seed, pi, k, err)
 				}
-				if got.OK() != ref.OK() || !RelationsEqual(got.Relation(), ref.Relation()) {
+				if got.OK != ref.OK || !RelationsEqual(got.Relation, ref.Relation) {
 					t.Errorf("seed %d pattern %d: %v oracle diverges from matrix: %s",
-						seed, pi, k, DiffRelations(got.Relation(), ref.Relation()))
+						seed, pi, k, DiffRelations(got.Relation, ref.Relation))
 				}
 			}
 		}
@@ -185,19 +186,19 @@ func TestParallelEqualsSequential(t *testing.T) {
 			for _, workers := range []int{2, 4, 8} {
 				par := gpm.NewEngine(w.G, gpm.WithOracle(kind), gpm.WithWorkers(workers))
 				for pi, p := range w.Patterns {
-					want, err := seq.Match(context.Background(), p)
+					want, err := seq.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 					if err != nil {
 						t.Fatalf("seed %d pattern %d: sequential: %v", seed, pi, err)
 					}
-					got, err := par.Match(context.Background(), p)
+					got, err := par.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 					if err != nil {
 						t.Fatalf("seed %d pattern %d: %d workers: %v", seed, pi, workers, err)
 					}
-					if got.OK() != want.OK() || !RelationsEqual(got.Relation(), want.Relation()) {
+					if got.OK != want.OK || !RelationsEqual(got.Relation, want.Relation) {
 						t.Errorf("seed %d pattern %d oracle %v: %d workers diverge: %s",
-							seed, pi, kind, workers, DiffRelations(got.Relation(), want.Relation()))
+							seed, pi, kind, workers, DiffRelations(got.Relation, want.Relation))
 					}
-					if Checksum(got.Relation()) != Checksum(want.Relation()) {
+					if Checksum(got.Relation) != Checksum(want.Relation) {
 						t.Errorf("seed %d pattern %d oracle %v: %d-worker checksum diverges",
 							seed, pi, kind, workers)
 					}
@@ -221,13 +222,13 @@ func TestMatchBatchEqualsSequentialMatch(t *testing.T) {
 			t.Fatalf("seed %d: %d results for %d patterns", seed, len(batch), len(w.Patterns))
 		}
 		for pi, p := range w.Patterns {
-			want, err := eng.Match(context.Background(), p)
+			want, err := eng.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 			if err != nil {
 				t.Fatalf("seed %d pattern %d: Match: %v", seed, pi, err)
 			}
-			if batch[pi].OK() != want.OK() || !RelationsEqual(batch[pi].Relation(), want.Relation()) {
+			if batch[pi].OK != want.OK || !RelationsEqual(batch[pi].Relation, want.Relation) {
 				t.Errorf("seed %d pattern %d: batch result diverges: %s",
-					seed, pi, DiffRelations(batch[pi].Relation(), want.Relation()))
+					seed, pi, DiffRelations(batch[pi].Relation, want.Relation))
 			}
 		}
 	}
@@ -256,13 +257,13 @@ func TestIncrementalMatchesRecompute(t *testing.T) {
 				t.Fatalf("seed %d round %d: Update: %v", seed, round, err)
 			}
 			fresh := gpm.NewEngine(w.G.Clone())
-			want, err := fresh.Match(context.Background(), p)
+			want, err := fresh.RelationQuery(context.Background(), gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 			if err != nil {
 				t.Fatalf("seed %d round %d: recompute: %v", seed, round, err)
 			}
-			if watch.OK() != want.OK() || !RelationsEqual(watch.Relation(), want.Relation()) {
+			if watch.OK() != want.OK || !RelationsEqual(watch.Relation(), want.Relation) {
 				t.Errorf("seed %d round %d: incremental diverges from recompute: %s",
-					seed, round, DiffRelations(watch.Relation(), want.Relation()))
+					seed, round, DiffRelations(watch.Relation(), want.Relation))
 			}
 		}
 		watch.Close()

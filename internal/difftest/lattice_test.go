@@ -31,25 +31,25 @@ func TestSemanticsLattice(t *testing.T) {
 				t.Fatalf("seed %d pattern %d: Enumerate: %v", seed, pi, err)
 			}
 			iso := enum.PairsPerNode(p.N())
-			strong, err := eng.StrongSimulate(ctx, p)
+			strong, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelStrong, Pattern: p})
 			if err != nil {
-				t.Fatalf("seed %d pattern %d: StrongSimulate: %v", seed, pi, err)
+				t.Fatalf("seed %d pattern %d: strong: %v", seed, pi, err)
 			}
-			dual, err := eng.DualSimulate(ctx, p)
+			dual, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelDual, Pattern: p})
 			if err != nil {
-				t.Fatalf("seed %d pattern %d: DualSimulate: %v", seed, pi, err)
+				t.Fatalf("seed %d pattern %d: dual: %v", seed, pi, err)
 			}
-			sim, err := eng.Simulate(ctx, p)
+			sim, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelSim, Pattern: p})
 			if err != nil {
-				t.Fatalf("seed %d pattern %d: Simulate: %v", seed, pi, err)
+				t.Fatalf("seed %d pattern %d: sim: %v", seed, pi, err)
 			}
 			const k = 3
-			bounded, err := eng.Match(ctx, RaiseBounds(p, k))
+			bounded, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: RaiseBounds(p, k)})
 			if err != nil {
 				t.Fatalf("seed %d pattern %d: Match(k=%d): %v", seed, pi, k, err)
 			}
 
-			strongRel, dualRel := strong.Relation(), dual.Relation()
+			strongRel, dualRel := strong.Relation, dual.Relation
 			if !Contained(iso, strongRel) {
 				t.Errorf("seed %d pattern %d: subiso pairs ⊄ strong\niso:    %v\nstrong: %v",
 					seed, pi, iso, strongRel)
@@ -62,30 +62,30 @@ func TestSemanticsLattice(t *testing.T) {
 				t.Errorf("seed %d pattern %d: dual ⊄ simulate\ndual: %v\nsim:  %v",
 					seed, pi, dualRel, sim.Relation)
 			}
-			if !Contained(sim.Relation, bounded.Relation()) {
+			if !Contained(sim.Relation, bounded.Relation) {
 				t.Errorf("seed %d pattern %d: simulate ⊄ match(k=%d)\nsim:   %v\nmatch: %v",
-					seed, pi, k, sim.Relation, bounded.Relation())
+					seed, pi, k, sim.Relation, bounded.Relation)
 			}
 
 			// Bit-identity across worker counts, as relation checksums.
 			wantStrong, wantDual := Checksum(strongRel), Checksum(dualRel)
 			for _, workers := range latticeWorkers[1:] {
 				engW := gpm.NewEngine(w.G, gpm.WithWorkers(workers))
-				s, err := engW.StrongSimulate(ctx, p)
+				s, err := engW.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelStrong, Pattern: p})
 				if err != nil {
-					t.Fatalf("seed %d pattern %d workers %d: StrongSimulate: %v", seed, pi, workers, err)
+					t.Fatalf("seed %d pattern %d workers %d: strong: %v", seed, pi, workers, err)
 				}
-				if got := Checksum(s.Relation()); got != wantStrong {
+				if got := Checksum(s.Relation); got != wantStrong {
 					t.Errorf("seed %d pattern %d: strong checksum at %d workers %016x != %016x: %s",
-						seed, pi, workers, got, wantStrong, DiffRelations(s.Relation(), strongRel))
+						seed, pi, workers, got, wantStrong, DiffRelations(s.Relation, strongRel))
 				}
-				d, err := engW.DualSimulate(ctx, p)
+				d, err := engW.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelDual, Pattern: p})
 				if err != nil {
-					t.Fatalf("seed %d pattern %d workers %d: DualSimulate: %v", seed, pi, workers, err)
+					t.Fatalf("seed %d pattern %d workers %d: dual: %v", seed, pi, workers, err)
 				}
-				if got := Checksum(d.Relation()); got != wantDual {
+				if got := Checksum(d.Relation); got != wantDual {
 					t.Errorf("seed %d pattern %d: dual checksum at %d workers %016x != %016x: %s",
-						seed, pi, workers, got, wantDual, DiffRelations(d.Relation(), dualRel))
+						seed, pi, workers, got, wantDual, DiffRelations(d.Relation, dualRel))
 				}
 			}
 		}
@@ -110,21 +110,21 @@ func TestDualChildOnlyEqualsSimulateAndMatchK1(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d pattern %d: RunNaive: %v", seed, pi, err)
 			}
-			sim, err := eng.Simulate(ctx, p)
+			sim, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelSim, Pattern: p})
 			if err != nil {
-				t.Fatalf("seed %d pattern %d: Simulate: %v", seed, pi, err)
+				t.Fatalf("seed %d pattern %d: sim: %v", seed, pi, err)
 			}
 			if naiveOK != sim.OK || !RelationsEqual(naive, sim.Relation) {
 				t.Errorf("seed %d pattern %d: child-only dual (sim) != naive plain simulation: %s",
 					seed, pi, DiffRelations(sim.Relation, naive))
 			}
-			m, err := eng.Match(ctx, p)
+			m, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 			if err != nil {
 				t.Fatalf("seed %d pattern %d: Match: %v", seed, pi, err)
 			}
-			if naiveOK != m.OK() || !RelationsEqual(naive, m.Relation()) {
+			if naiveOK != m.OK || !RelationsEqual(naive, m.Relation) {
 				t.Errorf("seed %d pattern %d: naive plain simulation != bounded sim at k=1: %s",
-					seed, pi, DiffRelations(m.Relation(), naive))
+					seed, pi, DiffRelations(m.Relation, naive))
 			}
 		}
 	}
@@ -150,30 +150,30 @@ func TestStrongEqualsDualOnTreePatterns(t *testing.T) {
 		eng := gpm.NewEngine(w.G)
 		for pn := 3; pn <= 5; pn++ {
 			p := TreePattern(seed*977+int64(pn), w.G, pn)
-			strong, err := eng.StrongSimulate(ctx, p)
+			strong, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelStrong, Pattern: p})
 			if err != nil {
-				t.Fatalf("seed %d: StrongSimulate: %v", seed, err)
+				t.Fatalf("seed %d: strong: %v", seed, err)
 			}
-			dual, err := eng.DualSimulate(ctx, p)
+			dual, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelDual, Pattern: p})
 			if err != nil {
-				t.Fatalf("seed %d: DualSimulate: %v", seed, err)
+				t.Fatalf("seed %d: dual: %v", seed, err)
 			}
-			if strong.OK() != dual.OK() || !RelationsEqual(strong.Relation(), dual.Relation()) {
+			if strong.OK != dual.OK || !RelationsEqual(strong.Relation, dual.Relation) {
 				t.Errorf("seed %d tree(%d): strong != dual on a tree pattern: %s\npattern:\n%s",
-					seed, pn, DiffRelations(strong.Relation(), dual.Relation()), p)
+					seed, pn, DiffRelations(strong.Relation, dual.Relation), p)
 			}
 			enum, err := eng.Enumerate(ctx, p, isoOpts)
 			if err != nil {
 				t.Fatalf("seed %d: Enumerate: %v", seed, err)
 			}
-			if iso := enum.PairsPerNode(p.N()); !Contained(iso, strong.Relation()) {
+			if iso := enum.PairsPerNode(p.N()); !Contained(iso, strong.Relation) {
 				t.Errorf("seed %d tree(%d): subiso pairs ⊄ strong", seed, pn)
 			}
 		}
 	}
 }
 
-// TopoResults are result-graph-capable: the result graph of a strong
+// Strong relations are result-graph-capable: the result graph of a strong
 // match must contain exactly the matched nodes, and its edges must be
 // single-hop (bounds are 1), each present in the data graph.
 func TestTopoResultGraph(t *testing.T) {
@@ -182,12 +182,12 @@ func TestTopoResultGraph(t *testing.T) {
 		w := NewWorkload(seed, Config{K: 1})
 		eng := gpm.NewEngine(w.G)
 		for pi, p := range w.Patterns {
-			strong, err := eng.StrongSimulate(ctx, p)
+			strong, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelStrong, Pattern: p})
 			if err != nil {
 				t.Fatalf("seed %d pattern %d: %v", seed, pi, err)
 			}
-			rg := eng.ResultGraphOf(strong.Result)
-			if !strong.OK() {
+			rg := eng.ResultGraph(p, strong)
+			if !strong.OK {
 				if len(rg.Nodes) != 0 {
 					t.Errorf("seed %d pattern %d: failed match has %d result-graph nodes", seed, pi, len(rg.Nodes))
 				}
@@ -195,7 +195,7 @@ func TestTopoResultGraph(t *testing.T) {
 			}
 			want := map[int32]bool{}
 			for u := 0; u < p.N(); u++ {
-				for _, x := range strong.Mat(u) {
+				for _, x := range strong.Relation[u] {
 					want[x] = true
 				}
 			}

@@ -13,29 +13,25 @@ import (
 
 // Property (d'): handing MatchOpts a frozen snapshot replaces pairwise
 // probes with witness sweeps but must not change the answer or the work
-// the fixpoint does: relation, InitialPairs and Removals equal the
-// snapshot-less run (the paper's Fig. 4, which probes the oracle for
-// every candidate pair) — for every oracle kind's Fig. 4 run, whose
-// oracle the snapshot run is handed and ignores, at every worker count,
-// with the default witness-matrix cap and with no witness matrix kept
-// (cap 0), where removals walk arcs or sweep back from the removed node.
+// the fixpoint does. A snapshot run ignores its oracle (core pins that),
+// so each pattern runs the snapshot kernel once, with no oracle — the
+// engine's configuration — at every worker count, with the default
+// witness-matrix cap and with no witness matrix kept (cap 0), where
+// removals walk arcs or sweep back from the removed node. Its relation,
+// InitialPairs and Removals must equal the paper's Fig. 4 run over the
+// distance matrix, which probes the oracle for every candidate pair, and
+// every other oracle kind's Fig. 4 run must equal that one too.
 // Coloured workloads repeat the check with bounded and "*" coloured
 // edges, and a ranged row turns every other edge of their patterns into
 // a hop range. No oracle answers a coloured or ranged edge, so every run
 // sweeps it; those rows take their relation from core.MatchNaive, a
-// rescan that shares no code with the sweeps, and their InitialPairs and
-// Removals from the probing run.
-//
-// Every pattern also runs with no oracle at all, the engine's
-// configuration, and its relation, InitialPairs and Removals must equal
-// the matrix-probing run's (MatchNaive's relation for labelled patterns)
-// at every worker count and with no witness matrix kept.
+// rescan that shares no code with the sweeps.
 //
 // The same kernel run without an oracle on all-bounds-one patterns is
-// plain simulation, and with its parent constraints dual simulation. Their rows are refereed by
-// simulation.RunNaive and topo.NaiveDualSim, rescans that share no code
-// with the kernel, and must repeat one run's InitialPairs and Removals
-// under every limit and worker count.
+// plain simulation, and with its parent constraints dual simulation.
+// Their rows are refereed by simulation.RunNaive and topo.NaiveDualSim,
+// rescans that share no code with the kernel, and must repeat one run's
+// InitialPairs and Removals under every limit and worker count.
 func TestSweepEqualsProbeAcrossOraclesAndWorkers(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 2*workloads; seed++ {
@@ -67,34 +63,32 @@ func TestSweepEqualsProbeAcrossOraclesAndWorkers(t *testing.T) {
 			}
 		}
 		for pi, p := range patterns {
-			var naive *core.Result
-			if p.Colored() || p.Ranged() {
-				if naive, err = core.MatchNaive(p, w.G, oracles["matrix"]); err != nil {
-					t.Fatalf("seed %d pattern %d: MatchNaive: %v", seed, pi, err)
-				}
-			}
-			for kind, o := range oracles {
-				var want core.Stats
-				ref, err := core.MatchContext(ctx, p, w.G, o, &want)
-				if err != nil {
-					t.Fatalf("seed %d pattern %d %s: probing run: %v", seed, pi, kind, err)
-				}
-				if naive != nil {
-					ref = naive
-				}
-				checkAcrossLimits(t, seed, pi, kind, ref.Relation(), ref.OK(), want, func(workers int, st *core.Stats) (*core.Result, error) {
-					return core.MatchOpts(ctx, p, w.G, o, st, core.MatchOptions{Frozen: f, Workers: workers})
-				})
-			}
 			var want core.Stats
 			ref, err := core.MatchContext(ctx, p, w.G, oracles["matrix"], &want)
 			if err != nil {
 				t.Fatalf("seed %d pattern %d: probing run: %v", seed, pi, err)
 			}
-			if naive != nil {
-				ref = naive
+			if p.Colored() || p.Ranged() {
+				if ref, err = core.MatchNaive(p, w.G, oracles["matrix"]); err != nil {
+					t.Fatalf("seed %d pattern %d: MatchNaive: %v", seed, pi, err)
+				}
 			}
-			checkAcrossLimits(t, seed, pi, "none", ref.Relation(), ref.OK(), want, func(workers int, st *core.Stats) (*core.Result, error) {
+			for kind, o := range oracles {
+				var got core.Stats
+				res, err := core.MatchContext(ctx, p, w.G, o, &got)
+				if err != nil {
+					t.Fatalf("seed %d pattern %d %s: probing run: %v", seed, pi, kind, err)
+				}
+				if res.OK() != ref.OK() || !RelationsEqual(res.Relation(), ref.Relation()) {
+					t.Errorf("seed %d pattern %d %s: Fig. 4 run diverges from the reference: %s",
+						seed, pi, kind, DiffRelations(res.Relation(), ref.Relation()))
+				}
+				if got.InitialPairs != want.InitialPairs || got.Removals != want.Removals {
+					t.Errorf("seed %d pattern %d %s: Fig. 4 pairs/removals %d/%d, matrix %d/%d",
+						seed, pi, kind, got.InitialPairs, got.Removals, want.InitialPairs, want.Removals)
+				}
+			}
+			checkAcrossLimits(t, seed, pi, "snapshot", ref.Relation(), ref.OK(), want, func(workers int, st *core.Stats) (*core.Result, error) {
 				return core.MatchOpts(ctx, p, w.G, nil, st, core.MatchOptions{Frozen: f, Workers: workers})
 			})
 		}
@@ -164,12 +158,11 @@ func checkAcrossLimits(t *testing.T, seed int64, pi int, row string, want [][]in
 }
 
 // TestLabelledEdgesProbeNoOracle: no oracle answers a coloured or ranged
-// edge, so Engine.Match on a pattern made only of coloured bounded,
-// coloured "*" or ranged edges issues no probe under any oracle kind,
-// and returns core.MatchNaive's relation.
+// edge, so a match query on a pattern made only of coloured bounded,
+// coloured "*" or ranged edges issues no probe and returns
+// core.MatchNaive's relation.
 func TestLabelledEdgesProbeNoOracle(t *testing.T) {
 	ctx := context.Background()
-	kinds := []gpm.OracleKind{gpm.OracleMatrix, gpm.OracleBFS, gpm.OracleTwoHop, gpm.OraclePLL, gpm.OracleAuto}
 	colour := func(e gpm.PatternEdge) gpm.PatternEdge {
 		if e.Color == "" {
 			e.Color = "c0"
@@ -183,6 +176,7 @@ func TestLabelledEdgesProbeNoOracle(t *testing.T) {
 	}
 	for seed := int64(1); seed <= workloads/2; seed++ {
 		w := NewWorkload(seed, Config{Colors: 2, StarProb: 0.2})
+		eng := gpm.NewEngine(w.G)
 		for _, p := range w.Patterns {
 			for name, rewrite := range rewrites {
 				q := rewriteEdges(p, rewrite)
@@ -190,17 +184,15 @@ func TestLabelledEdgesProbeNoOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, kind := range kinds {
-					got, err := gpm.NewEngine(w.G, gpm.WithOracle(kind)).Match(ctx, q)
-					if err != nil {
-						t.Fatalf("seed %d %s %v: %v", seed, name, kind, err)
-					}
-					if got.Stats.OracleQueries != 0 {
-						t.Errorf("seed %d %s %v: %d oracle probes, want 0", seed, name, kind, got.Stats.OracleQueries)
-					}
-					if got.OK() != want.OK() || !RelationsEqual(got.Relation(), want.Relation()) {
-						t.Errorf("seed %d %s %v: %s", seed, name, kind, DiffRelations(got.Relation(), want.Relation()))
-					}
+				got, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: q})
+				if err != nil {
+					t.Fatalf("seed %d %s: %v", seed, name, err)
+				}
+				if got.Stats.OracleQueries != 0 {
+					t.Errorf("seed %d %s: %d oracle probes, want 0", seed, name, got.Stats.OracleQueries)
+				}
+				if got.OK != want.OK() || !RelationsEqual(got.Relation, want.Relation()) {
+					t.Errorf("seed %d %s: %s", seed, name, DiffRelations(got.Relation, want.Relation()))
 				}
 			}
 		}
@@ -209,25 +201,23 @@ func TestLabelledEdgesProbeNoOracle(t *testing.T) {
 
 // TestSweepModeProbesOnlyAtInit: in sweep mode no probe happens at all,
 // at counter init or after. With no witness matrix kept
-// (SweepLimitsForTest(0)), Engine.Match on plain
-// patterns (bounds 1..3 and "*"), Simulate and DualSimulate issue no
-// probe under any oracle kind — a removal walks arcs at k = 1 and sweeps
-// back from the removed node otherwise — and return the relations of
-// core.MatchNaive, simulation.RunNaive and topo.NaiveDualSim. Sim and
-// dual run on a coloured workload, and the dual result graph, whose
-// witnesses the engine reads off the adjacency, equals the one the
-// matrix oracle and walkLengths build.
+// (SweepLimitsForTest(0)), match queries on plain patterns (bounds 1..3
+// and "*"), sim and dual issue no probe — a removal walks arcs at k = 1
+// and sweeps back from the removed node otherwise — and return the
+// relations of core.MatchNaive, simulation.RunNaive and
+// topo.NaiveDualSim. Sim and dual run on a coloured workload, and the
+// dual result graph, whose witnesses the engine reads off the adjacency,
+// equals the one the matrix oracle and walkLengths build.
 func TestSweepModeProbesOnlyAtInit(t *testing.T) {
 	defer core.SweepLimitsForTest(0)()
 	ctx := context.Background()
-	kinds := []gpm.OracleKind{gpm.OracleMatrix, gpm.OracleBFS, gpm.OracleTwoHop, gpm.OraclePLL, gpm.OracleAuto}
-	check := func(seed int64, pi int, name string, kind gpm.OracleKind, probes int64, got, want [][]int32, gotOK, wantOK bool) {
+	check := func(seed int64, pi int, name string, res *gpm.RelationResult, want [][]int32, wantOK bool) {
 		t.Helper()
-		if probes != 0 {
-			t.Errorf("seed %d pattern %d %s %v: %d oracle probes, want 0", seed, pi, name, kind, probes)
+		if res.Stats.OracleQueries != 0 {
+			t.Errorf("seed %d pattern %d %s: %d oracle probes, want 0", seed, pi, name, res.Stats.OracleQueries)
 		}
-		if gotOK != wantOK || !RelationsEqual(got, want) {
-			t.Errorf("seed %d pattern %d %s %v: %s", seed, pi, name, kind, DiffRelations(got, want))
+		if res.OK != wantOK || !RelationsEqual(res.Relation, want) {
+			t.Errorf("seed %d pattern %d %s: %s", seed, pi, name, DiffRelations(res.Relation, want))
 		}
 	}
 	var removals int64
@@ -235,6 +225,7 @@ func TestSweepModeProbesOnlyAtInit(t *testing.T) {
 		w := NewWorkload(seed, Config{StarProb: 0.2})
 		k1 := NewWorkload(seed, Config{K: 1, Colors: 2, Attrs: 3, IsoBias: true})
 		f := k1.G.Freeze()
+		eng, k1Eng := gpm.NewEngine(w.G), gpm.NewEngine(k1.G)
 		for pi := range w.Patterns {
 			p, q := w.Patterns[pi], k1.Patterns[pi]
 			want, err := core.MatchNaive(p, w.G, core.BuildMatrixOracle(w.G))
@@ -246,28 +237,26 @@ func TestSweepModeProbesOnlyAtInit(t *testing.T) {
 				t.Fatal(err)
 			}
 			dualRel, dualOK := topo.NaiveDualSim(q, f, nil)
-			for _, kind := range kinds {
-				m, err := gpm.NewEngine(w.G, gpm.WithOracle(kind)).Match(ctx, p)
-				if err != nil {
-					t.Fatalf("seed %d pattern %d match %v: %v", seed, pi, kind, err)
-				}
-				check(seed, pi, "match", kind, m.Stats.OracleQueries, m.Relation(), want.Relation(), m.OK(), want.OK())
-				eng := gpm.NewEngine(k1.G, gpm.WithOracle(kind))
-				s, err := eng.Simulate(ctx, q)
-				if err != nil {
-					t.Fatalf("seed %d pattern %d sim %v: %v", seed, pi, kind, err)
-				}
-				check(seed, pi, "sim", kind, s.Stats.OracleQueries, s.Relation, simRel, s.OK, simOK)
-				d, err := eng.DualSimulate(ctx, q)
-				if err != nil {
-					t.Fatalf("seed %d pattern %d dual %v: %v", seed, pi, kind, err)
-				}
-				check(seed, pi, "dual", kind, d.Stats.OracleQueries, d.Relation(), dualRel, d.OK(), dualOK)
-				if got, want := eng.ResultGraphOf(d.Result), core.BuildResultGraph(d.Result, core.BuildMatrixOracle(k1.G)); !reflect.DeepEqual(got, want) {
-					t.Errorf("seed %d pattern %d dual %v: result graph differs from the matrix-probed one", seed, pi, kind)
-				}
-				removals += m.Stats.Removals + s.Stats.Removals + d.Stats.Removals
+			m, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
+			if err != nil {
+				t.Fatalf("seed %d pattern %d match: %v", seed, pi, err)
 			}
+			check(seed, pi, "match", m, want.Relation(), want.OK())
+			s, err := k1Eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelSim, Pattern: q})
+			if err != nil {
+				t.Fatalf("seed %d pattern %d sim: %v", seed, pi, err)
+			}
+			check(seed, pi, "sim", s, simRel, simOK)
+			d, err := k1Eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelDual, Pattern: q})
+			if err != nil {
+				t.Fatalf("seed %d pattern %d dual: %v", seed, pi, err)
+			}
+			check(seed, pi, "dual", d, dualRel, dualOK)
+			wantRG := core.BuildResultGraph(core.NewResult(q, k1.G, dualRel, dualOK), core.BuildMatrixOracle(k1.G))
+			if got := k1Eng.ResultGraph(q, d); !reflect.DeepEqual(got, wantRG) {
+				t.Errorf("seed %d pattern %d dual: result graph differs from the matrix-probed one", seed, pi)
+			}
+			removals += m.Stats.Removals + s.Stats.Removals + d.Stats.Removals
 		}
 	}
 	if removals == 0 {

@@ -80,15 +80,15 @@ func TestIncrementalUpdateStream(t *testing.T) {
 					strongRel := s.strong.Relation()
 
 					// Incremental ≡ recompute, per semantics.
-					simRe, err := s.eng.Simulate(ctx, p)
+					simRe, err := s.eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelSim, Pattern: p})
 					if err != nil {
 						t.Fatal(err)
 					}
-					dualRe, err := s.eng.DualSimulate(ctx, p)
+					dualRe, err := s.eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelDual, Pattern: p})
 					if err != nil {
 						t.Fatal(err)
 					}
-					strongRe, err := s.eng.StrongSimulate(ctx, p)
+					strongRe, err := s.eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelStrong, Pattern: p})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -96,13 +96,13 @@ func TestIncrementalUpdateStream(t *testing.T) {
 						t.Errorf("seed %d pattern %d batch %d workers %d: sim watcher ≠ recompute: %s",
 							seed, pi, batch, streamWorkers[i], DiffRelations(simRel, simRe.Relation))
 					}
-					if !RelationsEqual(dualRel, dualRe.Relation()) {
+					if !RelationsEqual(dualRel, dualRe.Relation) {
 						t.Errorf("seed %d pattern %d batch %d workers %d: dual watcher ≠ recompute: %s",
-							seed, pi, batch, streamWorkers[i], DiffRelations(dualRel, dualRe.Relation()))
+							seed, pi, batch, streamWorkers[i], DiffRelations(dualRel, dualRe.Relation))
 					}
-					if !RelationsEqual(strongRel, strongRe.Relation()) {
+					if !RelationsEqual(strongRel, strongRe.Relation) {
 						t.Errorf("seed %d pattern %d batch %d workers %d: strong watcher ≠ recompute: %s",
-							seed, pi, batch, streamWorkers[i], DiffRelations(strongRel, strongRe.Relation()))
+							seed, pi, batch, streamWorkers[i], DiffRelations(strongRel, strongRe.Relation))
 					}
 
 					// Checksum-pinned across worker counts.

@@ -325,18 +325,6 @@ func TestSCC(t *testing.T) {
 	if sizes[3] != 1 || sizes[2] != 1 || sizes[1] != 1 {
 		t.Errorf("component sizes: %v", sizes)
 	}
-	if IsDAG(g) {
-		t.Error("IsDAG on cyclic graph")
-	}
-	dag := buildChain(4)
-	if !IsDAG(dag) {
-		t.Error("IsDAG on chain = false")
-	}
-	loop := New(1)
-	loop.AddEdge(0, 0)
-	if IsDAG(loop) {
-		t.Error("self loop should not be a DAG")
-	}
 }
 
 // Property: after random interleaved insertions and deletions the graph

@@ -74,19 +74,3 @@ func StronglyConnectedComponents(g *Graph) [][]int32 {
 	}
 	return comps
 }
-
-// IsDAG reports whether g has no directed cycle (self-loops count as
-// cycles).
-func IsDAG(g *Graph) bool {
-	for v := 0; v < g.N(); v++ {
-		if g.HasEdge(v, v) {
-			return false
-		}
-	}
-	for _, c := range StronglyConnectedComponents(g) {
-		if len(c) > 1 {
-			return false
-		}
-	}
-	return true
-}

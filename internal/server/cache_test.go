@@ -265,7 +265,7 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 	if _, err := ref.Update(ups...); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ref.Simulate(ctx, p)
+	res, err := ref.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelSim, Pattern: p})
 	if err != nil {
 		t.Fatal(err)
 	}

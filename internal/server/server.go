@@ -222,20 +222,11 @@ func (s *Server) recoverBinding(b *binding, rec *wal.GraphState) error {
 		if err != nil {
 			return fmt.Errorf("server: recovering watch %d on %q: bad pattern: %v", ws.ID, b.name, err)
 		}
-		var watcher *gpm.Watcher
-		var werr error
-		switch ws.Semantics {
-		case "match":
-			watcher, werr = b.eng.Watch(p)
-		case "sim":
-			watcher, werr = b.eng.WatchSim(p)
-		case "dual":
-			watcher, werr = b.eng.WatchDual(p)
-		case "strong":
-			watcher, werr = b.eng.WatchStrong(p)
-		default:
-			werr = fmt.Errorf("unknown semantics %q", ws.Semantics)
+		open, ok := watchOpeners[ws.Semantics]
+		if !ok {
+			return fmt.Errorf("server: recovering watch %d on %q: unknown semantics %q", ws.ID, b.name, ws.Semantics)
 		}
+		watcher, werr := open(b.eng, p)
 		if werr != nil {
 			return fmt.Errorf("server: recovering watch %d on %q: %v", ws.ID, b.name, werr)
 		}
@@ -559,7 +550,7 @@ func (s *Server) relationQuery(r *http.Request, semantics string, req client.Que
 		key.Generation = res.Generation
 		s.cache.PutSpelled(key, spelling, p, res.Relation, res.OK)
 	}
-	rel := relationOf(b.name, semantics, res.OK, countPairs(res.Relation), res.Relation, res.Stats)
+	rel := relationOf(b.name, semantics, res)
 	rel.Stats.Cache = marker
 	s.stats.record(semantics, rel.Stats)
 	return rel, nil, nil
@@ -582,7 +573,7 @@ func (s *Server) cacheHit(graph, semantics string, key qcache.Key, sp pattern.Ca
 		s.stats.record(semantics, client.Stats{Oracle: gpm.OracleNone.String(), Cache: "hit"})
 		return nil, wire, true
 	}
-	rel := relationOf(graph, semantics, resOK, countPairs(cached), cached, gpm.MatchStats{Oracle: gpm.OracleNone})
+	rel := relationOf(graph, semantics, &gpm.RelationResult{Relation: cached, OK: resOK, Stats: gpm.MatchStats{Oracle: gpm.OracleNone}})
 	rel.Stats.Cache = "hit"
 	s.stats.record(semantics, rel.Stats)
 	body, err := json.Marshal(rel)
@@ -597,23 +588,27 @@ func (s *Server) cacheHit(graph, semantics string, key qcache.Key, sp pattern.Ca
 	return nil, body, true
 }
 
-func countPairs(rel [][]int32) int {
-	pairs := 0
-	for _, row := range rel {
-		pairs += len(row)
-	}
-	return pairs
-}
-
-func relationOf(graph, semantics string, ok bool, pairs int, matches [][]int32, st gpm.MatchStats) *client.Relation {
+func relationOf(graph, semantics string, res *gpm.RelationResult) *client.Relation {
 	return &client.Relation{
 		Graph:     graph,
 		Semantics: semantics,
-		OK:        ok,
-		Pairs:     pairs,
-		Matches:   matches,
-		Stats:     wireStats(st),
+		OK:        res.OK,
+		Pairs:     res.Pairs(),
+		Matches:   res.Relation,
+		Stats:     wireStats(res.Stats),
 	}
+}
+
+// isoAlgo maps the algo name of an /enumerate or /count request onto
+// IsoOptions.Algo.
+func isoAlgo(name string) (gpm.EnumAlgo, error) {
+	switch name {
+	case "", "vf2":
+		return gpm.AlgoVF2, nil
+	case "ullmann":
+		return gpm.AlgoUllmann, nil
+	}
+	return 0, badRequest("unknown algo %q (want vf2 or ullmann)", name)
 }
 
 func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
@@ -634,15 +629,12 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	opts := gpm.IsoOptions{MaxEmbeddings: req.MaxEmbeddings, MaxSteps: req.MaxSteps, NoPlan: req.NoPlan}
-	switch req.Algo {
-	case "", "vf2":
-	case "ullmann":
-		opts.Algo = gpm.AlgoUllmann
-	default:
-		s.writeError(w, badRequest("unknown algo %q (want vf2 or ullmann)", req.Algo))
+	algo, err := isoAlgo(req.Algo)
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
+	opts := gpm.IsoOptions{Algo: algo, MaxEmbeddings: req.MaxEmbeddings, MaxSteps: req.MaxSteps, NoPlan: req.NoPlan}
 	ctx, stop, err := s.requestCtx(r, req.TimeoutMS)
 	if err != nil {
 		s.writeError(w, err)
@@ -693,15 +685,12 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	opts := gpm.IsoOptions{MaxSteps: req.MaxSteps, NoPlan: req.NoPlan}
-	switch req.Algo {
-	case "", "vf2":
-	case "ullmann":
-		opts.Algo = gpm.AlgoUllmann
-	default:
-		s.writeError(w, badRequest("unknown algo %q (want vf2 or ullmann)", req.Algo))
+	algo, err := isoAlgo(req.Algo)
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
+	opts := gpm.IsoOptions{Algo: algo, MaxSteps: req.MaxSteps, NoPlan: req.NoPlan}
 	ctx, stop, err := s.requestCtx(r, req.TimeoutMS)
 	if err != nil {
 		s.writeError(w, err)
@@ -772,7 +761,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := client.BatchResponse{Graph: b.name, Results: make([]client.Relation, len(results))}
 	for i, res := range results {
-		resp.Results[i] = *relationOf(b.name, "match", res.OK(), res.Pairs(), res.Relation(), res.Stats)
+		resp.Results[i] = *relationOf(b.name, "match", res)
 		s.stats.record("batch", resp.Results[i].Stats)
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -787,6 +776,15 @@ func (s *Server) checkAccepting() error {
 		return &httpError{code: http.StatusServiceUnavailable, err: fmt.Errorf("server shutting down")}
 	}
 	return nil
+}
+
+// watchOpeners opens a watcher by the semantics name that /watch requests
+// and the WAL's session records carry.
+var watchOpeners = map[string]func(*gpm.Engine, *gpm.Pattern) (*gpm.Watcher, error){
+	"match":  (*gpm.Engine).Watch,
+	"sim":    (*gpm.Engine).WatchSim,
+	"dual":   (*gpm.Engine).WatchDual,
+	"strong": (*gpm.Engine).WatchStrong,
 }
 
 func (s *Server) handleWatchOpen(w http.ResponseWriter, r *http.Request) {
@@ -809,21 +807,12 @@ func (s *Server) handleWatchOpen(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	var watcher *gpm.Watcher
-	var werr error
-	switch req.Semantics {
-	case "match":
-		watcher, werr = b.eng.Watch(p)
-	case "sim":
-		watcher, werr = b.eng.WatchSim(p)
-	case "dual":
-		watcher, werr = b.eng.WatchDual(p)
-	case "strong":
-		watcher, werr = b.eng.WatchStrong(p)
-	default:
+	open, ok := watchOpeners[req.Semantics]
+	if !ok {
 		s.writeError(w, badRequest("unknown watch semantics %q (want match, sim, dual or strong)", req.Semantics))
 		return
 	}
+	watcher, werr := open(b.eng, p)
 	if werr != nil {
 		s.writeError(w, engineError(werr))
 		return

@@ -124,13 +124,13 @@ func TestByteIdenticalToEngine(t *testing.T) {
 				var want client.Relation
 				switch sem {
 				case "match":
-					res, err := ref.Match(ctx, p)
+					res, err := ref.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 					if err != nil {
 						t.Fatal(err)
 					}
-					want = client.Relation{Graph: "g", Semantics: sem, OK: res.OK(), Pairs: res.Pairs(), Matches: res.Relation()}
+					want = client.Relation{Graph: "g", Semantics: sem, OK: res.OK, Pairs: res.Pairs(), Matches: res.Relation}
 				case "sim":
-					res, err := ref.Simulate(ctx, p)
+					res, err := ref.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelSim, Pattern: p})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -140,17 +140,17 @@ func TestByteIdenticalToEngine(t *testing.T) {
 					}
 					want = client.Relation{Graph: "g", Semantics: sem, OK: res.OK, Pairs: pairs, Matches: res.Relation}
 				case "dual":
-					res, err := ref.DualSimulate(ctx, p)
+					res, err := ref.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelDual, Pattern: p})
 					if err != nil {
 						t.Fatal(err)
 					}
-					want = client.Relation{Graph: "g", Semantics: sem, OK: res.OK(), Pairs: res.Pairs(), Matches: res.Relation()}
+					want = client.Relation{Graph: "g", Semantics: sem, OK: res.OK, Pairs: res.Pairs(), Matches: res.Relation}
 				case "strong":
-					res, err := ref.StrongSimulate(ctx, p)
+					res, err := ref.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelStrong, Pattern: p})
 					if err != nil {
 						t.Fatal(err)
 					}
-					want = client.Relation{Graph: "g", Semantics: sem, OK: res.OK(), Pairs: res.Pairs(), Matches: res.Relation()}
+					want = client.Relation{Graph: "g", Semantics: sem, OK: res.OK, Pairs: res.Pairs(), Matches: res.Relation}
 				}
 				want.Stats = got.Stats // wall-clock readings are the one nondeterministic block
 				if want.Stats.Oracle == "" {
@@ -229,9 +229,9 @@ func TestEnumerateAndBatchMatchEngine(t *testing.T) {
 		t.Fatalf("batch size %d, want %d", len(results), len(wantBatch))
 	}
 	for i, res := range results {
-		if res.OK != wantBatch[i].OK() || res.Pairs != wantBatch[i].Pairs() {
+		if res.OK != wantBatch[i].OK || res.Pairs != wantBatch[i].Pairs() {
 			t.Errorf("batch[%d]: ok=%v pairs=%d, want ok=%v pairs=%d",
-				i, res.OK, res.Pairs, wantBatch[i].OK(), wantBatch[i].Pairs())
+				i, res.OK, res.Pairs, wantBatch[i].OK, wantBatch[i].Pairs())
 		}
 	}
 }
@@ -724,14 +724,14 @@ func TestPLLOracleBinding(t *testing.T) {
 	if got.Stats.Oracle != "none" || got.Stats.OracleBuildNS != 0 || got.Stats.OracleQueries != 0 {
 		t.Errorf("match stats = %+v, want no oracle, no build and no probe", got.Stats)
 	}
-	want, err := ref.Match(ctx, p)
+	want, err := ref.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.OK != want.OK() || len(got.Matches) != len(want.Relation()) {
+	if got.OK != want.OK || len(got.Matches) != len(want.Relation) {
 		t.Fatalf("pll relation shape differs from the reference")
 	}
-	for u, row := range want.Relation() {
+	for u, row := range want.Relation {
 		if len(got.Matches[u]) != len(row) {
 			t.Fatalf("node %d: pll relation differs from the reference", u)
 		}
@@ -834,13 +834,13 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Match(ctx, p)
+	want, err := ref.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel.OK != want.OK() || rel.Pairs != want.Pairs() {
+	if rel.OK != want.OK || rel.Pairs != want.Pairs() {
 		t.Errorf("after concurrent churn: ok=%v pairs=%d, want ok=%v pairs=%d",
-			rel.OK, rel.Pairs, want.OK(), want.Pairs())
+			rel.OK, rel.Pairs, want.OK, want.Pairs())
 	}
 }
 

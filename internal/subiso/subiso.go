@@ -231,12 +231,6 @@ func UllmannContext(ctx context.Context, p *pattern.Pattern, g *graph.Graph, opt
 	return enumerate(ctx, p, liveData{g}, opts, true)
 }
 
-// Enumerate dispatches on opts.Algo — the entry point for callers that
-// treat the algorithm as a query option rather than an API choice.
-func Enumerate(ctx context.Context, p *pattern.Pattern, g *graph.Graph, opts Options) (*Enumeration, error) {
-	return enumerate(ctx, p, liveData{g}, opts, opts.Algo == AlgoUllmann)
-}
-
 // EnumerateFrozen runs the search over an immutable CSR snapshot — the
 // engine path, where the search must not touch the mutable graph so that
 // updates can proceed concurrently.

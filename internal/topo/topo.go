@@ -86,18 +86,27 @@ func colorOK(f *graph.Frozen, u, v int, want string) bool {
 
 // collect turns per-pattern-node membership bitmaps into the sorted
 // relation form every matcher in this module returns, reporting whether
-// every pattern node kept at least one match.
+// every pattern node kept at least one match. Each row is allocated at
+// its exact size: callers keep the rows, some in a result cache.
 func collect(sim [][]bool) (rel [][]int32, ok bool) {
 	rel = make([][]int32, len(sim))
 	ok = true
 	for u := range sim {
+		n := 0
+		for _, in := range sim[u] {
+			if in {
+				n++
+			}
+		}
+		if n == 0 {
+			ok = false
+			continue
+		}
+		rel[u] = make([]int32, 0, n)
 		for x, in := range sim[u] {
 			if in {
 				rel[u] = append(rel[u], int32(x))
 			}
-		}
-		if len(rel[u]) == 0 {
-			ok = false
 		}
 	}
 	return rel, ok
