@@ -20,8 +20,8 @@
 // For those semantics -plan prints the chosen plan, -count prints the
 // embedding count (computed without materialising embeddings) instead of
 // listing them, and -noplan opts out of the planner. -result additionally
-// prints the result graph (bounded, dual and strong simulation). -time
-// reports the matching time. -workers sets the matching parallelism
+// prints the result graph (match, dual and strong only). -time reports
+// the matching time. -workers sets the matching parallelism
 // (0 = GOMAXPROCS); every worker count returns identical output.
 //
 // -updates watches the relation instead (the paper's IncMatch for match,
@@ -29,7 +29,8 @@
 // applied in chunks of -chunk, each chunk's line reports the incremental
 // time and the relation delta, and -verify cross-checks the maintained
 // relation against a from-scratch recompute of the same semantics after
-// every chunk.
+// every chunk. -result and -time do not apply to a watch; like every
+// flag outside its semantics, they are rejected rather than ignored.
 package main
 
 import (
@@ -58,7 +59,7 @@ func main() {
 	flag.StringVar(&o.graphPath, "graph", "", "data graph file (required)")
 	flag.StringVar(&o.patternPath, "pattern", "", "pattern file (required)")
 	flag.StringVar(&o.semantics, "semantics", "match", "match | sim | dual | strong | iso | vf2 | ullmann")
-	flag.BoolVar(&o.showResult, "result", false, "print the result graph (bounded/dual/strong simulation)")
+	flag.BoolVar(&o.showResult, "result", false, "print the result graph (match/dual/strong)")
 	flag.IntVar(&o.limit, "limit", 100, "embedding cap for iso/vf2/ullmann")
 	flag.BoolVar(&o.showTime, "time", false, "print the match time")
 	flag.IntVar(&o.workers, "workers", 0, "matching parallelism (0 = GOMAXPROCS)")
@@ -89,6 +90,12 @@ func run(w io.Writer, o options) error {
 	}
 	if o.verify && o.updatesPath == "" {
 		return fmt.Errorf("-verify applies to -updates")
+	}
+	if o.updatesPath != "" && (o.showResult || o.showTime) {
+		return fmt.Errorf("-result and -time do not apply to -updates")
+	}
+	if o.showResult && (isEnum || o.semantics == "sim") {
+		return fmt.Errorf("-result applies to -semantics match|dual|strong, not %q", o.semantics)
 	}
 	g, err := gpm.LoadGraphFile(o.graphPath)
 	if err != nil {
@@ -136,7 +143,7 @@ func run(w io.Writer, o options) error {
 	if o.showTime {
 		printTime(w, res.Stats)
 	}
-	if o.showResult && sem != gpm.RelSim {
+	if o.showResult {
 		fmt.Fprint(w, eng.ResultGraph(p, res).String())
 	}
 	return nil

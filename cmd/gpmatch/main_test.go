@@ -158,3 +158,24 @@ func TestEnumFlagsRejectedElsewhere(t *testing.T) {
 		}
 	}
 }
+
+// -result prints a result graph, which sim and the enumeration semantics
+// do not build, and a watch prints neither a result graph nor a match
+// time: each such flag is rejected rather than silently ignored.
+func TestIgnoredFlagsRejected(t *testing.T) {
+	withResult := func(o options) options { o.showResult = true; return o }
+	withTime := func(o options) options { o.showTime = true; return o }
+	for name, o := range map[string]options{
+		"-result with sim":      withResult(tiny("sim")),
+		"-result with iso":      withResult(tiny("iso")),
+		"-result with vf2":      withResult(tiny("vf2")),
+		"-result with ullmann":  withResult(tiny("ullmann")),
+		"-result with -updates": withResult(watching("dual", 3, false)),
+		"-time with -updates":   withTime(watching("match", 3, false)),
+	} {
+		var buf bytes.Buffer
+		if err := run(&buf, o); err == nil {
+			t.Errorf("run accepted %s", name)
+		}
+	}
+}

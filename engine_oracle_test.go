@@ -74,13 +74,15 @@ func TestEngineOraclePLLTooLarge(t *testing.T) {
 
 // TestEngineAutoBuildsNoLabelling: an engine owns no distance oracle
 // under any WithOracle kind, at any graph size. At 1000, 3000 and 4200
-// nodes, for auto, matrix, BFS, 2-hop and PLL, no index build fires on
-// any engine path — match on k > 1, "*", coloured and ranged patterns,
-// MatchBatch, sim, dual, strong, ResultGraph and Update — no build
-// time is charged and no probe is issued, and every relation equals
-// core.MatchNaive's, simulation.RunNaive's or topo.NaiveDualSim's; the
-// strong relations equal a default engine's computed before the hook
-// went in, and the result graph the matrix-probed one.
+// nodes, on a default engine, no index build fires on any engine path —
+// match on k > 1, "*", coloured and ranged patterns, MatchBatch, sim,
+// dual, strong, ResultGraph and Update — no build time is charged and
+// no probe is issued, and every relation equals core.MatchNaive's,
+// simulation.RunNaive's or topo.NaiveDualSim's; the strong relations
+// equal another default engine's computed before the hook went in, and
+// the result graph the matrix-probed one. WithOracle is a no-op, so
+// each of matrix, BFS, 2-hop and PLL is checked only to resolve to none
+// and answer one match query the same way, without a build.
 // Not parallel: it installs the global build hook.
 func TestEngineAutoBuildsNoLabelling(t *testing.T) {
 	ctx := context.Background()
@@ -138,76 +140,81 @@ func TestEngineAutoBuildsNoLabelling(t *testing.T) {
 			}
 			wantTopo = append(wantTopo, [3][][]int32{sim, dual, strong.Relation})
 		}
-		var wantRG *gpm.ResultGraph
-
 		var builds atomic.Int64
 		gpm.SetTestHookOracleBuild(func(gpm.OracleKind) { builds.Add(1) })
-		for _, kind := range []gpm.OracleKind{gpm.OracleAuto, gpm.OracleMatrix, gpm.OracleBFS, gpm.OracleTwoHop, gpm.OraclePLL} {
+		eng := gpm.NewEngine(w.G.Clone(), gpm.WithWorkers(2))
+		if k := eng.OracleKind(); k != gpm.OracleNone {
+			t.Fatalf("default engine on %d nodes resolved %v, want none", n, k)
+		}
+		check := func(what string, st gpm.MatchStats, got, want [][]int32) {
+			t.Helper()
+			if st.Oracle != gpm.OracleNone || st.OracleBuild != 0 || st.OracleQueries != 0 {
+				t.Errorf("%d nodes %s: stats %+v, want no oracle, no build and no probe", n, what, st)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%d nodes %s: %s", n, what, difftest.DiffRelations(got, want))
+			}
+		}
+		var nonEmpty *gpm.RelationResult
+		var nonEmptyAt int
+		for i, p := range patterns {
+			res, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
+			if err != nil {
+				t.Fatalf("%d nodes pattern %d: %v", n, i, err)
+			}
+			check(fmt.Sprintf("pattern %d", i), res.Stats, res.Relation, want[i].Relation())
+			if res.OK && !p.AllBoundsOne() && (nonEmpty == nil || res.Pairs() < nonEmpty.Pairs()) {
+				nonEmpty, nonEmptyAt = res, i
+			}
+		}
+		batch, err := eng.MatchBatch(ctx, patterns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range batch {
+			check(fmt.Sprintf("batch %d", i), res.Stats, res.Relation, want[i].Relation())
+		}
+		for i, p := range edgeToEdge {
+			sim, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelSim, Pattern: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("sim %d", i), sim.Stats, sim.Relation, wantTopo[i][0])
+			dual, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelDual, Pattern: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("dual %d", i), dual.Stats, dual.Relation, wantTopo[i][1])
+			strong, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelStrong, Pattern: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("strong %d", i), strong.Stats, strong.Relation, wantTopo[i][2])
+		}
+		if nonEmpty == nil {
+			t.Fatalf("%d nodes: no bounded pattern matched; the result graph check needs a match", n)
+		}
+		wantRG := core.BuildResultGraph(want[nonEmptyAt], core.BuildMatrixOracle(w.G))
+		if got := eng.ResultGraph(patterns[nonEmptyAt], nonEmpty); !reflect.DeepEqual(got, wantRG) {
+			t.Errorf("%d nodes: result graph differs from the matrix-probed one", n)
+		}
+		e := w.G.EdgeList()[0]
+		if _, err := eng.Update(gpm.DeleteEdge(int(e[0]), int(e[1])), gpm.InsertEdge(int(e[1]), int(e[0]))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: patterns[0]}); err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []gpm.OracleKind{gpm.OracleMatrix, gpm.OracleBFS, gpm.OracleTwoHop, gpm.OraclePLL} {
 			eng := gpm.NewEngine(w.G.Clone(), gpm.WithOracle(kind), gpm.WithWorkers(2))
 			if k := eng.OracleKind(); k != gpm.OracleNone {
 				t.Fatalf("%v on %d nodes resolved %v, want none", kind, n, k)
 			}
-			check := func(what string, st gpm.MatchStats, got, want [][]int32) {
-				t.Helper()
-				if st.Oracle != gpm.OracleNone || st.OracleBuild != 0 || st.OracleQueries != 0 {
-					t.Errorf("%d nodes %v %s: stats %+v, want no oracle, no build and no probe", n, kind, what, st)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%d nodes %v %s: %s", n, kind, what, difftest.DiffRelations(got, want))
-				}
-			}
-			var nonEmpty *gpm.RelationResult
-			var nonEmptyAt int
-			for i, p := range patterns {
-				res, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: p})
-				if err != nil {
-					t.Fatalf("%d nodes %v pattern %d: %v", n, kind, i, err)
-				}
-				check(fmt.Sprintf("pattern %d", i), res.Stats, res.Relation, want[i].Relation())
-				if res.OK && !p.AllBoundsOne() && (nonEmpty == nil || res.Pairs() < nonEmpty.Pairs()) {
-					nonEmpty, nonEmptyAt = res, i
-				}
-			}
-			batch, err := eng.MatchBatch(ctx, patterns)
+			res, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: patterns[0]})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%d nodes %v: %v", n, kind, err)
 			}
-			for i, res := range batch {
-				check(fmt.Sprintf("batch %d", i), res.Stats, res.Relation, want[i].Relation())
-			}
-			for i, p := range edgeToEdge {
-				sim, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelSim, Pattern: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				check(fmt.Sprintf("sim %d", i), sim.Stats, sim.Relation, wantTopo[i][0])
-				dual, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelDual, Pattern: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				check(fmt.Sprintf("dual %d", i), dual.Stats, dual.Relation, wantTopo[i][1])
-				strong, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelStrong, Pattern: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				check(fmt.Sprintf("strong %d", i), strong.Stats, strong.Relation, wantTopo[i][2])
-			}
-			if nonEmpty == nil {
-				t.Fatalf("%d nodes: no bounded pattern matched; the result graph check needs a match", n)
-			}
-			if wantRG == nil {
-				wantRG = core.BuildResultGraph(want[nonEmptyAt], core.BuildMatrixOracle(w.G))
-			}
-			if got := eng.ResultGraph(patterns[nonEmptyAt], nonEmpty); !reflect.DeepEqual(got, wantRG) {
-				t.Errorf("%d nodes %v: result graph differs from the matrix-probed one", n, kind)
-			}
-			e := w.G.EdgeList()[0]
-			if _, err := eng.Update(gpm.DeleteEdge(int(e[0]), int(e[1])), gpm.InsertEdge(int(e[1]), int(e[0]))); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := eng.RelationQuery(ctx, gpm.RelationQuery{Semantics: gpm.RelMatch, Pattern: patterns[0]}); err != nil {
-				t.Fatal(err)
-			}
+			check(fmt.Sprintf("%v pattern 0", kind), res.Stats, res.Relation, want[0].Relation())
 		}
 		gpm.SetTestHookOracleBuild(nil)
 		if b := builds.Load(); b != 0 {

@@ -188,8 +188,8 @@ type MatchOptions struct {
 // Either way the run is in sweep mode: every block sweeps, bounded, "*",
 // coloured and ranged edges alike, and no distance is ever probed. On an
 // all-bounds-one pattern that is plain graph simulation (§2.2, remark 2),
-// or dual simulation with opts.Dual. g may be nil only when opts.Frozen
-// is set and opts.Seed is not.
+// or dual simulation with opts.Dual. g may be nil whenever opts.Frozen
+// is set: sweep mode reads only the snapshot.
 func MatchOpts(ctx context.Context, p *pattern.Pattern, g *graph.Graph, o DistOracle, stats *Stats, opts MatchOptions) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -283,12 +283,13 @@ type constraint struct {
 // constrain lists the constraints: the child ones first, numbered as the
 // pattern edges, then with dual the parent ones in the same order.
 func (st *state) constrain(dual bool) {
+	edges := st.p.Edges()
 	st.into = make([][]int32, st.p.N())
+	st.cons = make([]constraint, 0, 2*len(edges))
 	add := func(c constraint) {
 		st.into[c.to] = append(st.into[c.to], int32(len(st.cons)))
 		st.cons = append(st.cons, c)
 	}
-	edges := st.p.Edges()
 	for _, e := range edges {
 		add(constraint{e: e, from: e.From, to: e.To})
 	}
@@ -369,6 +370,14 @@ func (st *state) initCandidates(probers []*prober) error {
 	return nil
 }
 
+// view is what candidate selection reads of a data graph: the live
+// graph, or in sweep mode its snapshot.
+type view interface {
+	N() int
+	Attr(v int) graph.Attrs
+	OutDegree(v int) int
+}
+
 // candidatesOf returns cand(u), ascending: from the seed row when the
 // caller supplied one (the predicate and out-degree filters still apply —
 // they only drop nodes that cannot be in the fixpoint), through the
@@ -380,20 +389,25 @@ func (st *state) candidatesOf(u int, poll *cancel.Poller) ([]int32, error) {
 	if st.seed == nil && st.sweep {
 		return pattern.Candidates(st.f, pred, needsOut, poll)
 	}
+	var src view = st.g
+	if st.sweep {
+		src = st.f
+	}
 	var out []int32
 	admit := func(x int) error {
 		if err := poll.Err(); err != nil {
 			return err
 		}
-		if !(needsOut && st.g.OutDegree(x) == 0) && pred.Match(st.g.Attr(x)) {
+		if !(needsOut && src.OutDegree(x) == 0) && pred.Match(src.Attr(x)) {
 			out = append(out, int32(x))
 		}
 		return nil
 	}
 	if st.seed != nil {
+		out = make([]int32, 0, len(st.seed[u]))
 		last := int32(-1)
 		for _, x := range st.seed[u] {
-			if x <= last || int(x) >= st.g.N() {
+			if x <= last || int(x) >= src.N() {
 				continue // out of range, duplicate or out of order
 			}
 			last = x
@@ -403,7 +417,7 @@ func (st *state) candidatesOf(u int, poll *cancel.Poller) ([]int32, error) {
 		}
 		return out, nil
 	}
-	for x := 0; x < st.g.N(); x++ {
+	for x := 0; x < src.N(); x++ {
 		if err := admit(x); err != nil {
 			return nil, err
 		}

@@ -256,9 +256,11 @@ func TestSweepEqualsProbe(t *testing.T) {
 // and PLL oracles, at workers 1/2/4/8, it issues no probe, and its
 // relation and every work counter — InitialPairs, Removals, SweepScans —
 // equal the run with no oracle at all. Each case runs unseeded and
-// seeded with its own relation. The last case is a 400-node graph where
-// one node carries each pattern label: blocks of one candidate against
-// one target, where probing once looked cheaper than a sweep.
+// seeded with its own relation, and also without the live graph: a
+// snapshot run reads only the snapshot, so g may be nil, seeded or not.
+// The last case is a 400-node graph where one node carries each pattern
+// label: blocks of one candidate against one target, where probing once
+// looked cheaper than a sweep.
 func TestSnapshotRunIgnoresOracle(t *testing.T) {
 	ctx := context.Background()
 	type matchCase struct {
@@ -310,6 +312,13 @@ func TestSnapshotRunIgnoresOracle(t *testing.T) {
 				ref, err := MatchOpts(ctx, p, g, nil, &want, opts)
 				if err != nil {
 					t.Fatal(err)
+				}
+				snap, err := MatchOpts(ctx, p, nil, nil, nil, opts)
+				if err != nil {
+					t.Fatalf("case %d workers %d seeded %v without g: %v", ci, workers, rows != nil, err)
+				}
+				if !relEqual(snap.Relation(), ref.Relation()) || snap.OK() != ref.OK() {
+					t.Errorf("case %d workers %d seeded %v: the run without g differs", ci, workers, rows != nil)
 				}
 				for kind, o := range oracles {
 					var got Stats

@@ -74,13 +74,14 @@ func contained(rel, sup [][]int32) bool {
 	return true
 }
 
-// FuzzDualSim drives DualSim (and StrongSim, which is built on it) with
-// random small graph/pattern pairs. Any input must terminate and uphold
-// the semantics invariants: the dual relation verifies against the
-// independent IsDualSim checker, equals the naive rescan's maximum, is
-// contained in plain simulation, contains strong simulation, and is
-// idempotent (a second run over the same frozen snapshot returns the
-// identical relation).
+// FuzzDualSim drives DualSim and StrongSim, whose ball fixpoints run the
+// same kernel, with random small graph/pattern pairs. Any input must
+// terminate and uphold the semantics invariants: the dual relation
+// verifies against the independent IsDualSim checker, equals the naive
+// rescan's maximum, is contained in plain simulation, contains strong
+// simulation, and is idempotent (a second run over the same frozen
+// snapshot returns the identical relation); the strong relation equals
+// NaiveStrong's, which evaluates every node's ball with the naive rescan.
 func FuzzDualSim(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 0, 1, 0, 1, 0, 1, 1, 0})
@@ -115,12 +116,15 @@ func FuzzDualSim(f *testing.F) {
 			t.Fatalf("DualSim is not idempotent: %v vs %v", dual, again)
 		}
 
-		strong, _, err := StrongSim(ctx, p, fz, Options{})
+		strong, strongOK, err := StrongSim(ctx, p, fz, Options{})
 		if err != nil {
 			t.Fatalf("StrongSim: %v", err)
 		}
 		if !contained(strong, dual) {
 			t.Fatalf("strong ⊄ dual\nstrong: %v\ndual:   %v\npattern:\n%s", strong, dual, p)
+		}
+		if want, wantOK := NaiveStrong(p, fz); strongOK != wantOK || !reflect.DeepEqual(strong, want) {
+			t.Fatalf("StrongSim %v is not the naive all-centres reference %v\npattern:\n%s", strong, want, p)
 		}
 	})
 }

@@ -2,23 +2,13 @@ package topo
 
 import (
 	"context"
+	"slices"
 	"sync"
 
-	"gpm/internal/cancel"
 	"gpm/internal/core"
 	"gpm/internal/graph"
 	"gpm/internal/pattern"
 )
-
-// cancelPollInterval matches the matching core's amortised cancellation
-// polling rate.
-const cancelPollInterval = 4096
-
-// removal is one (pattern node, data node) pair queued for deletion.
-type removal struct {
-	u int32
-	x int32
-}
 
 // StrongSim computes strong simulation of p in f (Ma et al., §4): dual
 // simulation with locality. For every candidate center w — a data node
@@ -35,12 +25,14 @@ type removal struct {
 // patterns; the component decomposition is the natural extension, since
 // dual-simulation constraints never cross components).
 //
-// Balls are independent, so their evaluation is sharded across
-// opts.Workers goroutines, each owning its scratch (ball BFS buffers
-// from the graph.Scratch pool, grow-on-demand local bitmaps and
-// counters). The union over accepted balls is order-independent and the
-// final relation is emitted by one sorted scan, so every worker count
-// returns bit-identical relations.
+// Each ball's dual simulation is internal/core's kernel, seeded with the
+// whole-graph dual relation restricted to the ball. Balls are
+// independent, so their evaluation is sharded across opts.Workers
+// goroutines, each owning its scratch (ball BFS buffers from the
+// graph.Scratch pool, grow-on-demand local bitmaps). The union over
+// accepted balls is order-independent and the final relation is emitted
+// by one sorted scan, so every worker count returns bit-identical
+// relations.
 func StrongSim(ctx context.Context, p *pattern.Pattern, f *graph.Frozen, opts Options) (rel [][]int32, ok bool, err error) {
 	if err := checkPattern(p); err != nil {
 		return nil, false, err
@@ -213,21 +205,19 @@ func Components(p *pattern.Pattern) []Component {
 }
 
 // strongWorker owns the scratch state of one ball-evaluation goroutine.
-// All per-ball buffers are indexed by local ids (the ball's BFS order)
-// and grown on demand, then zeroed back after each ball, so a worker's
-// steady-state evaluation does not allocate.
+// The per-ball bitmaps are indexed by local ids (the ball's BFS order)
+// and grown on demand, so a worker's scratch is sized by its largest
+// ball, not by |V|.
 type strongWorker struct {
+	ctx  context.Context
 	p    *pattern.Pattern
 	f    *graph.Frozen
 	dual [][]bool
-	poll cancel.Poller
 	cur  *Component // component being evaluated by the current ball
 
 	sc      *graph.Scratch // ball members; Dist maps them to local ids, -1 outside (pooled)
+	seed    [][]int32      // per pattern node, the kernel's seed row
 	sim     [][]bool       // per pattern node, local ball ids
-	fwd     [][]int32      // per pattern edge, out-witness counters
-	back    [][]int32      // per pattern edge, in-witness counters
-	work    []removal      // local removal worklist
 	visited []bool         // match-graph BFS marks
 	mq      []int32        // match-graph BFS queue
 	res     *acceptedPairs // shared accepted-pair sink; nil in collect mode
@@ -235,34 +225,25 @@ type strongWorker struct {
 }
 
 func newStrongWorker(ctx context.Context, p *pattern.Pattern, f *graph.Frozen, dual [][]bool, res *acceptedPairs) *strongWorker {
-	np, n := p.N(), f.N()
-	w := &strongWorker{
+	return &strongWorker{
+		ctx:  ctx,
 		p:    p,
 		f:    f,
 		dual: dual,
-		poll: cancel.Every(ctx, cancelPollInterval),
-		sc:   graph.GetScratch(n),
-		sim:  make([][]bool, np),
-		fwd:  make([][]int32, p.EdgeCount()),
-		back: make([][]int32, p.EdgeCount()),
+		sc:   graph.GetScratch(f.N()),
+		seed: make([][]int32, p.N()),
+		sim:  make([][]bool, p.N()),
 		res:  res,
 	}
-	return w
 }
 
+// growBool returns *s resized to n and cleared.
 func growBool(s *[]bool, n int) []bool {
 	if cap(*s) < n {
 		*s = make([]bool, n)
 	}
 	*s = (*s)[:n]
-	return *s
-}
-
-func growI32(s *[]int32, n int) []int32 {
-	if cap(*s) < n {
-		*s = make([]int32, n)
-	}
-	*s = (*s)[:n]
+	clear(*s)
 	return *s
 }
 
@@ -271,128 +252,47 @@ func growI32(s *[]int32, n int) []int32 {
 // center, and accumulate its pairs into w.res when it covers every
 // pattern node of the component.
 func (w *strongWorker) ball(c *Component, center int) error {
-	pat := w.p
 	w.cur = c
 	r := w.f.BallInto(center, c.Radius, w.sc.Dist, &w.sc.Queue)
 	members := w.sc.Queue[:r]
 	// BallInto left Dist ≥ 0 exactly at the members; from here on it
-	// holds their local ids instead of their distances.
+	// holds their local ids instead of their distances, until the ball is
+	// done and every member goes back to -1.
 	lid := w.sc.Dist
 	for i, g := range members {
 		lid[g] = int32(i)
 	}
 	defer func() {
-		// Return every touched buffer to its zero state so the next ball
-		// starts clean without O(n) refills.
 		for _, g := range members {
 			lid[g] = -1
 		}
-		for _, u := range c.Nodes {
-			row := w.sim[u]
-			for i := range row {
-				row[i] = false
-			}
-		}
-		for _, eid := range c.Edges {
-			for i := range w.fwd[eid] {
-				w.fwd[eid][i] = 0
-			}
-			for i := range w.back[eid] {
-				w.back[eid][i] = 0
-			}
-		}
-		for i := range w.visited {
-			w.visited[i] = false
-		}
-		w.work = w.work[:0]
-		w.mq = w.mq[:0]
 	}()
 
-	// Initial candidates: the whole-graph dual relation restricted to the
-	// ball (it contains every dual simulation inside the ball, so the
-	// greatest fixpoint from here is the ball's maximum dual simulation).
+	// The ball's dual fixpoint is core's kernel seeded with the
+	// whole-graph dual relation restricted to the ball, which contains
+	// every dual simulation inside the ball, so the greatest fixpoint from
+	// there is the ball's maximum dual simulation. Every candidate lies
+	// inside the ball, so no witness outside it is ever counted. The
+	// other components' rows stay empty: no constraint crosses components.
+	for u := range w.seed {
+		w.seed[u] = w.seed[u][:0]
+	}
+	for _, u := range c.Nodes {
+		for _, x := range members {
+			if w.dual[u][x] {
+				w.seed[u] = append(w.seed[u], x)
+			}
+		}
+		slices.Sort(w.seed[u])
+	}
+	res, err := core.MatchOpts(w.ctx, w.p, nil, nil, nil, core.MatchOptions{Frozen: w.f, Seed: w.seed, Dual: true})
+	if err != nil {
+		return err
+	}
 	for _, u := range c.Nodes {
 		row := growBool(&w.sim[u], r)
-		for i, g := range members {
-			row[i] = w.dual[u][g]
-		}
-	}
-
-	// Counter seeding over ball-internal edges.
-	for _, eid := range c.Edges {
-		e := pat.EdgeAt(eid)
-		fr := growI32(&w.fwd[eid], r)
-		bk := growI32(&w.back[eid], r)
-		for i, g := range members {
-			if err := w.poll.Err(); err != nil {
-				return err
-			}
-			if w.sim[e.From][i] {
-				for _, y := range w.f.Out(int(g)) {
-					ly := lid[y]
-					if ly >= 0 && w.sim[e.To][ly] && colorOK(w.f, int(g), int(y), e.Color) {
-						fr[i]++
-					}
-				}
-				if fr[i] == 0 {
-					w.work = append(w.work, removal{int32(e.From), int32(i)})
-				}
-			}
-			if w.sim[e.To][i] {
-				for _, z := range w.f.In(int(g)) {
-					lz := lid[z]
-					if lz >= 0 && w.sim[e.From][lz] && colorOK(w.f, int(z), int(g), e.Color) {
-						bk[i]++
-					}
-				}
-				if bk[i] == 0 {
-					w.work = append(w.work, removal{int32(e.To), int32(i)})
-				}
-			}
-		}
-	}
-
-	// Local refinement cascade (same scheme as DualSim, ball-restricted).
-	for len(w.work) > 0 {
-		rm := w.work[len(w.work)-1]
-		w.work = w.work[:len(w.work)-1]
-		u, lx := int(rm.u), int(rm.x)
-		if !w.sim[u][lx] {
-			continue
-		}
-		w.sim[u][lx] = false
-		gx := int(members[lx])
-		for _, eid := range pat.In(u) {
-			e := pat.EdgeAt(int(eid))
-			for _, z := range w.f.In(gx) {
-				if err := w.poll.Err(); err != nil {
-					return err
-				}
-				lz := lid[z]
-				if lz < 0 || !w.sim[e.From][lz] || !colorOK(w.f, int(z), gx, e.Color) {
-					continue
-				}
-				w.fwd[eid][lz]--
-				if w.fwd[eid][lz] == 0 {
-					w.work = append(w.work, removal{int32(e.From), lz})
-				}
-			}
-		}
-		for _, eid := range pat.Out(u) {
-			e := pat.EdgeAt(int(eid))
-			for _, y := range w.f.Out(gx) {
-				if err := w.poll.Err(); err != nil {
-					return err
-				}
-				ly := lid[y]
-				if ly < 0 || !w.sim[e.To][ly] || !colorOK(w.f, gx, int(y), e.Color) {
-					continue
-				}
-				w.back[eid][ly]--
-				if w.back[eid][ly] == 0 {
-					w.work = append(w.work, removal{int32(e.To), ly})
-				}
-			}
+		for _, x := range res.Mat(u) {
+			row[lid[x]] = true
 		}
 	}
 
@@ -412,11 +312,7 @@ func (w *strongWorker) ball(c *Component, center int) error {
 	// Maximum perfect subgraph: the connected component of the match
 	// graph containing the center. Match-graph edges connect matched
 	// data nodes realising some pattern edge inside the ball.
-	w.visited = growBool(&w.visited, r)
-	for i := range w.visited {
-		w.visited[i] = false
-	}
-	w.visited[0] = true
+	growBool(&w.visited, r)[0] = true
 	w.mq = append(w.mq[:0], 0)
 	for head := 0; head < len(w.mq); head++ {
 		lx := int(w.mq[head])

@@ -23,6 +23,9 @@
 //     computed inside the ball, and the maximum perfect subgraph around
 //     w — the connected component of the match graph containing w, if it
 //     covers every pattern node — contributes its pairs to the result.
+//     The ball's dual fixpoint is the same core kernel, seeded with the
+//     whole-graph dual relation restricted to the ball; this package
+//     adds only the balls, the perfect-subgraph test and the union.
 //     Balls are independent, so their evaluation shards across a worker
 //     pool; the result is the union over accepted balls, which makes it
 //     bit-identical at every worker count.

@@ -2,6 +2,7 @@ package topo_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -12,138 +13,6 @@ import (
 	"gpm/internal/topo"
 	"gpm/internal/value"
 )
-
-// colorOK mirrors the package-internal color check: data edge (u, v)
-// satisfies a pattern edge's color demand.
-func colorOK(f *graph.Frozen, u, v int, want string) bool {
-	if want == "" {
-		return true
-	}
-	return f.Color(u, v) == want
-}
-
-// --- naive reference implementations -------------------------------------
-//
-// Independent textbook fixpoints, deliberately sharing no machinery with
-// the counter/worklist code under test: the naive dual (topo.NaiveDualSim)
-// rescans every pair until stable, and the naive strong enumerates every
-// node as a ball center (not just the dual prefilter's image).
-
-// naiveStrong evaluates every data node as a ball center with a fresh
-// (unseeded) in-ball naive dual fixpoint.
-func naiveStrong(p *pattern.Pattern, f *graph.Frozen) ([][]int32, bool) {
-	np, n := p.N(), f.N()
-	res := make([][]bool, np)
-	for u := range res {
-		res[u] = make([]bool, n)
-	}
-	for _, c := range topo.Components(p) {
-		for center := 0; center < n; center++ {
-			// Undirected ball by naive BFS.
-			dist := make([]int32, n)
-			for i := range dist {
-				dist[i] = -1
-			}
-			var queue []int32
-			f.BallInto(center, c.Radius, dist, &queue)
-			inBall := func(x int) bool { return dist[x] >= 0 }
-
-			// The in-ball dual fixpoint. Pattern components share no edge,
-			// so c's rows do not depend on the other components'.
-			dual, _ := topo.NaiveDualSim(p, f, inBall)
-			sim := make([][]bool, np)
-			for u, row := range dual {
-				sim[u] = make([]bool, n)
-				for _, x := range row {
-					sim[u][x] = true
-				}
-			}
-
-			matched := false
-			for _, u := range c.Nodes {
-				if sim[u][center] {
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				continue
-			}
-			// Connected component of the match graph containing center.
-			visited := make([]bool, n)
-			visited[center] = true
-			comp := []int{center}
-			for head := 0; head < len(comp); head++ {
-				x := comp[head]
-				for y := 0; y < n; y++ {
-					if visited[y] || !inBall(y) {
-						continue
-					}
-					link := false
-					for _, eid := range c.Edges {
-						e := p.EdgeAt(eid)
-						if hasEdge(f, x, y) && sim[e.From][x] && sim[e.To][y] && colorOK(f, x, y, e.Color) {
-							link = true
-						}
-						if hasEdge(f, y, x) && sim[e.From][y] && sim[e.To][x] && colorOK(f, y, x, e.Color) {
-							link = true
-						}
-					}
-					if link {
-						visited[y] = true
-						comp = append(comp, y)
-					}
-				}
-			}
-			perfect := true
-			for _, u := range c.Nodes {
-				found := false
-				for _, x := range comp {
-					if sim[u][x] {
-						found = true
-						break
-					}
-				}
-				if !found {
-					perfect = false
-					break
-				}
-			}
-			if !perfect {
-				continue
-			}
-			for _, u := range c.Nodes {
-				for _, x := range comp {
-					if sim[u][x] {
-						res[u][x] = true
-					}
-				}
-			}
-		}
-	}
-	rel := make([][]int32, np)
-	ok := true
-	for u := 0; u < np; u++ {
-		for x := 0; x < n; x++ {
-			if res[u][x] {
-				rel[u] = append(rel[u], int32(x))
-			}
-		}
-		if len(rel[u]) == 0 {
-			ok = false
-		}
-	}
-	return rel, ok
-}
-
-func hasEdge(f *graph.Frozen, u, v int) bool {
-	for _, y := range f.Out(u) {
-		if int(y) == v {
-			return true
-		}
-	}
-	return false
-}
 
 // --- helpers -------------------------------------------------------------
 
@@ -321,7 +190,7 @@ func TestStrongSimMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		want, wantOK := naiveStrong(p, f)
+		want, wantOK := topo.NaiveStrong(p, f)
 		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
 			t.Errorf("seed %d: topo.StrongSim diverges from naive\n got %v ok=%v\nwant %v ok=%v\npattern:\n%s",
 				seed, got, gotOK, want, wantOK, p)
@@ -384,6 +253,33 @@ func TestValidationAndCancellation(t *testing.T) {
 	}
 	if _, _, err := topo.StrongSim(ctx, pBig, fBig, topo.Options{}); err == nil {
 		t.Errorf("topo.StrongSim ignored a cancelled context")
+	}
+}
+
+// A ball evaluated under a context cancelled after its evaluator was
+// built returns that context's error: cancellation reaches the fixpoint
+// inside the ball, not only the whole-graph prefilter.
+func TestBallEvalCancelled(t *testing.T) {
+	g := labeledGraph(t, []string{"A", "B", "C"}, [][2]int{{0, 1}, {1, 2}, {2, 0}})
+	p := labelPattern(t, []string{"A", "B", "C"}, [][2]int{{0, 1}, {1, 2}, {2, 0}})
+	f := g.Freeze()
+	dual := [][]bool{{true, false, false}, {false, true, false}, {false, false, true}}
+	c := &topo.Components(p)[0]
+	center := 0
+
+	ctx, cancel := context.WithCancel(context.Background())
+	ev := topo.NewBallEvaluator(ctx, p, f, dual)
+	defer ev.Close()
+	if out, err := ev.Eval(c, center, nil); err != nil || len(out) != 3 {
+		t.Fatalf("Eval before cancel: %v, %v; want the triangle's three pairs", out, err)
+	}
+	cancel()
+	out, err := ev.Eval(c, center, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Eval after cancel: err = %v, want %v", err, context.Canceled)
+	}
+	if len(out) != 0 {
+		t.Errorf("Eval after cancel appended %v", out)
 	}
 }
 
